@@ -26,7 +26,7 @@ from .metrics import (DegenerateMetric, NotKSymmetric, ad_invariance_residual,
                       locsym_conditions, metric_from_iso, parse_sym_iso, signature)
 from .connection import (closed_form_L, compatibility_residual, connection_report,
                          levi_civita, local_symmetry_residual, torsion_residual)
-from . import flows
+from . import flows, ode
 from . import isometry as iso_mod
 
 
@@ -225,7 +225,10 @@ def task_geodesic_integrate(args) -> int:
         args.out_csv, args.out = args.out, None
     problem = flows.FlowProblem(metric, x0, (args.t_min, args.t_max), form=args.form,
                                 rtol=args.rtol, atol=args.atol)
-    traj = flows.integrate(problem)
+    try:
+        traj = flows.integrate(problem)
+    except ode.SolverInputError as err:
+        raise InputError(str(err)) from err
     drifts = traj.invariant_drift()
     checks = []
     if traj.completed and drifts:

@@ -62,7 +62,7 @@ class FlowProblem:
             from .connection import levi_civita
             lflat = -levi_civita(self.metric).coeffs.reshape(d * d, d)
             def f(t, x):
-                return np.outer(x, x).ravel() @ lflat
+                return (x[:, None] * x).ravel() @ lflat
             return f
         from .algebra import basis_brackets
         bflat = basis_brackets(spec).reshape(d * d, d)
@@ -70,31 +70,52 @@ class FlowProblem:
         if self.form == EULER:
             table = np.ascontiguousarray(bflat @ uinv.T)
             def f(t, x):
-                return np.outer(u @ x, x).ravel() @ table
+                return ((u @ x)[:, None] * x).ravel() @ table
             return f
         def f(t, y):
-            return np.outer(y, uinv @ y).ravel() @ bflat
+            return (y[:, None] * (uinv @ y)).ravel() @ bflat
         return f
 
-    def to_euler_state(self, state: np.ndarray) -> np.ndarray:
-        """Map a raw sample of this problem to euler (x) coordinates."""
+    def to_euler_states(self, states: np.ndarray) -> np.ndarray:
+        """Map a stack of raw samples of this problem to euler (x) coordinates."""
         if self.form == LAX:
-            return self.metric.iso.inv @ state
-        return state
+            return _rowwise(self.metric.iso.inv, states)
+        return states
 
 
 def rhs_value(problem: FlowProblem, state) -> np.ndarray:
     return problem.rhs(0.0, _as_elem(problem.metric.spec, state))
 
 
+# Stacked products.  Each row of a stacked matmul runs the same BLAS kernel
+# as the single-state product (gemv for m @ x, dot for w @ x), so the values
+# are bit-equal to a per-row loop; X @ m.T or einsum are not.
+
+def _rowwise(m, X):
+    """m @ x for every row x of X; m is a matrix or a vector."""
+    return (m @ X[:, :, None])[..., 0]
+
+
+def _quadratic(m, X):
+    """x @ m @ x for every row x of X."""
+    return (X[:, None, :] @ m @ X[:, :, None])[:, 0, 0]
+
+
+def _sq(v):
+    # libm pow(v, 2), the rounding the pinned invariant logs were made with
+    # (a scalar v ** 2 calls it); array v ** 2 computes v * v instead, which
+    # differs in the last bit for about 0.1% of inputs.
+    return np.float_power(v, 2)
+
+
 @dataclass(frozen=True)
 class FirstIntegral:
     name: str
-    fn: object  # callable on euler-coordinates states
+    fn: object  # callable on an (N, dim) stack of euler-coordinates states
     description: str = ""
 
     def __call__(self, x) -> float:
-        return float(self.fn(x))
+        return float(self.fn(np.asarray(x, dtype=float)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -167,9 +188,9 @@ def first_integrals(metric: Metric) -> FirstIntegralSet:
     uT_g_u = u.T @ gram @ u
 
     out = [
-        FirstIntegral("E", lambda x, m=gu: float(x @ m @ x), "metric square k_u(x,x)"),
-        FirstIntegral("A", lambda x, m=uT_g_u: float(x @ m @ x), "k(u x, u x)"),
-        FirstIntegral("C", lambda x, w=ue0: float(w @ x), "center pairing k(x, u(e_0))"),
+        FirstIntegral("E", lambda X, m=gu: _quadratic(m, X), "metric square k_u(x,x)"),
+        FirstIntegral("A", lambda X, m=uT_g_u: _quadratic(m, X), "k(u x, u x)"),
+        FirstIntegral("C", lambda X, w=ue0: _rowwise(w, X), "center pairing k(x, u(e_0))"),
     ]
     notes: list[str] = []
 
@@ -189,11 +210,11 @@ def first_integrals(metric: Metric) -> FirstIntegralSet:
             beta = (frame.a * frame.b - frame.alpha**2) / beta_den
             binv, ue0w = frame.basis_inv, ue0
             def make_q(j):
-                def q(x):
-                    xb = binv @ x
-                    cx = float(ue0w @ x)
-                    quad = float(np.sum(mu * (mu[j] - mu) * xb[2:] ** 2))
-                    return beta[j] * (mu[j] * xb[0] - cx) ** 2 + quad
+                def q(X):
+                    xb = _rowwise(binv, X)
+                    cx = _rowwise(ue0w, X)
+                    quad = np.sum(mu * (mu[j] - mu) * xb[:, 2:] ** 2, axis=1)
+                    return beta[j] * _sq(mu[j] * xb[:, 0] - cx) + quad
                 return q
             for j in range(2 * spec.n):
                 out.append(FirstIntegral(f"Q{j + 1}", make_q(j),
@@ -204,10 +225,10 @@ def first_integrals(metric: Metric) -> FirstIntegralSet:
 
     if metric.iso.kind == "u2_dim4":
         out.append(FirstIntegral(
-            "P1", lambda x: float(2 * x[2] * x[3] + x[0] ** 2 + x[1] ** 2),
+            "P1", lambda X: 2 * X[:, 2] * X[:, 3] + _sq(X[:, 0]) + _sq(X[:, 1]),
             "2 x_1 xc_1 + x_-1^2 + x_0^2"))
         out.append(FirstIntegral(
-            "P2", lambda x: float(x[0] * x[3] + x[1] * x[2]),
+            "P2", lambda X: X[:, 0] * X[:, 3] + X[:, 1] * X[:, 2],
             "x_-1 xc_1 + x_0 x_1"))
     return FirstIntegralSet(tuple(out), tuple(notes))
 
@@ -220,6 +241,8 @@ class Trajectory:
     status: str
     t_detected: float | None
     invariant_log: dict[str, np.ndarray] = field(default_factory=dict)
+    n_steps: int = 0              # accepted steps, as counted by the solver
+    n_rejected: int = 0
 
     @property
     def completed(self) -> bool:
@@ -227,9 +250,7 @@ class Trajectory:
 
     @cached_property
     def euler_states(self) -> np.ndarray:
-        if self.problem.form == LAX:
-            return self.states @ self.problem.metric.iso.inv.T
-        return self.states
+        return self.problem.to_euler_states(self.states)
 
     def state_at(self, t: float, tol: float = 1e-9) -> np.ndarray:
         i = int(np.argmin(np.abs(self.ts - t)))
@@ -256,9 +277,10 @@ def integrate(problem: FlowProblem, integrals: FirstIntegralSet | None = None,
                          h_min=problem.h_min,
                          blowup_threshold=problem.blowup_threshold,
                          checkpoints=checkpoints)
-    xs = np.array([problem.to_euler_state(s) for s in res.ys])
-    log = {i.name: np.array([i(x) for x in xs]) for i in integrals.integrals}
-    return Trajectory(problem, res.ts, res.ys, res.status, res.t_detected, log)
+    xs = problem.to_euler_states(res.ys)
+    log = {i.name: i.fn(xs) for i in integrals.integrals}
+    return Trajectory(problem, res.ts, res.ys, res.status, res.t_detected, log,
+                      res.n_steps, res.n_rejected)
 
 
 # -- analytic references -------------------------------------------------------
@@ -429,10 +451,9 @@ def trajectory_csv(traj: Trajectory) -> str:
     names += [f"xc_{j}" for j in range(1, spec.n + 1)]
     names += list(traj.invariant_log.keys())
     lines = [",".join(names)]
-    cols = [traj.ts] + [traj.states[:, i] for i in range(spec.dim)]
-    cols += [traj.invariant_log[k] for k in traj.invariant_log]
-    for row in zip(*cols):
-        lines.append(",".join(format(v, ".17g") for v in row))
+    fmt = ",".join(["%.17g"] * len(names))
+    table = np.column_stack([traj.ts, traj.states, *traj.invariant_log.values()])
+    lines += [fmt % tuple(row.tolist()) for row in table]
     tail = f"# status={traj.status}"
     if traj.t_detected is not None:
         tail += f" t_detected={traj.t_detected:.17g}"

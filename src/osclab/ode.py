@@ -9,17 +9,21 @@ about why integration stopped:
                     was increasing
 
 A step underflow with non-increasing norm raises instead, since that is
-stiffness or a bug, not incompleteness evidence.
+stiffness or a bug, not incompleteness evidence.  Inputs that could only
+produce a meaningless status (negative or all-zero tolerances, a
+non-finite time span or initial state) raise ``SolverInputError``, a
+``ValueError``, up front.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 # Dormand-Prince coefficients.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -46,6 +50,10 @@ BLOWUP = "blowup"
 STEP_UNDERFLOW = "step_underflow"
 
 
+class SolverInputError(ValueError):
+    """Tolerances, time span or initial state that no integration can honour."""
+
+
 @dataclass
 class IntegrationResult:
     ts: np.ndarray
@@ -57,9 +65,20 @@ class IntegrationResult:
     message: str = ""
 
 
-def _error_norm(err, y_old, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _error_norm(err, abs_old, abs_new, rtol, atol):
+    q = err / (atol + rtol * np.maximum(abs_old, abs_new))
+    return math.sqrt(float((q * q).sum()) / q.size)
+
+
+def _check_inputs(t0, t1, y0, rtol, atol):
+    if not (rtol >= 0.0 and atol >= 0.0):
+        raise SolverInputError(f"tolerances must be non-negative, got rtol={rtol!r}, atol={atol!r}")
+    if rtol == 0.0 and atol == 0.0:
+        raise SolverInputError("rtol and atol are both zero; no step can meet that tolerance")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise SolverInputError(f"time span endpoints must be finite, got ({t0!r}, {t1!r})")
+    if not np.all(np.isfinite(y0)):
+        raise SolverInputError("initial state has non-finite entries")
 
 
 def _initial_step(f, t0, y0, f0, direction, rtol, atol):
@@ -89,6 +108,7 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).copy()
+    _check_inputs(t0, t1, y, rtol, atol)
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
     if span == 0.0:
@@ -105,13 +125,16 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
         raise FloatingPointError(f"right-hand side not finite at t={t0}")
     h = min(_initial_step(f, t0, y, f0, direction, rtol, atol), span)
 
-    ts, ys = [t0], [y.copy()]
+    # Stage arrays are fresh from each step, so samples are stored uncopied.
+    ts, ys = [t0], [y]
     t = t0
     k = np.empty((7, y.size))
     k[6] = f0  # FSAL slot holds f(t, y)
+    stages = [(_C[i], _A[i], k[:i], k[i]) for i in range(1, 7)]
     err_prev = 1.0
     n_steps = n_rejected = 0
-    norm_prev = float(np.max(np.abs(y)))
+    abs_y = np.abs(y)
+    norm = norm_prev = float(abs_y.max())  # max-norms of y and its predecessor
     stop_i = 0
 
     while (t1 - t) * direction > 0:
@@ -121,23 +144,24 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
         h = min(h, abs(next_stop - t))
         h = max(h, h_min)
         k[0] = k[6]
-        t_new = t + h * direction
         failed_before = False
         while True:
-            for i in range(1, 7):
-                yi = y + (h * direction) * (k[:i].T @ _A[i])
-                k[i] = f(t + _C[i] * h * direction, yi)
+            hd = h * direction
+            for c, a, k_prev, k_out in stages:
+                yi = y + hd * np.dot(a, k_prev)
+                k_out[:] = f(t + c * hd, yi)
             y_new = yi  # stage 7 input equals the order-5 solution
-            if not np.all(np.isfinite(y_new)):
-                if float(np.max(np.abs(y))) >= norm_prev:
+            abs_new = np.abs(y_new)
+            norm_new = float(abs_new.max())  # NaN or inf unless y_new is finite
+            if not math.isfinite(norm_new):
+                if norm >= norm_prev:
                     return IntegrationResult(
                         np.array(ts), np.array(ys), BLOWUP, t_detected=t,
                         n_steps=n_steps, n_rejected=n_rejected,
                         message="state left the finite range while growing")
                 raise FloatingPointError(
-                    f"non-finite state near t={t + h * direction} with non-growing norm")
-            err_vec = (h * direction) * (k.T @ _E)
-            err = _error_norm(err_vec, y, y_new, rtol, atol)
+                    f"non-finite state near t={t + hd} with non-growing norm")
+            err = _error_norm(hd * np.dot(_E, k), abs_y, abs_new, rtol, atol)
             if err <= 1.0:
                 break
             n_rejected += 1
@@ -145,7 +169,7 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
             factor = max(_MIN_FACTOR, _SAFETY * err ** (-_ALPHA))
             h *= factor
             if h < h_min:
-                if float(np.max(np.abs(y))) >= norm_prev:
+                if norm >= norm_prev:
                     return IntegrationResult(
                         np.array(ts), np.array(ys), STEP_UNDERFLOW, t_detected=t,
                         n_steps=n_steps, n_rejected=n_rejected,
@@ -153,20 +177,18 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
                 raise RuntimeError(
                     f"step size underflow at t={t} without norm growth; "
                     "refusing to report incompleteness")
-            t_new = t + h * direction
 
         # Accepted.
         n_steps += 1
-        norm_prev = float(np.max(np.abs(y)))
-        t, y = t_new, y_new
+        t, y, abs_y = t + h * direction, y_new, abs_new
+        norm_prev, norm = norm, norm_new
         ts.append(t)
-        ys.append(y.copy())
-        norm_now = float(np.max(np.abs(y)))
-        if norm_now > blowup_threshold:
+        ys.append(y)
+        if norm > blowup_threshold:
             return IntegrationResult(
                 np.array(ts), np.array(ys), BLOWUP, t_detected=t,
                 n_steps=n_steps, n_rejected=n_rejected,
-                message=f"max-norm {norm_now:.3e} exceeded threshold")
+                message=f"max-norm {norm:.3e} exceeded threshold")
         if abs(t - next_stop) <= 1e-14 * max(1.0, abs(next_stop)) and stop_i < len(stops) - 1:
             stop_i += 1
         factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA if err > 0 else _MAX_FACTOR

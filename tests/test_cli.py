@@ -115,6 +115,25 @@ class TestGeodesicTask:
         assert max(rep["integral_drift"].values()) <= 1e-8
 
 
+class TestIntegrateInputs:
+    @pytest.mark.parametrize("extra, message", [
+        (["--rtol", "0", "--atol", "0"], "both zero"),
+        (["--rtol=-1e-10"], "non-negative"),
+        (["--atol", "-1"], "non-negative"),
+        (["--t-max", "nan"], "time span"),
+        (["--t-max", "inf"], "time span"),
+        (["--t-min=-inf"], "time span"),
+        (["--x0", "nan,1,-1,0"], "initial state"),
+    ])
+    def test_solver_inputs_exit_2_with_one_line(self, capsys, extra, message):
+        code, out, err = run(capsys, "geodesic-integrate", "--lambda", "1",
+                             "--metric", "u1_dim4", "--x0", "gamma1:c=1,rho=1",
+                             *extra)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
+
 class TestProbeTask:
     def test_probe_report_and_exit(self, capsys):
         code, rep, _ = run_json(

@@ -116,6 +116,74 @@ class TestIntegrate:
             ode.solve_rk45(bad, (0.0, 1.0), np.array([1.0]))
 
 
+class TestTrajectoryRecord:
+    def test_counters_equal_the_solvers_own(self, u1_metric):
+        prob = FlowProblem(u1_metric, analytic_gamma1(1.0, 1.0, 0.0), (0.0, 3.0),
+                           rtol=1e-6, atol=1e-8)
+        traj = integrate(prob)
+        res = ode.solve_rk45(prob.rhs, prob.t_span, prob.x0, rtol=prob.rtol,
+                             atol=prob.atol, h_min=prob.h_min,
+                             blowup_threshold=prob.blowup_threshold)
+        assert (traj.n_steps, traj.n_rejected) == (res.n_steps, res.n_rejected)
+        assert traj.n_rejected > 0 and traj.ts.size == traj.n_steps + 1
+
+    def test_lax_euler_states_match_the_logged_conversion(self, spec12, rng):
+        # A non-diagonal u, where states @ inv.T and inv @ s differ in the
+        # last bits: the invariant log and euler_states must agree exactly.
+        u = np.eye(spec12.dim)
+        u[0, 1] = 0.7
+        u[1, 0] = 0.3
+        u[2:, 2:] = np.diag([0.9, -1.4, 2.2, 0.5])
+        m = metric_from_iso(k_lambda(spec12), SymIso(spec12, u, "cartan_test"))
+        x0 = random_initial_state(spec12, rng)
+        traj = integrate(FlowProblem(m, u @ x0, (0.0, 5.0), form=LAX))
+        inv = m.iso.inv
+        per_row = np.array([inv @ s for s in traj.states])
+        assert np.array_equal(traj.euler_states, per_row)
+        for fi in first_integrals(m).integrals:
+            assert np.array_equal(traj.invariant_log[fi.name],
+                                  [fi(x) for x in traj.euler_states])
+
+
+def _scalar_integrals(m):
+    """The first integrals written one state at a time with numpy scalars:
+    the reference the stacked evaluation must equal bit for bit."""
+    gram, u, spec = m.form.gram, m.iso.matrix, m.spec
+    gu, uT_g_u = gram @ u, u.T @ gram @ u
+    ue0 = gram @ (u @ basis_vector(spec, 1))
+    ref = {"E": lambda x: float(x @ gu @ x), "A": lambda x: float(x @ uT_g_u @ x),
+           "C": lambda x: float(ue0 @ x)}
+    if m.iso.kind == "u2_dim4":
+        ref["P1"] = lambda x: float(2 * x[2] * x[3] + x[0] ** 2 + x[1] ** 2)
+        ref["P2"] = lambda x: float(x[0] * x[3] + x[1] * x[2])
+    else:
+        fr = cartan_adapted_frame(m)
+        mu = fr.mu
+        beta = (fr.a * fr.b - fr.alpha ** 2) / (fr.a * mu)
+        def q(j, x):
+            xb = fr.basis_inv @ x
+            cx = float(ue0 @ x)
+            quad = float(np.sum(mu * (mu[j] - mu) * xb[2:] ** 2))
+            return float(beta[j] * (mu[j] * xb[0] - cx) ** 2 + quad)
+        for j in range(mu.size):
+            ref[f"Q{j + 1}"] = lambda x, j=j: q(j, x)
+    return ref
+
+
+def test_stacked_integrals_equal_the_scalar_reference(u2_metric, spec12, rng):
+    u = np.eye(spec12.dim)
+    u[0, 1], u[1, 0] = 0.7, 0.3
+    u[2:, 2:] = np.diag([0.9, -1.4, 2.2, 0.5])
+    cartan = metric_from_iso(k_lambda(spec12), SymIso(spec12, u, "cartan_test"))
+    for m in (u2_metric, cartan):
+        xs = rng.standard_normal((4000, m.spec.dim)) * rng.uniform(0.1, 10.0, (4000, 1))
+        ref = _scalar_integrals(m)
+        fis = first_integrals(m).integrals
+        assert sorted(ref) == sorted(fi.name for fi in fis)
+        for fi in fis:
+            assert np.array_equal(fi.fn(xs), [ref[fi.name](x) for x in xs]), fi.name
+
+
 class TestFirstIntegrals:
     def test_generic_set_always_registered(self, u1_metric):
         names = first_integrals(u1_metric).names

@@ -1,0 +1,96 @@
+"""Golden trajectories: the CSV text and step counts of fixed runs, pinned.
+
+Each case integrates one fixed initial state and must reproduce its CSV
+under ``tests/golden/`` byte for byte, together with the exact accepted and
+rejected step counts in ``tests/golden/counts.json``.  Any change to the
+solver's arithmetic, the right-hand sides, the first integrals or the CSV
+writer shows here.
+
+Regenerate (only for an intended change of output) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import math
+import pathlib
+
+import numpy as np
+import pytest
+
+from osclab import flows
+from osclab.algebra import LambdaSpec
+from osclab.metrics import k_lambda, metric_from_iso, parse_sym_iso
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+TOL = {"rtol": 1e-10, "atol": 1e-12}
+
+# n = 2 metric that stabilizes the Cartan subalgebra and moves the center,
+# so the adapted-frame quadratic family Q1..Q4 is registered.
+_CARTAN_ROWS = [[1.1, 0.7, 0, 0, 0, 0], [0.3, 1.1, 0, 0, 0, 0],
+                [0, 0, 0.9, 0, 0, 0], [0, 0, 0, -1.4, 0, 0],
+                [0, 0, 0, 0, 2.2, 0], [0, 0, 0, 0, 0, 0.5]]
+_SHORT = {
+    1: ((1.0,), {"kind": "diagonal_sym", "eta": [0.3], "eta_check": [0.7], "rho": 0.9},
+        [0.5, 0.1, 0.6, -0.4]),
+    2: ((1.0, 2.0), {"kind": "matrix", "rows": _CARTAN_ROWS},
+        [0.3, -0.2, 0.5, 0.1, -0.4, 0.2]),
+}
+
+
+def _metric(lams, desc):
+    spec = LambdaSpec(tuple(lams))
+    return metric_from_iso(k_lambda(spec), parse_sym_iso(spec, desc))
+
+
+def cases():
+    """name -> FlowProblem for every pinned run."""
+    out = {}
+    for n, (lams, desc, x) in _SHORT.items():
+        m = _metric(lams, desc)
+        for form in (flows.BODY, flows.EULER, flows.LAX):
+            x0 = m.iso.matrix @ np.asarray(x) if form == flows.LAX else x
+            out[f"{form}_n{n}"] = flows.FlowProblem(m, x0, (0.0, 5.0), form=form, **TOL)
+    out["gamma1_blowup"] = flows.FlowProblem(
+        _metric((1.0,), {"kind": "u1_dim4"}), flows.analytic_gamma1(1.0, 1.0, 0.0),
+        (0.0, 3.0), **TOL)
+    # Loose tolerances make the controller reject steps near the pole.
+    out["gamma1_loose"] = flows.FlowProblem(
+        _metric((1.0,), {"kind": "u1_dim4"}), flows.analytic_gamma1(1.0, 1.0, 0.0),
+        (0.0, 3.0), rtol=1e-6, atol=1e-8)
+    out["u2_blowup"] = flows.FlowProblem(
+        _metric((1.0,), {"kind": "u2_dim4"}), [0.0, 1.0, 0.5, -2.0], (0.0, 5.0), **TOL)
+    return out
+
+
+CASES = cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trajectory_matches_golden(name):
+    counts = json.loads((GOLDEN / "counts.json").read_text())
+    traj = flows.integrate(CASES[name])
+    assert flows.trajectory_csv(traj) == (GOLDEN / f"{name}.csv").read_text()
+    assert [traj.n_steps, traj.n_rejected] == counts[name]
+
+
+def test_blowup_goldens_stop_near_the_pole():
+    text = (GOLDEN / "gamma1_blowup.csv").read_text()
+    status = text.splitlines()[-1]
+    assert status.startswith("# status=blowup t_detected=")
+    t_detected = float(status.split("t_detected=")[1])
+    assert abs(t_detected - math.pi / 2) / (math.pi / 2) < 0.01
+
+
+def write_goldens():
+    GOLDEN.mkdir(exist_ok=True)
+    counts = {}
+    for name, problem in CASES.items():
+        traj = flows.integrate(problem)
+        (GOLDEN / f"{name}.csv").write_text(flows.trajectory_csv(traj))
+        counts[name] = [traj.n_steps, traj.n_rejected]
+    (GOLDEN / "counts.json").write_text(json.dumps(counts, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write_goldens()
