@@ -144,28 +144,48 @@ def _as_elem(spec: LambdaSpec, x) -> np.ndarray:
     return x
 
 
+def _as_stack(spec: LambdaSpec, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != spec.dim:
+        raise DimensionMismatch(
+            f"elements of shape {x.shape} do not belong to a dim-{spec.dim} algebra"
+        )
+    return x
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # A stack of (1, n) @ (n, 1) products runs numpy's vector dot per row,
+    # so each row has the bits of the 1-D ``a @ b``; einsum and
+    # ``(a * b).sum(-1)`` sum in another order.
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def bracket(spec: LambdaSpec, x, y) -> np.ndarray:
     """Lie bracket [x, y], the structure-constant contraction.
 
-    Antisymmetry holds exactly at coefficient level: bracket(y, x) is the
-    floating-point negation of bracket(x, y).
+    ``x`` and ``y`` are elements or stacks of elements, shape ``(..., d)``;
+    leading axes broadcast, and every row of the result has the bits of the
+    bracket of the corresponding single elements.  Antisymmetry holds
+    exactly at coefficient level: bracket(y, x) is the floating-point
+    negation of bracket(x, y).
     """
-    x, y = _as_elem(spec, x), _as_elem(spec, y)
+    x, y = _as_stack(spec, x), _as_stack(spec, y)
     n, lam = spec.n, spec.lam
-    x1, xc = x[2 : 2 + n], x[2 + n :]
-    y1, yc = y[2 : 2 + n], y[2 + n :]
-    out = np.zeros(spec.dim)
-    out[1] = x1 @ yc - xc @ y1
-    out[2 : 2 + n] = -lam * (x[0] * yc - y[0] * xc)
-    out[2 + n :] = lam * (x[0] * y1 - y[0] * x1)
+    x0, x1, xc = x[..., :1], x[..., 2 : 2 + n], x[..., 2 + n :]
+    y0, y1, yc = y[..., :1], y[..., 2 : 2 + n], y[..., 2 + n :]
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    out[..., 1] = _row_dot(x1, yc) - _row_dot(xc, y1)
+    out[..., 2 : 2 + n] = -lam * (x0 * yc - y0 * xc)
+    out[..., 2 + n :] = lam * (x0 * y1 - y0 * x1)
     return out
 
 
 def ad(spec: LambdaSpec, x) -> np.ndarray:
     """Matrix of bracket(x, .) in the canonical basis."""
     x = _as_elem(spec, x)
-    cols = [bracket(spec, x, basis_vector(spec, b)) for b in range(spec.dim)]
-    return np.column_stack(cols)
+    # Row b of bracket(x, I) is [x, e_b], column b of ad(x); kept
+    # C-contiguous so products with it run the same BLAS kernels.
+    return np.ascontiguousarray(bracket(spec, x, np.eye(spec.dim)).T)
 
 
 def basis_brackets(spec: LambdaSpec) -> np.ndarray:
@@ -178,7 +198,8 @@ def basis_brackets(spec: LambdaSpec) -> np.ndarray:
 
 
 def jacobi_residual(spec: LambdaSpec, x, y, z) -> float:
-    """Max-abs coefficient of [x,[y,z]] + [y,[z,x]] + [z,[x,y]]."""
+    """Max-abs coefficient of [x,[y,z]] + [y,[z,x]] + [z,[x,y]], over every
+    row when x, y, z are stacks of shape ``(..., d)``."""
     s = (
         bracket(spec, x, bracket(spec, y, z))
         + bracket(spec, y, bracket(spec, z, x))

@@ -12,8 +12,10 @@ parallelism reduces in sample order).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -92,6 +94,11 @@ def _parse_x0(spec: LambdaSpec, text):
     return np.asarray(vals)
 
 
+def _require_samples(args):
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
+
+
 def _check(name, claim, residual, tolerance):
     ok = None if tolerance is None else bool(residual <= tolerance)
     return {"name": name, "claim": claim, "residual": float(residual),
@@ -123,14 +130,12 @@ def _finish(report: dict, args) -> int:
 
 def task_algebra_check(args) -> int:
     spec = _parse_lambda(args.lam)
+    _require_samples(args)
     rng = np.random.default_rng(args.seed)
-    worst_j = 0.0
-    worst_anti = 0.0
-    for _ in range(args.samples):
-        x, y, z = rng.standard_normal((3, spec.dim))
-        worst_j = max(worst_j, jacobi_residual(spec, x, y, z))
-        worst_anti = max(worst_anti, float(np.max(np.abs(
-            bracket(spec, x, y) + bracket(spec, y, x)))))
+    # One (samples, 3, d) draw is the same stream as samples (3, d) draws.
+    x, y, z = rng.standard_normal((args.samples, 3, spec.dim)).transpose(1, 0, 2)
+    worst_j = jacobi_residual(spec, x, y, z)
+    worst_anti = float(np.max(np.abs(bracket(spec, x, y) + bracket(spec, y, x))))
     dims = (center(spec).dim, derived_ideal(spec).dim, cartan(spec).dim)
     checks = [
         _check("jacobi", "jacobi identity residual over random triples",
@@ -251,6 +256,7 @@ def task_geodesic_integrate(args) -> int:
 def task_completeness_probe(args) -> int:
     spec = _parse_lambda(args.lam)
     metric = _parse_metric(spec, args.metric)
+    _require_samples(args)
     threads = args.threads or int(os.environ.get("OSCLAB_THREADS", "1"))
     rep = flows.completeness_probe(metric, args.samples, args.t_max,
                                    seed=args.seed, threads=threads)
@@ -277,6 +283,7 @@ def task_completeness_probe(args) -> int:
 
 def task_isometry_verify(args) -> int:
     spec = _parse_lambda(args.lam)
+    _require_samples(args)
     form = k_lambda(spec)
     rng = np.random.default_rng(args.seed)
     if args.u:
@@ -373,11 +380,13 @@ def task_full_report(args) -> int:
     spec = _parse_lambda(args.lam)
     form = k_lambda(spec)
     metric = _parse_metric(spec, args.metric)
+    if args.probe_samples < 0:
+        raise InputError(f"--probe-samples must be at least 0, got {args.probe_samples}")
     rng = np.random.default_rng(args.seed)
     checks = []
 
-    worst_j = max(jacobi_residual(spec, *rng.standard_normal((3, spec.dim)))
-                  for _ in range(200))
+    x, y, z = rng.standard_normal((200, 3, spec.dim)).transpose(1, 0, 2)
+    worst_j = jacobi_residual(spec, x, y, z)
     checks.append(_check("jacobi", "jacobi identity residual", worst_j, 1e-12))
     checks.append(_check("ad_invariance", "bi-invariant form is ad-invariant",
                          ad_invariance_residual(form, seed=args.seed), 1e-12))
@@ -419,7 +428,10 @@ def task_full_report(args) -> int:
 
 # -- argument wiring --------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args leaves the parser unchanged and
+    # returns a fresh namespace on every call.
     top = argparse.ArgumentParser(
         prog="osclab",
         description="Numerical laboratory for the geometry of oscillator Lie groups")
@@ -517,9 +529,28 @@ def _run_scenario(path: str) -> int:
     return main(argv)
 
 
+# A token that starts like a negative number or a comma list of numbers;
+# no osclab option does, so it can only be the value of the flag before it.
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -1e3`` into ``--flag=-1e3``: argparse takes only
+    ``-5``/``-0.5``-style tokens for negative numbers and would read
+    ``-1e3``, ``-inf`` or ``-1,0,0,0`` as an unknown option."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_attach_negative_values(argv))
     try:
         if args.task == "run":
             return _run_scenario(args.scenario)

@@ -141,8 +141,8 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
         if n_steps >= max_steps:
             raise RuntimeError(f"step budget {max_steps} exhausted at t={t}")
         next_stop = stops[stop_i]
-        h = min(h, abs(next_stop - t))
-        h = max(h, h_min)
+        # Floor first: a stop closer than h_min is landed on, not stepped over.
+        h = min(max(h, h_min), abs(next_stop - t))
         k[0] = k[6]
         failed_before = False
         while True:

@@ -90,7 +90,86 @@ class TestBracket:
         assert worst <= 1e-12
 
 
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+
+def random_spec(n, gen):
+    return LambdaSpec(tuple(np.sort(gen.uniform(0.3, 4.0, size=n))))
+
+
+def reference_bracket(spec, x, y):
+    """The single-element closed form, with 1-D dot products."""
+    n, lam = spec.n, spec.lam
+    x1, xc, y1, yc = x[2:2 + n], x[2 + n:], y[2:2 + n], y[2 + n:]
+    out = np.zeros(spec.dim)
+    out[1] = x1 @ yc - xc @ y1
+    out[2:2 + n] = -lam * (x[0] * yc - y[0] * xc)
+    out[2 + n:] = lam * (x[0] * y1 - y[0] * x1)
+    return out
+
+
+class TestStackedBracket:
+    @pytest.mark.parametrize("rows", [1, 7, 1000])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stack_equals_per_row_brackets(self, n, rows):
+        gen = np.random.default_rng(1000 * n + rows)
+        spec = random_spec(n, gen)
+        x, y = gen.standard_normal((2, rows, spec.dim))
+        want = np.array([reference_bracket(spec, a, b) for a, b in zip(x, y)])
+        np.testing.assert_array_equal(bracket(spec, x, y), want)
+        assert_same_bits(bracket(spec, x, y), want)
+        assert_same_bits(np.array([bracket(spec, a, b) for a, b in zip(x, y)]), want)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_single_element_broadcasts_against_a_stack(self, n):
+        gen = np.random.default_rng(n)
+        spec = random_spec(n, gen)
+        x, ys = gen.standard_normal(spec.dim), gen.standard_normal((4, 5, spec.dim))
+        got = bracket(spec, x, ys)
+        assert got.shape == (4, 5, spec.dim)
+        want = np.array([[reference_bracket(spec, x, y) for y in row] for row in ys])
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_antisymmetry_is_exact_on_stacks(self, n):
+        gen = np.random.default_rng(n)
+        spec = random_spec(n, gen)
+        x, y = gen.standard_normal((2, 500, spec.dim))
+        np.testing.assert_array_equal(bracket(spec, y, x), -bracket(spec, x, y))
+
+    def test_jacobi_residual_is_the_max_over_rows(self, spec112, rng):
+        x, y, z = rng.standard_normal((3, 300, spec112.dim))
+        want = max(jacobi_residual(spec112, a, b, c) for a, b, c in zip(x, y, z))
+        assert jacobi_residual(spec112, x, y, z) == want
+
+    def test_mismatched_last_axis_raises(self, spec1, spec12, rng):
+        with pytest.raises(DimensionMismatch):
+            bracket(spec1, rng.standard_normal((5, spec1.dim)),
+                    rng.standard_normal((5, spec12.dim)))
+        with pytest.raises(DimensionMismatch):
+            bracket(spec12, rng.standard_normal((3, spec12.dim + 1)),
+                    rng.standard_normal(spec12.dim))
+        with pytest.raises(DimensionMismatch):
+            bracket(spec1, 1.0, e(spec1, 0))
+
+
 class TestAdjoint:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ad_equals_the_column_stacked_basis_brackets(self, n):
+        gen = np.random.default_rng(n)
+        spec = random_spec(n, gen)
+        x = gen.standard_normal(spec.dim)
+        cols = [reference_bracket(spec, x, e(spec, b)) for b in range(spec.dim)]
+        got = ad(spec, x)
+        assert_same_bits(got, np.column_stack(cols))
+        assert got.flags.c_contiguous
+
+    def test_ad_takes_a_single_element_only(self, spec12, rng):
+        with pytest.raises(DimensionMismatch):
+            ad(spec12, rng.standard_normal((1, spec12.dim)))
+
     def test_center_element_acts_trivially(self, spec12):
         assert np.all(ad(spec12, e(spec12, 1)) == 0.0)
 

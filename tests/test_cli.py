@@ -119,10 +119,13 @@ class TestIntegrateInputs:
     @pytest.mark.parametrize("extra, message", [
         (["--rtol", "0", "--atol", "0"], "both zero"),
         (["--rtol=-1e-10"], "non-negative"),
+        (["--rtol", "-1e-10"], "non-negative"),
+        (["--atol", "-1E-3"], "non-negative"),
         (["--atol", "-1"], "non-negative"),
         (["--t-max", "nan"], "time span"),
         (["--t-max", "inf"], "time span"),
         (["--t-min=-inf"], "time span"),
+        (["--t-min", "-inf"], "time span"),
         (["--x0", "nan,1,-1,0"], "initial state"),
     ])
     def test_solver_inputs_exit_2_with_one_line(self, capsys, extra, message):
@@ -132,6 +135,57 @@ class TestIntegrateInputs:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert message in err
+
+
+    def test_negative_exponent_start_time_integrates(self, capsys):
+        code, rep, _ = run_json(capsys, "geodesic-integrate", "--lambda", "1",
+                                "--metric", "u1_dim4", "--x0", "gamma1:c=1,rho=1",
+                                "--t-min", "-1e3")
+        assert code == 0
+        assert rep["t_span"] == [-1000.0, 10.0]
+        assert rep["status"] == "blowup"
+
+    def test_negative_first_coordinate_is_a_value(self, capsys):
+        code, rep, _ = run_json(capsys, "geodesic-integrate", "--lambda", "1",
+                                "--metric", "u1_dim4", "--x0", "-1,0.5,0,0",
+                                "--t-max", "1")
+        assert code == 0
+        assert rep["x0"] == [-1.0, 0.5, 0.0, 0.0]
+
+
+class TestSamplesContract:
+    @pytest.mark.parametrize("argv", [
+        ["algebra-check", "--lambda", "1"],
+        ["isometry-verify", "--lambda", "1"],
+        ["completeness-probe", "--lambda", "1", "--metric", "u1_dim4"],
+    ])
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_fewer_than_one_sample_exits_2_with_one_line(self, capsys, argv, samples):
+        code, out, err = run(capsys, *argv, "--samples", samples)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "--samples must be at least 1" in err
+
+    def test_negative_probe_samples_exit_2(self, capsys):
+        code, out, err = run(capsys, "full-report", "--lambda", "1", "--metric",
+                             "u1_dim4", "--probe-samples", "-3")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--probe-samples" in err
+
+
+class TestRepeatedCalls:
+    def test_calls_in_one_process_share_no_parsed_state(self, capsys):
+        import osclab.cli as cli
+
+        assert cli._build_parser() is cli._build_parser()
+        code, rep, _ = run_json(capsys, "algebra-check", "--lambda", "1",
+                                "--samples", "5", "--seed", "3")
+        assert code == 0 and (rep["samples"], rep["seed"]) == (5, 3)
+        code, rep, _ = run_json(capsys, "isometry-verify", "--lambda", "1,2")
+        assert code == 0 and (rep["samples"], rep["seed"]) == (20, 0)
+        code, rep, _ = run_json(capsys, "algebra-check", "--lambda", "1,2")
+        assert code == 0 and (rep["samples"], rep["seed"]) == (1000, 0)
+        assert rep["lambda"] == [1.0, 2.0]
 
 
 class TestProbeTask:

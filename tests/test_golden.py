@@ -1,10 +1,15 @@
-"""Golden trajectories: the CSV text and step counts of fixed runs, pinned.
+"""Golden outputs: trajectory CSVs with their step counts, and CLI reports.
 
-Each case integrates one fixed initial state and must reproduce its CSV
-under ``tests/golden/`` byte for byte, together with the exact accepted and
-rejected step counts in ``tests/golden/counts.json``.  Any change to the
-solver's arithmetic, the right-hand sides, the first integrals or the CSV
-writer shows here.
+Each trajectory case integrates one fixed initial state and must reproduce
+its CSV under ``tests/golden/`` byte for byte, together with the exact
+accepted and rejected step counts in ``tests/golden/counts.json``.  Any
+change to the solver's arithmetic, the right-hand sides, the first
+integrals or the CSV writer shows here.
+
+Each CLI case runs one README command-line example that integrates nothing
+and must write the JSON report under ``tests/golden/cli/`` byte for byte, so
+a change to the bracket, the form, the connection or the isometry code that
+moves any reported bit shows here.
 
 Regenerate (only for an intended change of output) with
 
@@ -18,11 +23,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from osclab import flows
+from osclab import cli, flows
 from osclab.algebra import LambdaSpec
 from osclab.metrics import k_lambda, metric_from_iso, parse_sym_iso
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+CLI_GOLDEN = GOLDEN / "cli"
 TOL = {"rtol": 1e-10, "atol": 1e-12}
 
 # n = 2 metric that stabilizes the Cartan subalgebra and moves the center,
@@ -82,6 +88,39 @@ def test_blowup_goldens_stop_near_the_pole():
     assert abs(t_detected - math.pi / 2) / (math.pi / 2) < 0.01
 
 
+# The README examples as written (default seed 0), a larger algebra-check,
+# and a full-report at n = 2 with a non-default seed.
+_LOCSYM_N1 = '{"kind":"diagonal_sym","eta":[0.3],"eta_check":[0.7]}'
+CLI_CASES = {
+    "algebra_check": ["algebra-check", "--lambda", "1,2"],
+    "algebra_check_n4": ["algebra-check", "--lambda", "1,1,2,3", "--samples", "1000"],
+    "metric_info": ["metric-info", "--lambda", "1", "--metric", "u2_dim4"],
+    "connection_report": [
+        "connection-report", "--lambda", "1,2", "--metric",
+        '{"kind":"diagonal_sym","eta":[0.4,1.1],"eta_check":[0.6,1.1]}'],
+    "locsym_check": ["locsym-check", "--lambda", "1", "--metric",
+                     '{"kind":"diagonal_sym","eta":[2.0],"eta_check":[5.0]}'],
+    "full_report": ["full-report", "--lambda", "1", "--metric", _LOCSYM_N1],
+    "full_report_n2": ["full-report", "--lambda", "1,2", "--seed", "5", "--metric",
+                       '{"kind":"diagonal_sym","eta":[0.4,1.3],"eta_check":[0.6,1.3],'
+                       '"rho":0.9}'],
+    "isometry_dim": ["isometry-dim", "--lambda", "1,1,2"],
+    "isometry_verify": ["isometry-verify", "--lambda", "1,1,2"],
+    "isometry_polar": ["isometry-polar", "--lambda", "1", "--u",
+                       '{"rho":1,"blocks":[{"v":[[0.5,-0.3]],"u":[[1,0],[0,1]]}]}',
+                       "--g", "0.7,0.1,1.0,0.0"],
+    "lattice_check": ["lattice-check", "--lambda", "2/3,1,5/3", "--exact"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_report_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(CLI_CASES[name] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (CLI_GOLDEN / f"{name}.json").read_bytes()
+
+
 def write_goldens():
     GOLDEN.mkdir(exist_ok=True)
     counts = {}
@@ -90,6 +129,9 @@ def write_goldens():
         (GOLDEN / f"{name}.csv").write_text(flows.trajectory_csv(traj))
         counts[name] = [traj.n_steps, traj.n_rejected]
     (GOLDEN / "counts.json").write_text(json.dumps(counts, indent=1, sort_keys=True) + "\n")
+    CLI_GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CLI_CASES.items():
+        cli.main(argv + ["--out", str(CLI_GOLDEN / f"{name}.json")])
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osclab.algebra import LambdaSpec, basis_vector
+from osclab.algebra import DimensionMismatch, LambdaSpec, basis_vector, bracket
+from osclab.connection import levi_civita
+from osclab.flows import FlowProblem
 from osclab.metrics import (DegenerateMetric, NotKSymmetric, SymIso,
                             ad_invariance_residual, completeness_criteria,
                             k_lambda, k_symmetry_residual, locsym_conditions,
@@ -33,6 +35,41 @@ class TestBiInvariantForm:
     def test_ad_invariance(self, lams):
         form = k_lambda(LambdaSpec(lams))
         assert ad_invariance_residual(form, n_samples=200) <= 1e-12
+
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("lams", [(1.0,), (1.0, 2.0), (0.5, 1.0, 1.0, 3.0)])
+    def test_ad_invariance_equals_the_scalar_loop(self, lams, seed):
+        form = k_lambda(LambdaSpec(lams))
+        spec, rng = form.spec, np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(200):
+            x, y, z = rng.standard_normal((3, spec.dim))
+            r = form.value(bracket(spec, x, y), z) + form.value(y, bracket(spec, x, z))
+            worst = max(worst, abs(r))
+        assert ad_invariance_residual(form, n_samples=200, seed=seed) == worst
+
+    def test_ad_invariance_over_no_samples_is_zero(self, spec1):
+        assert ad_invariance_residual(k_lambda(spec1), n_samples=0) == 0.0
+
+
+class TestSingleElementInputs:
+    """The single-element APIs reject a stack of one element."""
+
+    def test_forms_and_metrics(self, spec12, rng):
+        form = k_lambda(spec12)
+        metric = metric_from_iso(form, named_family(spec12, "diagonal_sym"))
+        row, x = rng.standard_normal((1, spec12.dim)), rng.standard_normal(spec12.dim)
+        for value in (form.value, metric.value):
+            with pytest.raises(DimensionMismatch):
+                value(row, x)
+        with pytest.raises(DimensionMismatch):
+            levi_civita(metric).left_mult_of(row)
+
+    def test_flow_problem_rejects_a_row_vector(self, spec1, rng):
+        metric = metric_from_iso(k_lambda(spec1), named_family(spec1, "diagonal_sym"))
+        with pytest.raises(DimensionMismatch):
+            FlowProblem(metric, rng.standard_normal((1, spec1.dim)), (0.0, 1.0))
 
 
 class TestMetricFromIso:

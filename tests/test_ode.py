@@ -32,6 +32,15 @@ class TestStopping:
         assert all(c in ts for c in cps + [1.0])
         assert np.all(np.diff(res.ts) > 0)
 
+    @pytest.mark.parametrize("cps", [[0.5, 0.5 + 2e-14], [1.0 - 5e-14]])
+    def test_stops_closer_than_h_min_are_landed_on(self, cps):
+        res = ode.solve_rk45(decay, (0.0, 1.0), np.array([1.0]), checkpoints=cps)
+        assert res.status == ode.COMPLETED
+        for c in cps:
+            assert c in res.ts
+        assert res.ts[-1] == 1.0 and np.all(res.ts <= 1.0)
+        assert np.all(np.diff(res.ts) > 0)
+
     def test_backward_integration(self):
         res = ode.solve_rk45(decay, (0.0, -1.0), np.array([1.0]), checkpoints=[-0.5])
         assert res.status == ode.COMPLETED
