@@ -119,14 +119,14 @@ class TestIntegrateInputs:
     @pytest.mark.parametrize("extra, message", [
         (["--rtol", "0", "--atol", "0"], "both zero"),
         (["--rtol=-1e-10"], "non-negative"),
-        (["--rtol", "-1e-10"], "non-negative"),
-        (["--atol", "-1E-3"], "non-negative"),
         (["--atol", "-1"], "non-negative"),
         (["--t-max", "nan"], "time span"),
         (["--t-max", "inf"], "time span"),
         (["--t-min=-inf"], "time span"),
-        (["--t-min", "-inf"], "time span"),
         (["--x0", "nan,1,-1,0"], "initial state"),
+        (["--rtol", "-1e-10"], "non-negative"),
+        (["--atol", "-1E-3"], "non-negative"),
+        (["--t-min", "-inf"], "time span"),
     ])
     def test_solver_inputs_exit_2_with_one_line(self, capsys, extra, message):
         code, out, err = run(capsys, "geodesic-integrate", "--lambda", "1",
