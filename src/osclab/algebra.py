@@ -128,6 +128,32 @@ class LambdaSpec:
             ent.append((ecj, ej, 1, -1.0))
         return tuple(ent)
 
+    @cached_property
+    def basis_brackets(self) -> np.ndarray:
+        """Dense read-only table B with B[a, b, :] = [e_a, e_b]."""
+        d = self.dim
+        B = np.zeros((d, d, d))
+        for a, b, c, coeff in self.structure_constants:
+            B[a, b, c] += coeff
+        B.setflags(write=False)
+        return B
+
+    @cached_property
+    def triple_brackets(self) -> np.ndarray:
+        """Read-only T with T[a, b, c, :] = [e_a, [e_b, e_c]]."""
+        B = self.basis_brackets
+        T = np.einsum("bcp,apq->abcq", B, B)
+        T.setflags(write=False)
+        return T
+
+    @cached_property
+    def triple_image_path(self) -> list:
+        """Contraction path of ``einsum("ia,jb,kc,ijkm->abcm", m, m, m, T)``,
+        which depends on the shapes alone."""
+        m = np.empty((self.dim, self.dim))
+        return np.einsum_path("ia,jb,kc,ijkm->abcm", m, m, m, self.triple_brackets,
+                              optimize=True)[0]
+
 
 def basis_vector(spec: LambdaSpec, index: int) -> np.ndarray:
     v = np.zeros(spec.dim)
@@ -189,12 +215,8 @@ def ad(spec: LambdaSpec, x) -> np.ndarray:
 
 
 def basis_brackets(spec: LambdaSpec) -> np.ndarray:
-    """Dense table B with B[a, b, :] = [e_a, e_b]."""
-    d = spec.dim
-    B = np.zeros((d, d, d))
-    for a, b, c, coeff in spec.structure_constants:
-        B[a, b, c] += coeff
-    return B
+    """Dense read-only table B with B[a, b, :] = [e_a, e_b], built once per spec."""
+    return spec.basis_brackets
 
 
 def jacobi_residual(spec: LambdaSpec, x, y, z) -> float:

@@ -79,19 +79,34 @@ def _parse_x0(spec: LambdaSpec, text):
     if text is None:
         raise InputError("missing --x0")
     if text.startswith("gamma1:"):
-        params = dict(kv.split("=") for kv in text[len("gamma1:"):].split(","))
-        c = float(params.get("c", 1.0))
-        rho = float(params.get("rho", 1.0))
+        try:
+            params = dict(kv.split("=") for kv in text[len("gamma1:"):].split(","))
+            c = float(params.get("c", 1.0))
+            rho = float(params.get("rho", 1.0))
+        except ValueError as err:
+            raise InputError(f'bad --x0 {text!r}: expected "gamma1:c=..,rho=.." '
+                             f"({err})") from err
         if spec.n != 1:
             raise InputError("gamma1 seeds live on the dim-4 oscillator")
         return flows.analytic_gamma1(c, rho, 0.0)
-    try:
-        vals = [float(p) for p in text.split(",")]
-    except ValueError as err:
-        raise InputError(f"bad --x0 {text!r}: {err}") from err
+    vals = _parse_floats(text, "--x0")
     if len(vals) != spec.dim:
         raise InputError(f"--x0 needs {spec.dim} coordinates, got {len(vals)}")
     return np.asarray(vals)
+
+
+def _parse_isometry(spec: LambdaSpec, text):
+    try:
+        return iso_mod.curv_isometry_from_json(spec, _load_json(text, "isometry"))
+    except ValueError as err:
+        raise InputError(f"bad isometry descriptor: {err}") from err
+
+
+def _parse_floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError as err:
+        raise InputError(f"bad {flag} {text!r}: {err}") from err
 
 
 def _require_samples(args):
@@ -183,8 +198,8 @@ def task_metric_info(args) -> int:
 def task_connection_report(args) -> int:
     spec = _parse_lambda(args.lam)
     metric = _parse_metric(spec, args.metric)
-    rep = connection_report(metric)
     table = levi_civita(metric)
+    rep = connection_report(table)
     rng = np.random.default_rng(args.seed)
     worst_cf = 0.0
     for _ in range(10):
@@ -287,7 +302,7 @@ def task_isometry_verify(args) -> int:
     form = k_lambda(spec)
     rng = np.random.default_rng(args.seed)
     if args.u:
-        isos = [iso_mod.curv_isometry_from_json(spec, _load_json(args.u, "isometry"))]
+        isos = [_parse_isometry(spec, args.u)]
     else:
         isos = [iso_mod.random_curv_isometry(spec, rng) for _ in range(args.samples)]
     worst_orth = worst_triple = worst_round = worst_polar = 0.0
@@ -297,16 +312,17 @@ def task_isometry_verify(args) -> int:
         worst_triple = max(worst_triple, iso_mod.triple_bracket_residual(spec, m))
         rt = iso_mod.curv_isometry_from_matrix(spec, m)
         worst_round = max(worst_round, float(np.max(np.abs(rt.matrix - m))))
-        if u.rho == 1:
-            for _ in range(5):
-                t = rng.uniform(-0.9, 0.9) * 2 * np.pi / max(spec.lambdas)
-                g = iso_mod.GroupElem(t, rng.uniform(-2, 2),
-                                      tuple(rng.standard_normal(spec.n)
-                                            + 1j * rng.standard_normal(spec.n)))
-                p1 = iso_mod.polar(spec, u, g)
-                p2 = iso_mod.g_exp(spec, m @ iso_mod.g_log(spec, g))
-                worst_polar = max(worst_polar, abs(p1.t - p2.t), abs(p1.s - p2.s),
-                                  float(np.max(np.abs(p1.zvec - p2.zvec))))
+    # Five group elements per identity-component map, drawn in map order,
+    # then checked as one stack of rows.
+    rows = [u for u in isos if u.rho == 1 for _ in range(5)]
+    if rows:
+        ts, ss, zs = [], [], []
+        for _ in rows:
+            ts.append(rng.uniform(-0.9, 0.9) * 2 * np.pi / max(spec.lambdas))
+            ss.append(rng.uniform(-2, 2))
+            zs.append(rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n))
+        g = iso_mod.GroupRows(np.array(ts), np.array(ss), np.array(zs))
+        worst_polar = float(np.max(iso_mod.polar_transport_residuals(spec, rows, g)))
     checks = [
         _check("orthogonality", "induced maps preserve the bi-invariant form",
                worst_orth, 1e-12),
@@ -338,10 +354,10 @@ def task_isometry_polar(args) -> int:
     spec = _parse_lambda(args.lam)
     if not args.u:
         raise InputError("missing --u")
-    u = iso_mod.curv_isometry_from_json(spec, _load_json(args.u, "isometry"))
+    u = _parse_isometry(spec, args.u)
     if args.g is None:
         raise InputError('missing --g "t,s,re1,im1,..."')
-    vals = [float(p) for p in args.g.split(",")]
+    vals = _parse_floats(args.g, "--g")
     if len(vals) != 2 + 2 * spec.n:
         raise InputError(f"--g needs {2 + 2 * spec.n} coordinates")
     g = iso_mod.GroupElem(vals[0], vals[1],
@@ -359,7 +375,7 @@ def task_lattice_check(args) -> int:
     if args.lam is None:
         raise InputError("missing --lambda")
     parts = [p.strip() for p in str(args.lam).split(",") if p.strip()]
-    values = parts if args.exact else [float(p) for p in parts]
+    values = parts if args.exact else _parse_floats(",".join(parts), "--lambda")
     try:
         verdict = iso_mod.lattice_criterion(values)
     except ValueError as err:

@@ -229,9 +229,10 @@ def right_mult_nilpotency_residual(prod: AffineProduct, n_random: int = 10,
     return worst
 
 
-def connection_report(metric: Metric) -> dict:
-    """Residual summary used by the CLI."""
-    table = levi_civita(metric)
+def connection_report(source: Metric | ConnTable) -> dict:
+    """Residual summary used by the CLI.  Pass the ConnTable when the caller
+    has one, so the Koszul system is solved once."""
+    table = source if isinstance(source, ConnTable) else levi_civita(source)
     return {
         "torsion_residual": torsion_residual(table),
         "compat_residual": compatibility_residual(table),

@@ -21,6 +21,7 @@ Euclidean one divided by the block frequency.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import ode
-from .algebra import LambdaSpec, _as_elem, basis_vector, basis_brackets
+from .algebra import LambdaSpec, _as_elem, _as_stack, _row_dot
 from .metrics import BiInvariantForm, Metric
 
 # Series branches near theta = 0 (removable singularities).  Switch points
@@ -57,6 +58,18 @@ class GroupElem:
     @property
     def zvec(self) -> np.ndarray:
         return np.asarray(self.z, dtype=complex)
+
+
+@dataclass(frozen=True, eq=False)
+class GroupRows:
+    """A stack of N group elements: t and s of shape (N,), z of shape (N, n).
+
+    ``g_exp``, ``g_log`` and ``polar`` take and give stacks row by row; each
+    row has the bits of the single-element call."""
+
+    t: np.ndarray
+    s: np.ndarray
+    z: np.ndarray
 
 
 def identity_elem(spec: LambdaSpec) -> GroupElem:
@@ -116,25 +129,46 @@ def _s_correction(theta: np.ndarray) -> np.ndarray:
     return np.where(small, series, closed)
 
 
-def g_exp(spec: LambdaSpec, x) -> GroupElem:
+def g_exp(spec: LambdaSpec, x) -> GroupElem | GroupRows:
     """Group exponential; coincides with the geodesic exponential of the
-    bi-invariant metric at the identity."""
+    bi-invariant metric at the identity.  A stack x of shape (N, d) gives
+    GroupRows."""
+    if np.ndim(x) == 2:
+        x = _as_stack(spec, x)
+        n = spec.n
+        z = x[:, 2 : 2 + n] + 1j * x[:, 2 + n :]
+        theta = x[:, :1] * spec.lam
+        s_out = x[:, 1] + 0.5 * np.sum(np.abs(z) ** 2 * _s_correction(theta), axis=1)
+        return GroupRows(x[:, 0], s_out, _exp_multiplier(theta) * z)
     t, s, z = alg_to_group_coords(spec, x)
     theta = t * spec.lam
     s_out = s + 0.5 * float(np.sum(np.abs(z) ** 2 * _s_correction(theta)))
     return GroupElem(t, s_out, tuple(_exp_multiplier(theta) * z))
 
 
-def g_log(spec: LambdaSpec, g: GroupElem) -> np.ndarray:
+def _log_domain_error(i: int, th: float) -> ValueError:
+    return ValueError(f"|t*l_{i+1}| = {abs(th):.6g} >= 2*pi: block {i+1} multiplier "
+                      "is singular; the logarithm is undefined here")
+
+
+def g_log(spec: LambdaSpec, g: GroupElem | GroupRows) -> np.ndarray:
     """Inverse of g_exp on the domain |t l_j| < 2 pi (hard error outside:
-    the j-th multiplier vanishes at 2 pi / l_j)."""
+    the j-th multiplier vanishes at 2 pi / l_j).  GroupRows give a stack of
+    shape (N, d)."""
+    if isinstance(g, GroupRows):
+        theta = g.t[:, None] * spec.lam
+        bad = np.argwhere(np.abs(theta) >= 2.0 * math.pi)
+        if bad.size:
+            row, i = bad[0]
+            raise _log_domain_error(i, theta[row, i])
+        z = g.z / _exp_multiplier(theta)
+        s = g.s - 0.5 * np.sum(np.abs(z) ** 2 * _s_correction(theta), axis=1)
+        return np.concatenate([g.t[:, None], s[:, None], z.real, z.imag], axis=1)
     _check_elem(spec, g)
     theta = g.t * spec.lam
     for i, th in enumerate(theta):
         if abs(th) >= 2.0 * math.pi:
-            raise ValueError(
-                f"|t*l_{i+1}| = {abs(th):.6g} >= 2*pi: block {i+1} multiplier "
-                "is singular; the logarithm is undefined here")
+            raise _log_domain_error(i, th)
     z = g.zvec / _exp_multiplier(theta)
     s = g.s - 0.5 * float(np.sum(np.abs(z) ** 2 * _s_correction(theta)))
     return np.concatenate([[g.t, s], z.real, z.imag])
@@ -184,14 +218,22 @@ def geodesic_exponential(metric: Metric, x0, t_end: float = 1.0,
 # -- block helpers --------------------------------------------------------------
 
 def _c2r(z: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(z))
-    out[0::2] = np.real(z)
-    out[1::2] = np.imag(z)
+    """Complex (..., r) to real interleaved (..., 2r)."""
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    out[..., 0::2] = np.real(z)
+    out[..., 1::2] = np.imag(z)
     return out
 
 
 def _r2c(w: np.ndarray) -> np.ndarray:
-    return w[0::2] + 1j * w[1::2]
+    return w[..., 0::2] + 1j * w[..., 1::2]
+
+
+def _block_rows(spec: LambdaSpec) -> list[np.ndarray]:
+    """Per block, the algebra coordinates of its real interleaved
+    coordinates (e_j, ec_j, e_j', ec_j', ...)."""
+    return [np.array([k for j in idx for k in (spec.e_index(j), spec.ec_index(j))])
+            for idx in spec.block_indices]
 
 
 def _rot(theta: float, r: int) -> np.ndarray:
@@ -248,8 +290,10 @@ class CurvIsometry:
                 raise ValueError(f"block {i}: v must have shape ({2*r},)")
             if u.shape != (2 * r, 2 * r):
                 raise ValueError(f"block {i}: u must have shape ({2*r},{2*r})")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"block {i}: v must be finite")
             res = float(np.max(np.abs(u.T @ u - np.eye(2 * r))))
-            if res > ORTHOGONALITY_TOL:
+            if not res <= ORTHOGONALITY_TOL:  # also refuses NaN entries
                 raise ValueError(f"block {i}: u is not orthogonal (residual {res:.2e})")
             v.setflags(write=False)
             u.setflags(write=False)
@@ -272,46 +316,20 @@ class CurvIsometry:
     def identity_component(self) -> bool:
         return self.rho == 1 and self.rotational
 
-    def _embed(self, i: int, w: np.ndarray) -> np.ndarray:
-        """Real interleaved block-i coordinates to algebra coordinates."""
-        spec = self.spec
-        out = np.zeros(spec.dim)
-        for m, j in enumerate(spec.block_indices[i]):
-            out[spec.e_index(j)] = w[2 * m]
-            out[spec.ec_index(j)] = w[2 * m + 1]
-        return out
-
-    def _extract(self, i: int, x: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        idx = spec.block_indices[i]
-        w = np.empty(2 * len(idx))
-        for m, j in enumerate(idx):
-            w[2 * m] = x[spec.e_index(j)]
-            w[2 * m + 1] = x[spec.ec_index(j)]
-        return w
-
     @cached_property
     def matrix(self) -> np.ndarray:
         spec = self.spec
-        d = spec.dim
-        u = np.zeros((d, d))
-        u[1, 1] = float(self.rho)
-        col0 = np.zeros(d)
-        col0[0] = float(self.rho)
-        col0[1] = self.alpha
-        for i in range(len(spec.blocks)):
-            col0 += self._embed(i, self.vs[i])
-        u[:, 0] = col0
-        for i, ((lam, _), idx) in enumerate(zip(spec.blocks, spec.block_indices)):
-            ui, vi = self.us[i], self.vs[i]
-            for m, j in enumerate(idx):
-                for off, col_index in ((0, spec.e_index(j)), (1, spec.ec_index(j))):
-                    w = np.zeros(2 * len(idx))
-                    w[2 * m + off] = 1.0
-                    img = ui @ w
-                    col = self._embed(i, img)
-                    col[1] = -self.rho * float(img @ vi) / lam
-                    u[:, col_index] = col
+        u = np.zeros((spec.dim, spec.dim))
+        u[0, 0] = u[1, 1] = float(self.rho)
+        u[1, 0] = self.alpha
+        for (lam, _), rows, ui, vi in zip(spec.blocks, _block_rows(spec),
+                                          self.us, self.vs):
+            u[rows, 0] = vi
+            u[rows[:, None], rows] = ui
+            # The e_0 row is -rho k(u_i w, v_i) / lam per basis vector w: a
+            # vector dot per column of u_i, taken as contiguous rows so each
+            # has the bits of the 1-D dot.
+            u[1, rows] = -self.rho * _row_dot(np.ascontiguousarray(ui.T), vi) / lam
         u.setflags(write=False)
         return u
 
@@ -353,12 +371,9 @@ def curv_isometry_from_matrix(spec: LambdaSpec, m, tol: float = 1e-10) -> CurvIs
         raise ValueError(f"center eigenvalue {rho_f} is not a unit sign")
     rho = 1 if rho_f > 0 else -1
     vs, us = [], []
-    for i, idx in enumerate(spec.block_indices):
-        rows = []
-        for j in idx:
-            rows += [spec.e_index(j), spec.ec_index(j)]
-        vs.append(m[rows, 0].copy())
-        us.append(m[np.ix_(rows, rows)].copy())
+    for rows in _block_rows(spec):
+        vs.append(m[rows, 0])
+        us.append(m[rows[:, None], rows])
     try:
         cand = CurvIsometry(spec, rho, tuple(vs), tuple(us))
     except ValueError as err:
@@ -375,18 +390,22 @@ def curv_isometry_from_json(spec: LambdaSpec, obj) -> CurvIsometry:
     """Parse {"rho": 1, "blocks": [{"v": [[re, im], ...], "u": [[...]]}]}."""
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise ValueError('expected an object with "rho" and "blocks"')
-    rho = int(obj.get("rho", 1))
+    rho = obj.get("rho", 1)
+    if rho not in (-1, 1):
+        raise ValueError(f'"rho" must be +1 or -1, got {rho!r}')
     blocks = obj["blocks"]
-    if len(blocks) != len(spec.blocks):
-        raise ValueError(f"need {len(spec.blocks)} blocks, got {len(blocks)}")
+    if not isinstance(blocks, list) or len(blocks) != len(spec.blocks):
+        raise ValueError(f'"blocks" must be a list of {len(spec.blocks)} blocks')
     vs, us = [], []
     for i, blk in enumerate(blocks):
+        if not isinstance(blk, dict) or "v" not in blk or "u" not in blk:
+            raise ValueError(f'block {i}: expected an object with "v" and "u"')
         pairs = np.asarray(blk["v"], dtype=float)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f'block {i}: "v" must be a list of [re, im] pairs')
         vs.append(pairs.reshape(-1))
         us.append(np.asarray(blk["u"], dtype=float))
-    return CurvIsometry(spec, rho, tuple(vs), tuple(us))
+    return CurvIsometry(spec, int(rho), tuple(vs), tuple(us))
 
 
 def random_curv_isometry(spec: LambdaSpec, rng: np.random.Generator,
@@ -414,18 +433,23 @@ def triple_bracket_residual(spec: LambdaSpec, m) -> float:
     Together with orthogonality this is the membership test for the
     curvature-preserving group."""
     m = np.asarray(m, dtype=float)
-    B = basis_brackets(spec)
-    T = np.einsum("bcp,apq->abcq", B, B)  # T[a,b,c] = [e_a, [e_b, e_c]]
+    T = spec.triple_brackets  # T[a,b,c] = [e_a, [e_b, e_c]]
     lhs = np.einsum("mq,abcq->abcm", m, T)
-    rhs = np.einsum("ia,jb,kc,ijkm->abcm", m, m, m, T, optimize=True)
+    rhs = np.einsum("ia,jb,kc,ijkm->abcm", m, m, m, T,
+                    optimize=spec.triple_image_path)
     return float(np.max(np.abs(lhs - rhs)))
 
 
 # -- polar isometries and the group of isometries --------------------------------
 
-def polar(spec: LambdaSpec, u: CurvIsometry, g: GroupElem) -> GroupElem:
+def polar(spec: LambdaSpec, u: CurvIsometry | Sequence[CurvIsometry],
+          g: GroupElem | GroupRows) -> GroupElem | GroupRows:
     """The global isometry extending u, in closed form (no logarithm involved,
-    so there is no domain restriction).  Identity component only."""
+    so there is no domain restriction).  Identity component only.
+
+    With GroupRows, u is a sequence of maps, one per row."""
+    if isinstance(g, GroupRows):
+        return _polar_rows(spec, u, g)
     if u.rho != 1:
         raise ValueError("closed-form polars cover the identity component (rho = +1)")
     _check_elem(spec, g)
@@ -443,6 +467,52 @@ def polar(spec: LambdaSpec, u: CurvIsometry, g: GroupElem) -> GroupElem:
         a_i = (math.sin(theta) / (2.0 * lam)) * vi + math.cos(0.5 * theta) * inner
         s_corr += float(u.vs[i] @ _c2r(a_i)) / lam
     return GroupElem(g.t, g.s - s_corr, tuple(out))
+
+
+def _per_element(f, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(f, x), float, len(x))
+
+
+def _polar_rows(spec: LambdaSpec, isos: Sequence[CurvIsometry],
+                g: GroupRows) -> GroupRows:
+    # polar row by row with the single-element operations: math.cos/sin per
+    # element (numpy's may differ in the last bit), one gemv per row for
+    # u_i w, one vector dot per row.
+    if len(isos) != len(g.t):
+        raise ValueError(f"need one map per row: {len(isos)} maps, {len(g.t)} rows")
+    if any(u.rho != 1 for u in isos):
+        raise ValueError("closed-form polars cover the identity component (rho = +1)")
+    out = np.empty(g.z.shape, dtype=complex)
+    s_corr = 0.0
+    for i, ((lam, _), idx) in enumerate(zip(spec.blocks, spec.block_indices)):
+        cols = [j - 1 for j in idx]
+        theta = g.t * lam
+        sin_half, cos_half = (_per_element(f, 0.5 * theta)[:, None]
+                              for f in (math.sin, math.cos))
+        rot = np.empty(sin_half.shape, dtype=complex)
+        rot.real, rot.imag = cos_half, sin_half
+        vs = np.stack([u.vs[i] for u in isos])
+        us = np.stack([u.us[i] for u in isos])
+        vi = _r2c(vs)
+        inner = _r2c(np.matmul(us, _c2r(np.conj(rot) * g.z[:, cols])[..., None])[..., 0])
+        out[:, cols] = ((2.0 / lam) * sin_half) * rot * vi + rot * inner
+        a_i = (_per_element(math.sin, theta)[:, None] / (2.0 * lam)) * vi \
+            + cos_half * inner
+        s_corr = s_corr + _row_dot(vs, _c2r(a_i)) / lam
+    return GroupRows(g.t, g.s - s_corr, out)
+
+
+def polar_transport_residuals(spec: LambdaSpec, isos: Sequence[CurvIsometry],
+                              g: GroupRows) -> np.ndarray:
+    """Per row, the max deviation of the closed-form polar P_u(g) from
+    exp(u log g), u being the map of that row."""
+    p1 = polar(spec, isos, g)
+    logs = g_log(spec, g)
+    # One gemv per row, as u.matrix @ g_log(spec, g) for a single element;
+    # a stacked matmul sums in another order.
+    p2 = g_exp(spec, np.array([u.matrix @ x for u, x in zip(isos, logs)]))
+    return np.maximum(np.maximum(np.abs(p1.t - p2.t), np.abs(p1.s - p2.s)),
+                      np.max(np.abs(p1.z - p2.z), axis=1))
 
 
 def act_u_on_sigma(spec: LambdaSpec, u: CurvIsometry, sigma: GroupElem) -> GroupElem:

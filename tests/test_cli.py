@@ -173,6 +173,56 @@ class TestSamplesContract:
         assert err.count("\n") == 1 and "--probe-samples" in err
 
 
+_U_OK = {"rho": 1, "blocks": [{"v": [[0.5, -0.3]], "u": [[1, 0], [0, 1]]}]}
+_BAD_U = {
+    "missing_v": ({"rho": 1, "blocks": [{"u": [[1, 0], [0, 1]]}]},
+                  'expected an object with "v" and "u"'),
+    "non_orthogonal": ({"rho": 1, "blocks": [{"v": [[0.5, -0.3]],
+                                              "u": [[1, 1], [0, 1]]}]},
+                       "u is not orthogonal"),
+    "rho_2": ({"rho": 2, "blocks": [{"v": [[0.5, -0.3]], "u": [[1, 0], [0, 1]]}]},
+              '"rho" must be +1 or -1'),
+}
+
+
+def assert_one_line_input_error(code, out, err, needle):
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert needle in err
+
+
+class TestIsometryAndLatticeInputs:
+    @pytest.mark.parametrize("case", sorted(_BAD_U))
+    @pytest.mark.parametrize("task", [
+        ["isometry-polar", "--g", "0.7,0.1,1.0,0.0"],
+        ["isometry-verify"],
+    ])
+    def test_bad_isometry_descriptor_exits_2(self, capsys, task, case):
+        desc, needle = _BAD_U[case]
+        code, out, err = run(capsys, task[0], "--lambda", "1",
+                             "--u", json.dumps(desc), *task[1:])
+        assert_one_line_input_error(code, out, err, needle)
+
+    def test_non_numeric_group_element_exits_2(self, capsys):
+        code, out, err = run(capsys, "isometry-polar", "--lambda", "1",
+                             "--u", json.dumps(_U_OK), "--g", "0.7,x,1,0")
+        assert_one_line_input_error(code, out, err, "bad --g '0.7,x,1,0'")
+
+    def test_non_numeric_float_lattice_exits_2(self, capsys):
+        code, out, err = run(capsys, "lattice-check", "--lambda", "1,x")
+        assert_one_line_input_error(code, out, err, "bad --lambda")
+
+    def test_malformed_gamma1_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "geodesic-integrate", "--lambda", "1",
+                             "--metric", "u1_dim4", "--x0", "gamma1:c")
+        assert_one_line_input_error(code, out, err, "bad --x0 'gamma1:c'")
+
+    def test_valid_descriptor_still_runs(self, capsys):
+        code, rep, _ = run_json(capsys, "isometry-verify", "--lambda", "1",
+                                "--u", json.dumps(_U_OK))
+        assert code == 0 and rep["samples"] == 1
+
+
 class TestRepeatedCalls:
     def test_calls_in_one_process_share_no_parsed_state(self, capsys):
         import osclab.cli as cli

@@ -196,3 +196,26 @@ def test_connection_report_keys(spec1):
                         "flatness_residual", "locsym_residual", "curvature_norms"}
     assert rep["locsym_residual"] <= 1e-12
     assert rep["curvature_norms"]["R(e_-1,e_1)"] > 0.1
+
+
+def test_connection_report_from_a_table_equals_the_report_from_its_metric(spec12, rng):
+    metric = metric_from_iso(k_lambda(spec12), random_k_symmetric(spec12, rng))
+    assert connection_report(levi_civita(metric)) == connection_report(metric)
+
+
+def test_connection_report_task_solves_the_koszul_system_once(capsys, monkeypatch):
+    import osclab.cli as cli
+    import osclab.connection as connection
+
+    calls = []
+
+    def counted(metric):
+        calls.append(metric)
+        return levi_civita(metric)
+
+    monkeypatch.setattr(cli, "levi_civita", counted)
+    monkeypatch.setattr(connection, "levi_civita", counted)
+    assert cli.main(["connection-report", "--lambda", "1,2", "--metric",
+                     '{"kind":"diagonal_sym","eta":[0.4,1.1],"eta_check":[0.6,1.1]}']) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -89,7 +89,8 @@ def test_blowup_goldens_stop_near_the_pole():
 
 
 # The README examples as written (default seed 0), a larger algebra-check,
-# and a full-report at n = 2 with a non-default seed.
+# a full-report at n = 2 with a non-default seed, and isometry-verify at
+# n = 6 with a repeated block and on a rho = -1 map.
 _LOCSYM_N1 = '{"kind":"diagonal_sym","eta":[0.3],"eta_check":[0.7]}'
 CLI_CASES = {
     "algebra_check": ["algebra-check", "--lambda", "1,2"],
@@ -106,6 +107,13 @@ CLI_CASES = {
                        '"rho":0.9}'],
     "isometry_dim": ["isometry-dim", "--lambda", "1,1,2"],
     "isometry_verify": ["isometry-verify", "--lambda", "1,1,2"],
+    "isometry_verify_n6": ["isometry-verify", "--lambda", "0.5,1,1,2,3,4",
+                           "--seed", "3"],
+    # rho = -1 (one rotation block, one reflection block): no polar check.
+    "isometry_verify_reflected": [
+        "isometry-verify", "--lambda", "1,2", "--u",
+        '{"rho":-1,"blocks":[{"v":[[0.3,-0.2]],"u":[[0.6,-0.8],[0.8,0.6]]},'
+        '{"v":[[-0.5,0.4]],"u":[[1,0],[0,-1]]}]}'],
     "isometry_polar": ["isometry-polar", "--lambda", "1", "--u",
                        '{"rho":1,"blocks":[{"v":[[0.5,-0.3]],"u":[[1,0],[0,1]]}]}',
                        "--g", "0.7,0.1,1.0,0.0"],

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import group_dist, isom_dist
-from osclab.algebra import LambdaSpec, basis_vector
-from osclab.isometry import (CurvIsometry, GroupElem, IsomElem, act_sigma_on_u,
+from osclab.algebra import LambdaSpec, basis_brackets, basis_vector
+from osclab.isometry import (CurvIsometry, GroupElem, GroupRows, IsomElem,
+                             act_sigma_on_u,
                              act_u_on_sigma, commensurability_oracle, compose,
                              curv_isometry_from_json, curv_isometry_from_matrix,
                              g_exp, g_inv, g_log, g_mul, geodesic_exponential,
@@ -16,7 +17,8 @@ from osclab.isometry import (CurvIsometry, GroupElem, IsomElem, act_sigma_on_u,
                              identity_isometry, isom_dim, isom_identity,
                              isom_inv, isom_mul, isometry_parametrization_dim,
                              lattice_criterion, o_r_distance_from_identity,
-                             orthogonality_residual, polar, random_curv_isometry,
+                             orthogonality_residual, polar,
+                             polar_transport_residuals, random_curv_isometry,
                              random_rotation, triple_bracket_residual,
                              _exp_multiplier, _s_correction)
 from osclab.metrics import k_lambda, metric_from_iso, named_family
@@ -388,3 +390,136 @@ def test_random_rotation_is_special_orthogonal(rng):
         q = random_rotation(m, rng)
         assert np.max(np.abs(q.T @ q - np.eye(m))) <= 1e-12
         assert np.linalg.det(q) > 0
+
+
+# -- stacked rows, bit for bit against the single-element functions --------------
+
+# n = 1..6, most with a repeated block.
+ROW_LAMBDAS = [(1.0,), (1.0, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 2.0, 2.0),
+               (1 / 3, 1 / 3, 1 / 3, 2.0, 2.5), (0.5, 1.0, 1.0, 2.0, 3.0, 4.0)]
+
+
+def mixed_isometries(spec, rng, count, rho=None):
+    """Maps with random rho and reflected blocks (det u_i = -1) mixed in;
+    ``rho`` forces the sign."""
+    out = []
+    for _ in range(count):
+        u = random_curv_isometry(spec, rng, identity_component=False)
+        out.append(u if rho is None else CurvIsometry(spec, rho, u.vs, u.us))
+    return out
+
+
+def rand_rows(spec, rng, count):
+    """Group elements on the log domain, some at t = 0 and near it (the
+    series branches)."""
+    t = rng.uniform(-0.9, 0.9, count) * 2 * np.pi / max(spec.lambdas)
+    t[:3] = [0.0, 1e-6, -3e-3][:count]
+    z = rng.standard_normal((count, spec.n)) + 1j * rng.standard_normal((count, spec.n))
+    return GroupRows(t, rng.uniform(-2, 2, count), z)
+
+
+def row_elems(g):
+    return [GroupElem(t, s, tuple(z)) for t, s, z in zip(g.t, g.s, g.z)]
+
+
+def assert_rows_equal(rows, elems):
+    np.testing.assert_array_equal(rows.t, [e.t for e in elems])
+    np.testing.assert_array_equal(rows.s, [e.s for e in elems])
+    np.testing.assert_array_equal(rows.z, [e.zvec for e in elems])
+
+
+def per_column_matrix(u):
+    """The induced matrix built one basis column at a time."""
+    spec = u.spec
+    m = np.zeros((spec.dim, spec.dim))
+    m[1, 1] = m[0, 0] = u.rho
+    m[1, 0] = u.alpha
+    for (lam, _), idx, ui, vi in zip(spec.blocks, spec.block_indices, u.us, u.vs):
+        rows = [k for j in idx for k in (spec.e_index(j), spec.ec_index(j))]
+        m[rows, 0] += vi
+        for col, w in zip(rows, np.eye(len(rows))):
+            img = ui @ w
+            m[rows, col] = img
+            m[1, col] = -u.rho * float(img @ vi) / lam
+    return m
+
+
+@pytest.mark.parametrize("lams", ROW_LAMBDAS, ids=lambda lams: f"n{len(lams)}")
+class TestStackedRows:
+    def test_g_exp_rows_equal_the_single_loop(self, lams, rng):
+        spec = LambdaSpec(lams)
+        x = rng.standard_normal((60, spec.dim))
+        x[:3, 0] = [0.0, 1e-6, -3e-3]
+        assert_rows_equal(g_exp(spec, x), [g_exp(spec, row) for row in x])
+
+    def test_g_log_rows_equal_the_single_loop(self, lams, rng):
+        spec = LambdaSpec(lams)
+        g = rand_rows(spec, rng, 60)
+        np.testing.assert_array_equal(g_log(spec, g),
+                                      [g_log(spec, e) for e in row_elems(g)])
+
+    def test_polar_rows_equal_the_single_loop(self, lams, rng):
+        spec = LambdaSpec(lams)
+        isos = mixed_isometries(spec, rng, 60, rho=1)
+        g = rand_rows(spec, rng, 60)
+        assert_rows_equal(polar(spec, isos, g),
+                          [polar(spec, u, e) for u, e in zip(isos, row_elems(g))])
+
+    def test_transport_residuals_equal_the_single_loop(self, lams, rng):
+        spec = LambdaSpec(lams)
+        isos = mixed_isometries(spec, rng, 20, rho=1)
+        rows = [u for u in isos for _ in range(5)]
+        g = rand_rows(spec, rng, len(rows))
+        want = []
+        for u, e in zip(rows, row_elems(g)):
+            p1 = polar(spec, u, e)
+            p2 = g_exp(spec, u.matrix @ g_log(spec, e))
+            want.append(max(abs(p1.t - p2.t), abs(p1.s - p2.s),
+                            float(np.max(np.abs(p1.zvec - p2.zvec)))))
+        got = polar_transport_residuals(spec, rows, g)
+        np.testing.assert_array_equal(got, want)
+        assert float(np.max(got)) <= 1e-9
+
+    def test_matrix_equals_the_per_column_reference(self, lams, rng):
+        spec = LambdaSpec(lams)
+        isos = mixed_isometries(spec, rng, 30)
+        isos += mixed_isometries(spec, rng, 10, rho=-1)
+        isos.append(identity_isometry(spec))
+        for u in isos:
+            np.testing.assert_array_equal(u.matrix, per_column_matrix(u))
+
+    def test_cached_triple_tensor_equals_the_fresh_build(self, lams, rng):
+        spec = LambdaSpec(lams)
+        d = spec.dim
+        B = np.zeros((d, d, d))
+        for a, b, c, coeff in spec.structure_constants:
+            B[a, b, c] += coeff
+        T = np.einsum("bcp,apq->abcq", B, B)
+        for u in mixed_isometries(spec, rng, 8) + mixed_isometries(spec, rng, 4, rho=-1):
+            m = u.matrix
+            lhs = np.einsum("mq,abcq->abcm", m, T)
+            rhs = np.einsum("ia,jb,kc,ijkm->abcm", m, m, m, T, optimize=True)
+            assert triple_bracket_residual(spec, m) == float(np.max(np.abs(lhs - rhs)))
+
+
+class TestStackedRowsContract:
+    def test_g_log_rows_raise_outside_the_domain(self, spec12, rng):
+        g = rand_rows(spec12, rng, 8)
+        g.t[5] = math.pi  # t * lam_2 = 2 pi
+        with pytest.raises(ValueError, match="block 2"):
+            g_log(spec12, g)
+
+    def test_polar_rows_need_one_identity_component_map_per_row(self, spec12, rng):
+        g = rand_rows(spec12, rng, 4)
+        isos = mixed_isometries(spec12, rng, 4, rho=1)
+        with pytest.raises(ValueError, match="one map per row"):
+            polar(spec12, isos[:3], g)
+        with pytest.raises(ValueError, match="rho"):
+            polar(spec12, isos[:3] + mixed_isometries(spec12, rng, 1, rho=-1), g)
+
+    def test_structure_tensors_are_cached_read_only(self, spec112):
+        assert basis_brackets(spec112) is spec112.basis_brackets
+        assert spec112.triple_brackets is spec112.triple_brackets
+        for t in (spec112.basis_brackets, spec112.triple_brackets):
+            assert not t.flags.writeable
+        assert LambdaSpec((1.0, 1.0, 2.0)).basis_brackets is not spec112.basis_brackets
