@@ -6,10 +6,12 @@ accepted and rejected step counts in ``tests/golden/counts.json``.  Any
 change to the solver's arithmetic, the right-hand sides, the first
 integrals or the CSV writer shows here.
 
-Each CLI case runs one README command-line example that integrates nothing
-and must write the JSON report under ``tests/golden/cli/`` byte for byte, so
-a change to the bracket, the form, the connection or the isometry code that
-moves any reported bit shows here.
+Each CLI case runs one README command-line example and must write the JSON
+report under ``tests/golden/cli/`` byte for byte (and, for
+``geodesic-integrate``, its trajectory CSV), so a change to the bracket, the
+form, the connection, the flows or the isometry code that moves any reported
+bit shows here.  Every case runs from a fresh working directory, so relative
+output paths such as ``--out-csv traj.csv`` are reported as written.
 
 Regenerate (only for an intended change of output) with
 
@@ -18,7 +20,10 @@ Regenerate (only for an intended change of output) with
 
 import json
 import math
+import os
 import pathlib
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,7 +32,7 @@ from osclab import cli, flows
 from osclab.algebra import LambdaSpec
 from osclab.metrics import k_lambda, metric_from_iso, parse_sym_iso
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 CLI_GOLDEN = GOLDEN / "cli"
 TOL = {"rtol": 1e-10, "atol": 1e-12}
 
@@ -89,10 +94,20 @@ def test_blowup_goldens_stop_near_the_pole():
 
 
 # The README examples as written (default seed 0), a larger algebra-check,
-# a full-report at n = 2 with a non-default seed, and isometry-verify at
-# n = 6 with a repeated block and on a rho = -1 map.
+# a full-report at n = 2 with a non-default seed, isometry-verify at n = 6
+# with a repeated block and on a rho = -1 map, and the integrating tasks: a
+# gamma1 blow-up with its CSV, a short probe and a full-report with a probe.
 _LOCSYM_N1 = '{"kind":"diagonal_sym","eta":[0.3],"eta_check":[0.7]}'
 CLI_CASES = {
+    "geodesic_integrate": ["geodesic-integrate", "--lambda", "1", "--metric", "u1_dim4",
+                           "--x0", "gamma1:c=1,rho=1", "--t-max", "3",
+                           "--out-csv", "traj.csv"],
+    "completeness_probe": [
+        "completeness-probe", "--lambda", "1,2", "--metric",
+        '{"kind":"diagonal_sym","eta":[0.4,1.3],"eta_check":[0.6,1.3]}',
+        "--samples", "3", "--t-max", "10"],
+    "full_report_probe": ["full-report", "--lambda", "1", "--metric", _LOCSYM_N1,
+                          "--probe-samples", "2", "--t-max", "5"],
     "algebra_check": ["algebra-check", "--lambda", "1,2"],
     "algebra_check_n4": ["algebra-check", "--lambda", "1,1,2,3", "--samples", "1000"],
     "metric_info": ["metric-info", "--lambda", "1", "--metric", "u2_dim4"],
@@ -121,12 +136,20 @@ CLI_CASES = {
 }
 
 
+# Cases that also write a CSV: name -> the path given to --out-csv.
+CLI_CSV = {"geodesic_integrate": "traj.csv"}
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
-def test_cli_report_matches_golden(name, tmp_path, capsys):
+def test_cli_report_matches_golden(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "report.json"
     assert cli.main(CLI_CASES[name] + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (CLI_GOLDEN / f"{name}.json").read_bytes()
+    if name in CLI_CSV:
+        assert (tmp_path / CLI_CSV[name]).read_bytes() == \
+            (CLI_GOLDEN / f"{name}.csv").read_bytes()
 
 
 def write_goldens():
@@ -138,8 +161,16 @@ def write_goldens():
         counts[name] = [traj.n_steps, traj.n_rejected]
     (GOLDEN / "counts.json").write_text(json.dumps(counts, indent=1, sort_keys=True) + "\n")
     CLI_GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CLI_CASES.items():
-        cli.main(argv + ["--out", str(CLI_GOLDEN / f"{name}.json")])
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for name, argv in CLI_CASES.items():
+                cli.main(argv + ["--out", str(CLI_GOLDEN / f"{name}.json")])
+                if name in CLI_CSV:
+                    shutil.copyfile(CLI_CSV[name], CLI_GOLDEN / f"{name}.csv")
+        finally:
+            os.chdir(cwd)
 
 
 if __name__ == "__main__":
