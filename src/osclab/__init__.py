@@ -17,7 +17,7 @@ from .flows import (FlowProblem, FirstIntegral, FirstIntegralSet, Trajectory,
                     gamma1_residual, integrate, scalar_blowup_time,
                     trajectory_csv)
 from .isometry import (CurvIsometry, GroupElem, IsomElem, LatticeVerdict,
-                       act_sigma_on_u, act_u_on_sigma, commensurability_oracle,
+                       act_sigma_on_u, commensurability_oracle,
                        g_exp, g_inv, g_log, g_mul, geodesic_exponential,
                        identity_elem, isom_dim, isom_identity, isom_inv,
                        isom_mul, lattice_criterion, polar,

@@ -113,28 +113,11 @@ class LambdaSpec:
         return tuple(names)
 
     @cached_property
-    def structure_constants(self) -> tuple[tuple[int, int, int, float], ...]:
-        """Sparse bracket table: entries (a, b, c, coeff) meaning
-        [e_a, e_b] contains coeff * e_c, both orientations included."""
-        ent = []
-        for j in range(1, self.n + 1):
-            lj = self.lambdas[j - 1]
-            ej, ecj = self.e_index(j), self.ec_index(j)
-            ent.append((0, ej, ecj, lj))
-            ent.append((ej, 0, ecj, -lj))
-            ent.append((0, ecj, ej, -lj))
-            ent.append((ecj, 0, ej, lj))
-            ent.append((ej, ecj, 1, 1.0))
-            ent.append((ecj, ej, 1, -1.0))
-        return tuple(ent)
-
-    @cached_property
     def basis_brackets(self) -> np.ndarray:
-        """Dense read-only table B with B[a, b, :] = [e_a, e_b]."""
-        d = self.dim
-        B = np.zeros((d, d, d))
-        for a, b, c, coeff in self.structure_constants:
-            B[a, b, c] += coeff
+        """Dense read-only table B with B[a, b, :] = [e_a, e_b], from the
+        closed-form ``bracket``; ``+ 0.0`` turns its -0.0 entries into 0.0."""
+        eye = np.eye(self.dim)
+        B = bracket(self, eye[:, None], eye) + 0.0
         B.setflags(write=False)
         return B
 
@@ -248,13 +231,6 @@ class Subspace:
         x = np.asarray(x, dtype=float)
         scale = max(1.0, float(np.max(np.abs(x))))
         return float(np.max(np.abs(x - self.project(x)))) <= tol * scale
-
-    def invariant_under(self, m: np.ndarray, tol: float = 1e-9) -> bool:
-        """Whether m maps this subspace into itself."""
-        img = np.asarray(m) @ self.basis
-        res = img - self.basis @ (self.basis.T @ img)
-        scale = max(1.0, float(np.max(np.abs(img))))
-        return float(np.max(np.abs(res))) <= tol * scale
 
 
 def _null_space(m: np.ndarray, label: str) -> Subspace:

@@ -5,8 +5,11 @@ emits JSON reports (plus CSV for trajectories).  Exit codes: 0 when every
 asserted check passes, 1 on verification failure, 2 on input errors.
 
 Reports are deterministic: identical scenario and seed give byte-identical
-JSON (keys sorted, shortest round-trip float formatting, and any probe
-parallelism reduces in sample order).
+JSON (keys sorted, shortest round-trip float formatting).
+
+Each task is declared once with ``@_task``: its body, its extra flags and
+whether it takes ``--metric``.  The parser, the input checks and the report
+envelope are built from that table.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
+import math
 import re
 import sys
 
@@ -40,8 +43,7 @@ def _parse_lambda(text) -> LambdaSpec:
     if text is None:
         raise InputError("missing --lambda")
     try:
-        values = [float(part) for part in str(text).split(",") if part.strip()]
-        return LambdaSpec(tuple(values))
+        return LambdaSpec(tuple(float(p) for p in str(text).split(",") if p.strip()))
     except ValueError as err:
         raise InputError(f"bad --lambda {text!r}: {err}") from err
 
@@ -109,11 +111,6 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise InputError(f"bad {flag} {text!r}: {err}") from err
 
 
-def _require_samples(args):
-    if args.samples < 1:
-        raise InputError(f"--samples must be at least 1, got {args.samples}")
-
-
 def _check(name, claim, residual, tolerance):
     ok = None if tolerance is None else bool(residual <= tolerance)
     return {"name": name, "claim": claim, "residual": float(residual),
@@ -126,26 +123,55 @@ def _verdict_check(name, claim, value, expected):
             "expected": expected, "pass": ok}
 
 
+def _locsym_tolerance(metric):
+    """1e-10 where the diagonal conditions certify local symmetry, else None
+    (the residual is only measured)."""
+    certified = metric.iso.kind == "diagonal_sym" and all(
+        c is not None for c in locsym_conditions(metric.iso, tol=1e-9))
+    return 1e-10 if certified else None
+
+
+def _no_blowups(verdict, probe):
+    """A certified-complete metric must show no blow-up or step underflow."""
+    return [] if verdict == "undetermined" else [_verdict_check(
+        "no_blowups", "sufficient completeness condition implies no blow-ups",
+        probe.n_blowup + probe.n_underflow, 0)]
+
+
 def _finish(report: dict, args) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
+    failed = [c["name"] for c in report.get("checks", []) if c.get("pass") is False]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     if args.json or not args.out:
         print(text)
     else:
-        failed = [c["name"] for c in report.get("checks", []) if c.get("pass") is False]
         status = "FAIL: " + ", ".join(failed) if failed else "ok"
         print(f"{report.get('task')}: {status} -> {args.out}")
-    bad = [c for c in report.get("checks", []) if c.get("pass") is False]
-    return 1 if bad else 0
+    return 1 if failed else 0
 
 
 # -- tasks ----------------------------------------------------------------------
 
-def task_algebra_check(args) -> int:
-    spec = _parse_lambda(args.lam)
-    _require_samples(args)
+# name -> (body, extra flags, takes --metric, parses --lambda); the order of
+# declaration is the order of the subcommands in --help.
+_TASKS: dict[str, tuple] = {}
+
+
+def _task(name, *flags, metric=False, spec=True):
+    """Declare the CLI task ``name``.  Each flag is ``(option, add_argument
+    keywords)``.  The body is called as ``body(args, spec, metric)`` with the
+    inputs it declared (none with ``spec=False``) and returns ``(fields,
+    checks)`` for the report."""
+    def register(body):
+        _TASKS[name] = (body, flags, metric, spec)
+        return body
+    return register
+
+
+@_task("algebra-check", ("--samples", dict(type=int, default=1000)))
+def task_algebra_check(args, spec):
     rng = np.random.default_rng(args.seed)
     # One (samples, 3, d) draw is the same stream as samples (3, d) draws.
     x, y, z = rng.standard_normal((args.samples, 3, spec.dim)).transpose(1, 0, 2)
@@ -161,15 +187,12 @@ def task_algebra_check(args) -> int:
                        "center/derived/cartan dimensions are 1, 2n+1, 2",
                        list(dims), [1, 2 * spec.n + 1, 2]),
     ]
-    report = {"task": "algebra-check", "lambda": list(spec.lambdas),
-              "samples": args.samples, "seed": args.seed, "checks": checks}
-    return _finish(report, args)
+    return {"samples": args.samples, "seed": args.seed}, checks
 
 
-def task_metric_info(args) -> int:
-    spec = _parse_lambda(args.lam)
+@_task("metric-info", metric=True)
+def task_metric_info(args, spec, metric):
     form = k_lambda(spec)
-    metric = _parse_metric(spec, args.metric)
     pos, neg = signature(metric)
     checks = [
         _check("k_symmetry", "u is symmetric for the bi-invariant form",
@@ -190,14 +213,11 @@ def task_metric_info(args) -> int:
     }
     if metric.iso.kind == "diagonal_sym":
         info["symmetry_conditions"] = list(locsym_conditions(metric.iso, tol=1e-9))
-    report = {"task": "metric-info", "lambda": list(spec.lambdas),
-              "metric": info, "seed": args.seed, "checks": checks}
-    return _finish(report, args)
+    return {"metric": info, "seed": args.seed}, checks
 
 
-def task_connection_report(args) -> int:
-    spec = _parse_lambda(args.lam)
-    metric = _parse_metric(spec, args.metric)
+@_task("connection-report", metric=True)
+def task_connection_report(args, spec, metric):
     table = levi_civita(metric)
     rep = connection_report(table)
     rng = np.random.default_rng(args.seed)
@@ -213,42 +233,35 @@ def task_connection_report(args) -> int:
         _check("closed_form", "koszul table matches the closed-form product",
                worst_cf, 1e-11),
     ]
-    report = {"task": "connection-report", "lambda": list(spec.lambdas),
-              "metric_kind": metric.iso.kind, "seed": args.seed,
-              "report": rep, "checks": checks}
-    return _finish(report, args)
+    return {"metric_kind": metric.iso.kind, "seed": args.seed, "report": rep}, checks
 
 
-def task_locsym_check(args) -> int:
-    spec = _parse_lambda(args.lam)
-    metric = _parse_metric(spec, args.metric)
+@_task("locsym-check", metric=True)
+def task_locsym_check(args, spec, metric):
     res = local_symmetry_residual(levi_civita(metric))
-    tol = None
-    claim = "local symmetry residual (measurement)"
-    if metric.iso.kind == "diagonal_sym":
-        conds = locsym_conditions(metric.iso, tol=1e-9)
-        if all(c is not None for c in conds):
-            tol = 1e-10
-            claim = "locally symmetric: every index satisfies condition (a) or (b)"
-    checks = [_check("local_symmetry", claim, res, tol)]
-    report = {"task": "locsym-check", "lambda": list(spec.lambdas),
-              "metric_kind": metric.iso.kind, "locsym_residual": res,
-              "checks": checks}
-    return _finish(report, args)
+    tol = _locsym_tolerance(metric)
+    claim = ("locally symmetric: every index satisfies condition (a) or (b)"
+             if tol is not None else "local symmetry residual (measurement)")
+    return ({"metric_kind": metric.iso.kind, "locsym_residual": res},
+            [_check("local_symmetry", claim, res, tol)])
 
 
-def task_geodesic_integrate(args) -> int:
-    spec = _parse_lambda(args.lam)
-    metric = _parse_metric(spec, args.metric)
+@_task("geodesic-integrate",
+       ("--x0", dict(help='initial state: coordinates or "gamma1:c=1,rho=1"')),
+       ("--t-max", dict(type=float, default=10.0)),
+       ("--t-min", dict(type=float, default=0.0)),
+       ("--form", dict(choices=[flows.BODY, flows.EULER, flows.LAX], default=flows.EULER)),
+       ("--rtol", dict(type=float, default=1e-10)),
+       ("--atol", dict(type=float, default=1e-12)),
+       ("--out-csv", dict(help="trajectory CSV path")),
+       metric=True)
+def task_geodesic_integrate(args, spec, metric):
     x0 = _parse_x0(spec, args.x0)
     if args.out and args.out.endswith(".csv") and not args.out_csv:
         args.out_csv, args.out = args.out, None
     problem = flows.FlowProblem(metric, x0, (args.t_min, args.t_max), form=args.form,
                                 rtol=args.rtol, atol=args.atol)
-    try:
-        traj = flows.integrate(problem)
-    except ode.SolverInputError as err:
-        raise InputError(str(err)) from err
+    traj = flows.integrate(problem)
     drifts = traj.invariant_drift()
     checks = []
     if traj.completed and drifts:
@@ -258,30 +271,21 @@ def task_geodesic_integrate(args) -> int:
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write(flows.trajectory_csv(traj))
-    report = {"task": "geodesic-integrate", "lambda": list(spec.lambdas),
-              "metric_kind": metric.iso.kind, "form": args.form,
-              "x0": [float(v) for v in x0], "t_span": [args.t_min, args.t_max],
-              "status": traj.status, "t_detected": traj.t_detected,
-              "samples": int(traj.ts.size),
-              "integral_drift": {k: float(v) for k, v in sorted(drifts.items())},
-              "csv": args.out_csv, "checks": checks}
-    return _finish(report, args)
+    return {"metric_kind": metric.iso.kind, "form": args.form,
+            "x0": [float(v) for v in x0], "t_span": [args.t_min, args.t_max],
+            "status": traj.status, "t_detected": traj.t_detected,
+            "samples": int(traj.ts.size),
+            "integral_drift": {k: float(v) for k, v in sorted(drifts.items())},
+            "csv": args.out_csv}, checks
 
 
-def task_completeness_probe(args) -> int:
-    spec = _parse_lambda(args.lam)
-    metric = _parse_metric(spec, args.metric)
-    _require_samples(args)
-    threads = args.threads or int(os.environ.get("OSCLAB_THREADS", "1"))
-    rep = flows.completeness_probe(metric, args.samples, args.t_max,
-                                   seed=args.seed, threads=threads)
-    checks = []
-    if rep.verdict != "undetermined":
-        checks.append(_verdict_check(
-            "no_blowups", "sufficient completeness condition implies no blow-ups",
-            rep.n_blowup + rep.n_underflow, 0))
-    report = {
-        "task": "completeness-probe", "lambda": list(spec.lambdas),
+@_task("completeness-probe",
+       ("--samples", dict(type=int, default=100)),
+       ("--t-max", dict(type=float, default=100.0)),
+       metric=True)
+def task_completeness_probe(args, spec, metric):
+    rep = flows.completeness_probe(metric, args.samples, args.t_max, seed=args.seed)
+    return {
         "metric_kind": metric.iso.kind, "seed": args.seed,
         "samples": args.samples, "t_max": args.t_max,
         "verdict": rep.verdict, "n_blowup": rep.n_blowup,
@@ -291,14 +295,13 @@ def task_completeness_probe(args) -> int:
         "per_sample": [{"index": s.index, "orientation": s.orientation,
                         "status": s.status, "t_detected": s.t_detected}
                        for s in rep.samples],
-        "checks": checks,
-    }
-    return _finish(report, args)
+    }, _no_blowups(rep.verdict, rep)
 
 
-def task_isometry_verify(args) -> int:
-    spec = _parse_lambda(args.lam)
-    _require_samples(args)
+@_task("isometry-verify",
+       ("--samples", dict(type=int, default=20)),
+       ("--u", dict(help="isometry descriptor JSON or @file")))
+def task_isometry_verify(args, spec):
     form = k_lambda(spec)
     rng = np.random.default_rng(args.seed)
     if args.u:
@@ -333,25 +336,22 @@ def task_isometry_verify(args) -> int:
         _check("polar", "closed-form polar matches exp-transport-log",
                worst_polar, 1e-9),
     ]
-    report = {"task": "isometry-verify", "lambda": list(spec.lambdas),
-              "seed": args.seed, "samples": len(isos), "checks": checks}
-    return _finish(report, args)
+    return {"seed": args.seed, "samples": len(isos)}, checks
 
 
-def task_isometry_dim(args) -> int:
-    spec = _parse_lambda(args.lam)
+@_task("isometry-dim")
+def task_isometry_dim(args, spec):
     dim = iso_mod.isom_dim(spec)
     checks = [_verdict_check("dim_consistency",
                              "dimension formula matches the parametrization count",
                              iso_mod.isometry_parametrization_dim(spec), dim)]
-    report = {"task": "isometry-dim", "lambda": list(spec.lambdas),
-              "dim": dim, "blocks": [[v, r] for v, r in spec.blocks],
-              "checks": checks}
-    return _finish(report, args)
+    return {"dim": dim, "blocks": [[v, r] for v, r in spec.blocks]}, checks
 
 
-def task_isometry_polar(args) -> int:
-    spec = _parse_lambda(args.lam)
+@_task("isometry-polar",
+       ("--u", dict(help="isometry descriptor JSON or @file")),
+       ("--g", dict(help='group element "t,s,re1,im1,..."')))
+def task_isometry_polar(args, spec):
     if not args.u:
         raise InputError("missing --u")
     u = _parse_isometry(spec, args.u)
@@ -360,18 +360,19 @@ def task_isometry_polar(args) -> int:
     vals = _parse_floats(args.g, "--g")
     if len(vals) != 2 + 2 * spec.n:
         raise InputError(f"--g needs {2 + 2 * spec.n} coordinates")
+    if not all(math.isfinite(v) for v in vals):
+        raise InputError(f"bad --g {args.g!r}: coordinates must be finite")
     g = iso_mod.GroupElem(vals[0], vals[1],
                           tuple(vals[2 + 2 * j] + 1j * vals[3 + 2 * j]
                                 for j in range(spec.n)))
     p = iso_mod.polar(spec, u, g)
-    report = {"task": "isometry-polar", "lambda": list(spec.lambdas),
-              "image": {"t": p.t, "s": p.s,
-                        "z": [[w.real, w.imag] for w in p.z]},
-              "checks": []}
-    return _finish(report, args)
+    return {"image": {"t": p.t, "s": p.s, "z": [[w.real, w.imag] for w in p.z]}}, []
 
 
-def task_lattice_check(args) -> int:
+@_task("lattice-check",
+       ("--exact", dict(action="store_true", help="treat the entries as exact rationals")),
+       spec=False)
+def task_lattice_check(args):
     if args.lam is None:
         raise InputError("missing --lambda")
     parts = [p.strip() for p in str(args.lam).split(",") if p.strip()]
@@ -380,65 +381,70 @@ def task_lattice_check(args) -> int:
         verdict = iso_mod.lattice_criterion(values)
     except ValueError as err:
         raise InputError(str(err)) from err
-    report = {"task": "lattice-check", "lambda": parts, "exact": bool(args.exact),
-              "decidable": verdict.decidable, "discrete": verdict.discrete,
-              "generator": str(verdict.generator) if verdict.generator else None,
-              "reason": verdict.reason, "checks": []}
+    checks = []
     if verdict.decidable:
-        oracle = iso_mod.commensurability_oracle(values)
-        report["checks"].append(_verdict_check(
+        checks.append(_verdict_check(
             "oracle_agreement", "criterion agrees with the brute-force oracle",
-            verdict.discrete, oracle))
-    return _finish(report, args)
+            verdict.discrete, iso_mod.commensurability_oracle(values)))
+    return {"lambda": parts, "exact": bool(args.exact),
+            "decidable": verdict.decidable, "discrete": verdict.discrete,
+            "generator": str(verdict.generator) if verdict.generator else None,
+            "reason": verdict.reason}, checks
 
 
-def task_full_report(args) -> int:
-    spec = _parse_lambda(args.lam)
-    form = k_lambda(spec)
-    metric = _parse_metric(spec, args.metric)
+@_task("full-report",
+       ("--probe-samples", dict(type=int, default=0)),
+       ("--t-max", dict(type=float, default=50.0)),
+       metric=True)
+def task_full_report(args, spec, metric):
     if args.probe_samples < 0:
         raise InputError(f"--probe-samples must be at least 0, got {args.probe_samples}")
+    form = k_lambda(spec)
     rng = np.random.default_rng(args.seed)
-    checks = []
-
     x, y, z = rng.standard_normal((200, 3, spec.dim)).transpose(1, 0, 2)
-    worst_j = jacobi_residual(spec, x, y, z)
-    checks.append(_check("jacobi", "jacobi identity residual", worst_j, 1e-12))
-    checks.append(_check("ad_invariance", "bi-invariant form is ad-invariant",
-                         ad_invariance_residual(form, seed=args.seed), 1e-12))
-    checks.append(_check("k_symmetry", "u is symmetric for the bi-invariant form",
-                         k_symmetry_residual(form, metric.iso.matrix), 1e-10))
-
     rep = connection_report(metric)
-    checks.append(_check("torsion", "connection is torsion-free",
-                         rep["torsion_residual"], 1e-10))
-    checks.append(_check("compatibility", "connection is metric-compatible",
-                         rep["compat_residual"], 1e-10))
-
-    locsym_tol = None
-    if metric.iso.kind == "diagonal_sym" and \
-            all(c is not None for c in locsym_conditions(metric.iso, tol=1e-9)):
-        locsym_tol = 1e-10
-    checks.append(_check("local_symmetry",
-                         "local symmetry identity over basis triples",
-                         rep["locsym_residual"], locsym_tol))
-
+    checks = [
+        _check("jacobi", "jacobi identity residual", jacobi_residual(spec, x, y, z), 1e-12),
+        _check("ad_invariance", "bi-invariant form is ad-invariant",
+               ad_invariance_residual(form, seed=args.seed), 1e-12),
+        _check("k_symmetry", "u is symmetric for the bi-invariant form",
+               k_symmetry_residual(form, metric.iso.matrix), 1e-10),
+        _check("torsion", "connection is torsion-free", rep["torsion_residual"], 1e-10),
+        _check("compatibility", "connection is metric-compatible",
+               rep["compat_residual"], 1e-10),
+        _check("local_symmetry", "local symmetry identity over basis triples",
+               rep["locsym_residual"], _locsym_tolerance(metric)),
+    ]
     verdict = completeness_criteria(spec, metric.iso)
-    report = {"task": "full-report", "lambda": list(spec.lambdas),
-              "metric_kind": metric.iso.kind, "seed": args.seed,
-              "metric": {"index": metric.index,
-                         "completeness_verdict": verdict},
-              "connection": rep, "checks": checks}
+    fields = {"metric_kind": metric.iso.kind, "seed": args.seed,
+              "metric": {"index": metric.index, "completeness_verdict": verdict},
+              "connection": rep}
     if args.probe_samples:
         probe = flows.completeness_probe(metric, args.probe_samples, args.t_max,
                                          seed=args.seed)
-        report["probe"] = {"n_blowup": probe.n_blowup,
+        fields["probe"] = {"n_blowup": probe.n_blowup,
                            "n_underflow": probe.n_underflow,
                            "earliest_blowup": probe.earliest_blowup}
-        if verdict != "undetermined":
-            checks.append(_verdict_check(
-                "no_blowups", "sufficient completeness condition implies no blow-ups",
-                probe.n_blowup + probe.n_underflow, 0))
+        checks += _no_blowups(verdict, probe)
+    return fields, checks
+
+
+def _run_task(args) -> int:
+    """Parse the declared inputs in a fixed order (--lambda, --metric, then
+    --samples), run the body and wrap its result in the report envelope."""
+    body, _, takes_metric, takes_spec = _TASKS[args.task]
+    report = {"task": args.task}
+    inputs = []
+    if takes_spec:
+        spec = _parse_lambda(args.lam)
+        report["lambda"] = list(spec.lambdas)
+        inputs.append(spec)
+        if takes_metric:
+            inputs.append(_parse_metric(spec, args.metric))
+    if getattr(args, "samples", 1) < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
+    fields, checks = body(args, *inputs)
+    report.update(fields, checks=checks)
     return _finish(report, args)
 
 
@@ -453,76 +459,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for the geometry of oscillator Lie groups")
     top.add_argument("--version", action="version", version=f"osclab {__version__}")
     sub = top.add_subparsers(dest="task", required=True)
-
-    def common(p, metric=False):
+    for name, (_, flags, takes_metric, _) in _TASKS.items():
+        p = sub.add_parser(name)
         p.add_argument("--lambda", dest="lam", help="comma-separated frequencies")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--json", action="store_true",
                        help="print the JSON report to stdout even with --out")
-        if metric:
+        if takes_metric:
             p.add_argument("--metric",
                            help="metric descriptor: JSON, @file, or a family name")
-        return p
-
-    common(sub.add_parser("algebra-check")).add_argument(
-        "--samples", type=int, default=1000)
-    common(sub.add_parser("metric-info"), metric=True)
-    common(sub.add_parser("connection-report"), metric=True)
-    common(sub.add_parser("locsym-check"), metric=True)
-
-    p = common(sub.add_parser("geodesic-integrate"), metric=True)
-    p.add_argument("--x0", help='initial state: coordinates or "gamma1:c=1,rho=1"')
-    p.add_argument("--t-max", dest="t_max", type=float, default=10.0)
-    p.add_argument("--t-min", dest="t_min", type=float, default=0.0)
-    p.add_argument("--form", choices=[flows.BODY, flows.EULER, flows.LAX],
-                   default=flows.EULER)
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
-    p.add_argument("--out-csv", dest="out_csv", help="trajectory CSV path")
-
-    p = common(sub.add_parser("completeness-probe"), metric=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--t-max", dest="t_max", type=float, default=100.0)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker pool size (default: OSCLAB_THREADS or 1)")
-
-    p = common(sub.add_parser("isometry-verify"))
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--u", help="isometry descriptor JSON or @file")
-
-    common(sub.add_parser("isometry-dim"))
-
-    p = common(sub.add_parser("isometry-polar"))
-    p.add_argument("--u", help="isometry descriptor JSON or @file")
-    p.add_argument("--g", help='group element "t,s,re1,im1,..."')
-
-    p = common(sub.add_parser("lattice-check"))
-    p.add_argument("--exact", action="store_true",
-                   help="treat the entries as exact rationals")
-
-    p = common(sub.add_parser("full-report"), metric=True)
-    p.add_argument("--probe-samples", dest="probe_samples", type=int, default=0)
-    p.add_argument("--t-max", dest="t_max", type=float, default=50.0)
-
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     p = sub.add_parser("run", help="run a scenario JSON file")
     p.add_argument("scenario")
     return top
-
-
-_HANDLERS = {
-    "algebra-check": task_algebra_check,
-    "metric-info": task_metric_info,
-    "connection-report": task_connection_report,
-    "locsym-check": task_locsym_check,
-    "geodesic-integrate": task_geodesic_integrate,
-    "completeness-probe": task_completeness_probe,
-    "isometry-verify": task_isometry_verify,
-    "isometry-dim": task_isometry_dim,
-    "isometry-polar": task_isometry_polar,
-    "lattice-check": task_lattice_check,
-    "full-report": task_full_report,
-}
 
 
 def _run_scenario(path: str) -> int:
@@ -530,7 +481,7 @@ def _run_scenario(path: str) -> int:
     if not isinstance(obj, dict) or "task" not in obj:
         raise InputError('scenario must be an object with a "task" field')
     task = obj.pop("task")
-    if task not in _HANDLERS:
+    if task not in _TASKS:
         raise InputError(f"unknown task {task!r}")
     argv = [task]
     for key, val in obj.items():
@@ -570,8 +521,8 @@ def main(argv=None) -> int:
     try:
         if args.task == "run":
             return _run_scenario(args.scenario)
-        return _HANDLERS[args.task](args)
-    except InputError as err:
+        return _run_task(args)
+    except (InputError, ode.SolverInputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -123,18 +123,14 @@ def curvature(table: ConnTable, x, y) -> CurvOp:
     return CurvOp(x, y, mbr - (mx @ my - my @ mx))
 
 
-def _curvature_basis(spec: LambdaSpec, coeffs: np.ndarray) -> np.ndarray:
-    """R[a, b] over all basis pairs, for an arbitrary product table."""
-    B = basis_brackets(spec)
-    M = coeffs.transpose(0, 2, 1)
+def curvature_basis(table) -> np.ndarray:
+    """R[a, b] over all basis pairs, for a ConnTable or an AffineProduct."""
+    B = basis_brackets(table.spec)
+    M = table.coeffs.transpose(0, 2, 1)
     l_br = np.einsum("abc,cxy->abxy", B, M)
     comm = np.einsum("aij,bjk->abik", M, M)
     comm = comm - comm.transpose(1, 0, 2, 3)
     return l_br - comm
-
-
-def curvature_basis(table: ConnTable) -> np.ndarray:
-    return _curvature_basis(table.spec, table.coeffs)
 
 
 def flatness_residual(table) -> float:
@@ -142,7 +138,7 @@ def flatness_residual(table) -> float:
 
     Accepts a ConnTable or an AffineProduct.
     """
-    return float(np.max(np.abs(_curvature_basis(table.spec, table.coeffs))))
+    return float(np.max(np.abs(curvature_basis(table))))
 
 
 def curvature_norms(table: ConnTable) -> dict[str, float]:

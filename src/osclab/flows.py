@@ -83,10 +83,6 @@ class FlowProblem:
         return states
 
 
-def rhs_value(problem: FlowProblem, state) -> np.ndarray:
-    return problem.rhs(0.0, _as_elem(problem.metric.spec, state))
-
-
 # Stacked products.  Each row of a stacked matmul runs the same BLAS kernel
 # as the single-state product (gemv for m @ x, dot for w @ x), so the values
 # are bit-equal to a per-row loop; X @ m.T or einsum are not.
@@ -127,9 +123,6 @@ class FirstIntegralSet:
     def names(self) -> tuple[str, ...]:
         return tuple(i.name for i in self.integrals)
 
-    def evaluate(self, x) -> dict[str, float]:
-        return {i.name: i(x) for i in self.integrals}
-
 
 @dataclass(frozen=True)
 class AdaptedFrame:
@@ -142,9 +135,6 @@ class AdaptedFrame:
     a: float           # u(e_0)   = a e_-1 + alpha e_0
     alpha: float
     b: float           # u(e_-1)  = alpha e_-1 + b e_0
-
-    def coords(self, x) -> np.ndarray:
-        return self.basis_inv @ x
 
 
 def cartan_adapted_frame(metric: Metric, tol: float = 1e-10) -> AdaptedFrame:
@@ -393,7 +383,7 @@ def random_initial_state(spec: LambdaSpec, rng: np.random.Generator) -> np.ndarr
 
 
 def completeness_probe(metric: Metric, sample_count: int, t_max: float,
-                       seed: int = 0, extra_states=(), threads: int = 1,
+                       seed: int = 0, extra_states=(),
                        rtol: float = 1e-10, atol: float = 1e-12) -> ProbeReport:
     """Integrate a batch of random initial conditions in both time
     orientations and tally blow-ups.  ``extra_states`` are appended after
@@ -407,23 +397,14 @@ def completeness_probe(metric: Metric, sample_count: int, t_max: float,
     states += [_as_elem(spec, s) for s in extra_states]
     integrals = FirstIntegralSet(())  # probes tally statuses, not drift
 
-    jobs = [(i, ori, st) for i, st in enumerate(states) for ori in (+1, -1)]
-
-    def run(job):
-        i, ori, st = job
-        prob = FlowProblem(metric, st, (0.0, ori * t_max), form=EULER,
-                           rtol=rtol, atol=atol)
-        traj = integrate(prob, integrals)
-        return ProbeSample(i, ori, traj.status,
-                           traj.t_detected, seeded=i >= seeded_from)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    results.sort(key=lambda s: (s.index, -s.orientation))
+    results = []
+    for i, st in enumerate(states):
+        for ori in (+1, -1):
+            prob = FlowProblem(metric, st, (0.0, ori * t_max), form=EULER,
+                               rtol=rtol, atol=atol)
+            traj = integrate(prob, integrals)
+            results.append(ProbeSample(i, ori, traj.status, traj.t_detected,
+                                       seeded=i >= seeded_from))
 
     blow = [s for s in results if s.status == ode.BLOWUP]
     under = [s for s in results if s.status == ode.STEP_UNDERFLOW]

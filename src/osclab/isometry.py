@@ -515,11 +515,6 @@ def polar_transport_residuals(spec: LambdaSpec, isos: Sequence[CurvIsometry],
                       np.max(np.abs(p1.z - p2.z), axis=1))
 
 
-def act_u_on_sigma(spec: LambdaSpec, u: CurvIsometry, sigma: GroupElem) -> GroupElem:
-    """The isotropy action on the group: u . sigma = P_u(sigma)."""
-    return polar(spec, u, sigma)
-
-
 def act_sigma_on_u(spec: LambdaSpec, sigma: GroupElem,
                    u: CurvIsometry) -> CurvIsometry:
     """The group action on the isotropy factor.
@@ -578,7 +573,7 @@ def isom_mul(a: IsomElem, b: IsomElem) -> IsomElem:
     spec = a.spec
     if spec != b.spec:
         raise ValueError("cannot multiply isometries over different specs")
-    sig = g_mul(spec, a.sigma, act_u_on_sigma(spec, a.iso, b.sigma))
+    sig = g_mul(spec, a.sigma, polar(spec, a.iso, b.sigma))  # u . sigma' = P_u(sigma')
     iso = compose(act_sigma_on_u(spec, b.sigma, a.iso), b.iso)
     return IsomElem(sig, iso)
 

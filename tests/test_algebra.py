@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osclab.algebra import (DimensionMismatch, LambdaSpec, ad, basis_vector,
-                            bracket, cartan, center, derived_ideal,
+from conftest import paper_basis_brackets
+from osclab.algebra import (DimensionMismatch, LambdaSpec, ad, basis_brackets,
+                            basis_vector, bracket, cartan, center, derived_ideal,
                             jacobi_residual, ker_ad)
 
 
@@ -36,6 +39,15 @@ class TestLambdaSpec:
             LambdaSpec.from_json({"lambda": []})
         with pytest.raises(ValueError, match="positive"):
             LambdaSpec.from_json({"lambda": [1.0, -2.0]})
+
+    # n = 1..6, with repeated, irrational and widely spread frequencies.
+    @pytest.mark.parametrize("lams", [
+        (1.0,), (2.0, 2.0), (1.0, math.sqrt(2.0), math.sqrt(2.0)),
+        (0.5, 1.0, 1.0, math.pi), (1.0, 1.0, 1.0, 2.0, 3.0),
+        (1e-3, 0.5, 1.0, 1.0, 2.0, 1e3)])
+    def test_basis_brackets_equal_the_paper_table(self, lams):
+        spec = LambdaSpec(lams)
+        assert basis_brackets(spec).tobytes() == paper_basis_brackets(spec).tobytes()
 
 
 class TestBracket:

@@ -173,6 +173,30 @@ class TestSamplesContract:
         assert err.count("\n") == 1 and "--probe-samples" in err
 
 
+class TestProbeInputs:
+    @pytest.mark.parametrize("argv", [
+        ["completeness-probe", "--lambda", "1", "--metric", "u1_dim4",
+         "--samples", "1", "--t-max", "inf"],
+        ["completeness-probe", "--lambda", "1", "--metric", "u1_dim4",
+         "--samples", "1", "--t-max", "nan"],
+        ["full-report", "--lambda", "1", "--metric",
+         '{"kind":"diagonal_sym","eta":[0.3],"eta_check":[0.7]}',
+         "--probe-samples", "1", "--t-max", "nan"],
+    ])
+    def test_non_finite_horizon_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "time span endpoints must be finite" in err
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["completeness-probe", "--lambda", "1", "--metric", "u1_dim4",
+                  "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
 _U_OK = {"rho": 1, "blocks": [{"v": [[0.5, -0.3]], "u": [[1, 0], [0, 1]]}]}
 _BAD_U = {
     "missing_v": ({"rho": 1, "blocks": [{"u": [[1, 0], [0, 1]]}]},
@@ -207,6 +231,12 @@ class TestIsometryAndLatticeInputs:
         code, out, err = run(capsys, "isometry-polar", "--lambda", "1",
                              "--u", json.dumps(_U_OK), "--g", "0.7,x,1,0")
         assert_one_line_input_error(code, out, err, "bad --g '0.7,x,1,0'")
+
+    @pytest.mark.parametrize("g", ["nan,0,1,0", "0.7,0.1,inf,0", "0.7,-inf,1,0"])
+    def test_non_finite_group_element_exits_2(self, capsys, g):
+        code, out, err = run(capsys, "isometry-polar", "--lambda", "1",
+                             "--u", json.dumps(_U_OK), "--g", g)
+        assert_one_line_input_error(code, out, err, "coordinates must be finite")
 
     def test_non_numeric_float_lattice_exits_2(self, capsys):
         code, out, err = run(capsys, "lattice-check", "--lambda", "1,x")
@@ -249,13 +279,13 @@ class TestProbeTask:
         assert rep["n_blowup"] == 0
         assert len(rep["per_sample"]) == 6
 
-    def test_determinism_across_thread_counts(self, capsys, tmp_path):
+    def test_same_seed_reports_are_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["completeness-probe", "--lambda", "1", "--metric",
                 '{"kind":"diagonal_sym","eta":[0.4],"eta_check":[0.6]}',
                 "--samples", "4", "--t-max", "5", "--seed", "7"]
         assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b), "--threads", "3"]) == 0
+        assert main(args + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 

@@ -9,7 +9,7 @@ from osclab.flows import (BODY, EULER, LAX, FlowProblem, analytic_gamma1,
                           analytic_gamma1_velocity, cartan_adapted_frame,
                           completeness_probe, euler_coadjoint_residual,
                           first_integrals, gamma1_residual, integrate,
-                          random_initial_state, rhs_value, scalar_blowup_probe,
+                          random_initial_state, scalar_blowup_probe,
                           scalar_blowup_time, trajectory_csv)
 from osclab.metrics import SymIso, k_lambda, metric_from_iso, named_family
 
@@ -32,7 +32,7 @@ class TestRhs:
     def test_lax_is_stationary_for_the_bi_invariant_metric(self, spec1, rng):
         m = metric(spec1, "diagonal_sym")
         prob = FlowProblem(m, rng.standard_normal(4), (0, 1), form=LAX)
-        assert np.all(rhs_value(prob, prob.x0) == 0.0)
+        assert np.all(prob.rhs(0.0, prob.x0) == 0.0)
 
     def test_u2_component_equations(self, u2_metric, rng):
         for _ in range(10):
@@ -42,7 +42,7 @@ class TestRhs:
                                  -x1 * xc1 + xm1 ** 2,
                                  0.0,
                                  -x1 * xm1 + x0 * xc1])
-            got = rhs_value(FlowProblem(u2_metric, x, (0, 1)), x)
+            got = FlowProblem(u2_metric, x, (0, 1)).rhs(0.0, x)
             np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_euler_and_lax_agree_under_transport(self, spec12, rng):
@@ -52,8 +52,8 @@ class TestRhs:
         pl = FlowProblem(m, basis_vector(spec12, 0), (0, 1), form=LAX)
         for _ in range(10):
             x = rng.standard_normal(spec12.dim)
-            np.testing.assert_allclose(u @ rhs_value(pe, x),
-                                       rhs_value(pl, u @ x), atol=1e-13)
+            np.testing.assert_allclose(u @ pe.rhs(0.0, x),
+                                       pl.rhs(0.0, u @ x), atol=1e-13)
 
     def test_body_form_matches_euler(self, spec12, rng):
         m = metric(spec12, "diagonal_sym", eta=[0.4, 1.7], eta_check=[0.6, 0.8])
@@ -61,7 +61,7 @@ class TestRhs:
         pe = FlowProblem(m, basis_vector(spec12, 0), (0, 1), form=EULER)
         for _ in range(10):
             x = rng.standard_normal(spec12.dim)
-            np.testing.assert_allclose(rhs_value(pb, x), rhs_value(pe, x),
+            np.testing.assert_allclose(pb.rhs(0.0, x), pe.rhs(0.0, x),
                                        atol=1e-11)
 
     def test_rejects_unknown_form(self, u1_metric):
@@ -293,10 +293,10 @@ class TestProbe:
         seeded = [s for s in rep.samples if s.seeded]
         assert any(s.status == ode.BLOWUP for s in seeded)
 
-    def test_threaded_probe_matches_serial(self, spec1):
+    def test_same_seed_probes_give_equal_samples(self, spec1):
         m = metric(spec1, "diagonal_sym", eta=[0.4], eta_check=[0.6])
-        a = completeness_probe(m, 4, 10.0, seed=9, threads=1)
-        b = completeness_probe(m, 4, 10.0, seed=9, threads=3)
+        a = completeness_probe(m, 4, 10.0, seed=9)
+        b = completeness_probe(m, 4, 10.0, seed=9)
         assert a.samples == b.samples
 
 

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import group_dist, isom_dist
+from conftest import group_dist, isom_dist, paper_basis_brackets
 from osclab.algebra import LambdaSpec, basis_brackets, basis_vector
 from osclab.isometry import (CurvIsometry, GroupElem, GroupRows, IsomElem,
-                             act_sigma_on_u,
-                             act_u_on_sigma, commensurability_oracle, compose,
+                             act_sigma_on_u, commensurability_oracle, compose,
                              curv_isometry_from_json, curv_isometry_from_matrix,
                              g_exp, g_inv, g_log, g_mul, geodesic_exponential,
                              group_to_alg_coords, identity_elem,
@@ -275,7 +274,7 @@ class TestActions:
 
     def test_trivial_isotropy_acts_as_the_identity(self, spec112, rng):
         sigma = rand_group_elem(spec112, rng)
-        got = act_u_on_sigma(spec112, identity_isometry(spec112), sigma)
+        got = polar(spec112, identity_isometry(spec112), sigma)
         assert group_dist(got, sigma) <= 1e-14
 
 
@@ -490,10 +489,7 @@ class TestStackedRows:
 
     def test_cached_triple_tensor_equals_the_fresh_build(self, lams, rng):
         spec = LambdaSpec(lams)
-        d = spec.dim
-        B = np.zeros((d, d, d))
-        for a, b, c, coeff in spec.structure_constants:
-            B[a, b, c] += coeff
+        B = paper_basis_brackets(spec)
         T = np.einsum("bcp,apq->abcq", B, B)
         for u in mixed_isometries(spec, rng, 8) + mixed_isometries(spec, rng, 4, rho=-1):
             m = u.matrix
