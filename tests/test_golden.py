@@ -133,6 +133,28 @@ CLI_CASES = {
                        '{"rho":1,"blocks":[{"v":[[0.5,-0.3]],"u":[[1,0],[0,1]]}]}',
                        "--g", "0.7,0.1,1.0,0.0"],
     "lattice_check": ["lattice-check", "--lambda", "2/3,1,5/3", "--exact"],
+    # The local-symmetry residual where its tensors are sparse (n = 5, 6, a
+    # locally symmetric and a generic diagonal metric, the second with a
+    # nonzero residual) and on a dense literal matrix metric.
+    "locsym_check_n6": [
+        "locsym-check", "--lambda", "0.5,1,1,2,3,4", "--metric",
+        '{"kind":"diagonal_sym","eta":[0.3,1.4,0.8,-0.6,2.0,1.2],'
+        '"eta_check":[0.7,-0.4,0.8,-0.6,-1.0,1.2]}'],
+    "connection_report_n6": [
+        "connection-report", "--lambda", "1,1.5,2,2.5,3,4", "--metric",
+        '{"kind":"diagonal_sym","eta":[0.4,1.3,0.7,2.1,0.9,1.6],'
+        '"eta_check":[0.6,0.5,1.9,0.8,-1.2,0.3]}'],
+    "full_report_n5": [
+        "full-report", "--lambda", "1,2,2,3,5", "--seed", "3", "--metric",
+        '{"kind":"diagonal_sym","eta":[0.4,1.5,-0.7,2.5,0.9],'
+        '"eta_check":[0.6,1.5,-0.7,-1.5,0.9],"rho":0.9}'],
+    "connection_report_matrix": [
+        "connection-report", "--lambda", "1,2,4", "--metric",
+        '{"kind":"matrix","rows":[[-0.3,-2.4,0.1,0.1,0.8,-0.7,-0.4,0.4],'
+        '[3.3,-0.3,-0.2,0.6,0.0,0.2,0.2,0.0],[-0.2,0.1,-2.9,0.4,0.6,0.1,-0.5,-0.2],'
+        '[1.2,0.2,0.8,-3.2,0.6,-0.6,0.2,0.0],[0.0,3.2,2.4,1.2,11.2,1.6,1.2,0.8],'
+        '[0.2,-0.7,0.1,-0.3,0.4,2.9,-0.4,-0.4],[0.4,-0.8,-1.0,0.2,0.6,-0.8,6.0,0.6],'
+        '[0.0,1.6,-0.8,0.0,0.8,-1.6,1.2,-8.8]]}'],
 }
 
 
