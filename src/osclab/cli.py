@@ -377,6 +377,8 @@ def task_lattice_check(args):
         raise InputError("missing --lambda")
     parts = [p.strip() for p in str(args.lam).split(",") if p.strip()]
     values = parts if args.exact else _parse_floats(",".join(parts), "--lambda")
+    if not args.exact and not all(math.isfinite(v) and v > 0 for v in values):
+        raise InputError(f"bad --lambda {args.lam!r}: frequencies must be positive reals")
     try:
         verdict = iso_mod.lattice_criterion(values)
     except ValueError as err:

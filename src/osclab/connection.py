@@ -42,6 +42,13 @@ class ConnTable:
         m.setflags(write=False)
         return m
 
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """Read-only R[a, b] = R(e_a, e_b), computed once per table."""
+        R = curvature_basis(self)
+        R.setflags(write=False)
+        return R
+
     def left_mult_of(self, x) -> np.ndarray:
         """Matrix of L_x for an arbitrary element x."""
         x = _as_elem(self.spec, x)
@@ -138,13 +145,14 @@ def flatness_residual(table) -> float:
 
     Accepts a ConnTable or an AffineProduct.
     """
-    return float(np.max(np.abs(curvature_basis(table))))
+    R = table.curvature if isinstance(table, ConnTable) else curvature_basis(table)
+    return float(np.max(np.abs(R)))
 
 
 def curvature_norms(table: ConnTable) -> dict[str, float]:
     """Per basis pair a < b, the max-entry norm of R(e_a, e_b)."""
     spec = table.spec
-    R = curvature_basis(table)
+    R = table.curvature
     names = spec.basis_names
     out = {}
     for a in range(spec.dim):
@@ -154,14 +162,34 @@ def curvature_norms(table: ConnTable) -> dict[str, float]:
 
 
 def local_symmetry_residual(table: ConnTable) -> float:
-    """max residual of [L_z, R(x,y)] = R(L_z x, y) + R(x, L_z y) over basis triples."""
-    spec = table.spec
-    L = table.coeffs
-    M = table.left_mult
-    R = curvature_basis(table)
-    lhs = np.einsum("zij,xyjk->zxyik", M, R) - np.einsum("xyij,zjk->zxyik", R, M)
-    rhs = np.einsum("zxc,cyik->zxyik", L, R) + np.einsum("zyc,xcik->zxyik", L, R)
-    return float(np.max(np.abs(lhs - rhs)))
+    """max residual of [L_z, R(x,y)] = R(L_z x, y) + R(x, L_z y) over basis triples.
+
+    Each entry has, up to sign, the bits of the dense formula
+
+        lhs = einsum("zij,xyjk->zxyik", M, R) - einsum("xyij,zjk->zxyik", R, M)
+        rhs = einsum("zxc,cyik->zxyik", L, R) + einsum("zyc,xcik->zxyik", L, R)
+
+    at less cost.  R(e_y, e_x) = -R(e_x, e_y) bit for bit, so the entry at
+    (z, y, x) is minus the one at (z, x, y) and zero at x = y: only x < y is
+    evaluated, and R(x, L_z y) is -R(L_z y, x).  A zero slice on an axis that
+    is not summed gives exact zeros, so lhs is taken only where
+    R(e_x, e_y) != 0 and R(L_z e_w, .) only where L_z e_w != 0.  No summed
+    axis is cut, so einsum sums each computed entry in the same order.
+    """
+    d = table.spec.dim
+    L, M, R = table.coeffs, table.left_mult, table.curvature
+    x, y = np.triu_indices(d, 1)
+    # t3[row[z, w]] = R(L_z e_w, .), with a last zero row where L_z e_w = 0.
+    z, w = np.nonzero(L.any(axis=2))
+    row = np.full((d, d), len(z))
+    row[z, w] = np.arange(len(z))
+    t3 = np.zeros((len(z) + 1, d, d, d))
+    t3[:-1] = np.einsum("pc,cyik->pyik", L[z, w], R)
+    res = t3[row[:, x], y] - t3[row[:, y], x]
+    nz = np.flatnonzero(R[x, y].any(axis=(1, 2)))
+    rp = R[x[nz], y[nz]]
+    res[:, nz] -= np.einsum("zij,pjk->zpik", M, rp) - np.einsum("pij,zjk->zpik", rp, M)
+    return float(np.max(np.abs(res), initial=0.0))
 
 
 @dataclass(frozen=True)

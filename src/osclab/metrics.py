@@ -121,13 +121,20 @@ def metric_from_iso(form: BiInvariantForm, iso: SymIso, tol: float = K_SYMMETRY_
     """Build k_u from a k-symmetric isomorphism; rejects bad input loudly."""
     if iso.spec is not form.spec and iso.spec != form.spec:
         raise ValueError("isomorphism and form belong to different specs")
-    res = k_symmetry_residual(form, iso.matrix)
+    # Non-finite entries, or entries near the float range, give a non-finite
+    # Gram matrix: it is rejected below instead of warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = k_symmetry_residual(form, iso.matrix)
+        s = form.gram @ iso.matrix
+        gram_u = 0.5 * (s + s.T)
+    if not np.isfinite(gram_u).all():
+        raise ValueError("isomorphism entries must be finite"
+                         if not np.isfinite(iso.matrix).all()
+                         else "gram matrix of k_u overflows the float range")
     if res > tol:
         raise NotKSymmetric(
             f"matrix is not k-symmetric: residual {res:.3e} exceeds {tol:.1e}"
         )
-    s = form.gram @ iso.matrix
-    gram_u = 0.5 * (s + s.T)
     w = np.linalg.eigvalsh(gram_u)
     scale = float(np.max(np.abs(w)))
     if scale == 0.0 or float(np.min(np.abs(w))) <= 1e-12 * scale:

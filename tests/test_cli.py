@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -242,6 +245,11 @@ class TestIsometryAndLatticeInputs:
         code, out, err = run(capsys, "lattice-check", "--lambda", "1,x")
         assert_one_line_input_error(code, out, err, "bad --lambda")
 
+    @pytest.mark.parametrize("lam", ["nan", "1,inf", "-1,2", "0,1"])
+    def test_non_positive_or_non_finite_float_lattice_exits_2(self, capsys, lam):
+        code, out, err = run(capsys, "lattice-check", "--lambda", lam)
+        assert_one_line_input_error(code, out, err, "frequencies must be positive reals")
+
     def test_malformed_gamma1_seed_exits_2(self, capsys):
         code, out, err = run(capsys, "geodesic-integrate", "--lambda", "1",
                              "--metric", "u1_dim4", "--x0", "gamma1:c")
@@ -337,6 +345,32 @@ class TestErrorPaths:
                            json.dumps({"kind": "matrix", "rows": rows.tolist()}))
         assert code == 2
         assert "k-symmetric" in err
+
+
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+class TestOutOfRangeMetricEntries:
+    """Descriptors whose Gram matrix overflows or whose entries are not
+    finite exit 2 with one stderr line: no numpy warning, no traceback.
+    The CLI runs in a child process, because pytest would capture a
+    RuntimeWarning before it reached stderr."""
+
+    @pytest.mark.parametrize("desc, needle", [
+        ('{"kind":"diagonal_sym","eta":[1e308],"eta_check":[1e308]}', "overflows"),
+        ('{"kind":"lattice_dim4","alpha":1e308}', "overflows"),
+        ('{"kind":"diagonal_sym","eta":[Infinity],"eta_check":[1]}', "must be finite"),
+        ('{"kind":"matrix","rows":[[NaN,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}',
+         "must be finite"),
+    ])
+    def test_exits_2_with_one_stderr_line(self, desc, needle):
+        env = dict(os.environ, PYTHONPATH=str(_SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "osclab", "locsym-check", "--lambda", "1",
+             "--metric", desc], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: bad metric descriptor") and needle in proc.stderr
 
 
 def test_failing_check_gives_exit_one(capsys, monkeypatch):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from osclab.algebra import LambdaSpec, ad, basis_vector, bracket
-from osclab.connection import (affine_product, associator_symmetry_residual,
+from osclab.connection import (ConnTable, affine_product, associator_symmetry_residual,
                                closed_form_L, compatibility_residual,
-                               connection_report, curvature, flatness_residual,
-                               levi_civita, local_symmetry_residual,
+                               connection_report, curvature, curvature_basis,
+                               flatness_residual, levi_civita, local_symmetry_residual,
                                right_mult_nilpotency_residual,
                                skew_minus_bracket_residual, torsion_residual)
 from osclab.metrics import (k_lambda, metric_from_iso, named_family,
@@ -164,6 +164,103 @@ class TestLocalSymmetry:
         metric = metric_from_iso(k_lambda(spec1), named_family(
             spec1, "diagonal_sym", eta=[2.0], eta_check=[5.0]))
         assert local_symmetry_residual(levi_civita(metric)) > 1e-3
+
+
+def dense_locsym_reference(table):
+    """The dense four-einsum form of the local-symmetry residual, over all
+    basis triples; ``local_symmetry_residual`` must give its bits."""
+    L, M, R = table.coeffs, table.left_mult, curvature_basis(table)
+    lhs = np.einsum("zij,xyjk->zxyik", M, R) - np.einsum("xyij,zjk->zxyik", R, M)
+    rhs = np.einsum("zxc,cyik->zxyik", L, R) + np.einsum("zyc,xcik->zxyik", L, R)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+_LAMBDA_POOL = (0.5, 1.0, 1.0, 1.5, 2.0, 3.0, 4.0)
+
+
+def sample_table(n, kind, rng):
+    """A Levi-Civita table at n oscillators from one metric family:
+    locally symmetric diagonal (conditions (a)/(b) mixed, rho = 0 or 0.9),
+    generic diagonal, dense matrix (with or without a fixed centre line),
+    or u1/u2 (``u1_dim4``/``u2_dim4`` at n = 1, their direct sums above)."""
+    lams = tuple(sorted(rng.choice(_LAMBDA_POOL, n)))
+    if kind in ("u1", "u2"):
+        lams = (1.0,) + tuple(sorted(rng.choice(_LAMBDA_POOL[1:], n - 1)))
+    spec = LambdaSpec(lams)
+    if kind in ("locsym", "locsym_rho"):
+        eta = rng.uniform(0.2, 2.2, n) * rng.choice([-1.0, 1.0], n)
+        etc = np.where(rng.random(n) < 0.5, 1.0 - eta, eta)
+        iso = named_family(spec, "diagonal_sym", eta=eta, eta_check=etc,
+                           rho=0.9 if kind == "locsym_rho" else 0.0)
+    elif kind == "generic":
+        iso = named_family(spec, "diagonal_sym", eta=rng.uniform(-2, 2, n),
+                           eta_check=rng.uniform(-2, 2, n), rho=rng.uniform(-1, 1))
+    elif kind in ("matrix", "matrix_center"):
+        iso = random_k_symmetric(spec, rng, fix_center_line=kind == "matrix_center")
+    elif n == 1:
+        iso = named_family(spec, f"{kind}_dim4")
+    else:
+        blocks = [np.diag(rng.uniform(0.5, 2.0, 2)) + rng.uniform(-0.3, 0.3)
+                  * (1 - np.eye(2)) for _ in range(n - 1)]
+        iso = named_family(spec, "direct_sum", core=kind, blocks=blocks)
+    return levi_civita(metric_from_iso(k_lambda(spec), iso))
+
+
+_KINDS = ("locsym", "locsym_rho", "generic", "matrix", "matrix_center", "u1", "u2")
+
+
+class TestLocalSymmetryResidualBits:
+    """The residual is taken on pairs x < y and on the nonzero slices of its
+    tensors only; these tests pin that it equals the dense formula exactly."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_dense_formula(self, n, kind):
+        rng = np.random.default_rng([n, _KINDS.index(kind)])
+        for _ in range(3):
+            table = sample_table(n, kind, rng)
+            assert local_symmetry_residual(table) == dense_locsym_reference(table)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_curvature_is_exactly_antisymmetric(self, n):
+        rng = np.random.default_rng(n)
+        for kind in _KINDS:
+            R = curvature_basis(sample_table(n, kind, rng))
+            assert np.array_equal(R, -R.transpose(1, 0, 2, 3))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_flat_and_zero_tables(self, n):
+        spec = LambdaSpec(tuple(float(j) for j in range(1, n + 1)))
+        metric = identity_metric(spec)
+        flat = ConnTable(metric, affine_product(spec).coeffs)
+        zero = ConnTable(metric, np.zeros((spec.dim,) * 3))
+        assert flatness_residual(flat) <= 1e-13
+        for table in (flat, zero):
+            assert local_symmetry_residual(table) == dense_locsym_reference(table)
+        assert local_symmetry_residual(zero) == 0.0
+
+
+class TestCurvatureCache:
+    def test_table_curvature_is_read_only_and_equals_the_basis_tensor(self, spec12, rng):
+        table = levi_civita(metric_from_iso(k_lambda(spec12),
+                                            random_k_symmetric(spec12, rng)))
+        R = table.curvature
+        assert R is table.curvature and not R.flags.writeable
+        np.testing.assert_array_equal(R, curvature_basis(table))
+
+    def test_connection_report_computes_the_curvature_once(self, spec12, rng, monkeypatch):
+        import osclab.connection as connection
+
+        calls = []
+
+        def counted(table):
+            calls.append(table)
+            return curvature_basis(table)
+
+        monkeypatch.setattr(connection, "curvature_basis", counted)
+        connection_report(metric_from_iso(k_lambda(spec12),
+                                          random_k_symmetric(spec12, rng)))
+        assert len(calls) == 1
 
 
 class TestAffineProduct:
