@@ -365,7 +365,15 @@ def task_isometry_polar(args, spec):
     g = iso_mod.GroupElem(vals[0], vals[1],
                           tuple(vals[2 + 2 * j] + 1j * vals[3 + 2 * j]
                                 for j in range(spec.n)))
-    p = iso_mod.polar(spec, u, g)
+    # Entries near the float range give a non-finite image: it is rejected
+    # below instead of warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            p = iso_mod.polar(spec, u, g)
+        except ValueError as err:
+            raise InputError(str(err)) from err
+    if not np.isfinite([p.t, p.s, *p.z]).all():
+        raise InputError(f"bad --g {args.g!r}: the polar image overflows the float range")
     return {"image": {"t": p.t, "s": p.s, "z": [[w.real, w.imag] for w in p.z]}}, []
 
 

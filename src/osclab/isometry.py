@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import ode
+from .flows import BODY, FlowProblem
 from .algebra import LambdaSpec, _as_elem, _as_stack, _row_dot
 from .metrics import BiInvariantForm, Metric
 
@@ -64,8 +65,8 @@ class GroupElem:
 class GroupRows:
     """A stack of N group elements: t and s of shape (N,), z of shape (N, n).
 
-    ``g_exp``, ``g_log`` and ``polar`` take and give stacks row by row; each
-    row has the bits of the single-element call."""
+    ``g_exp``, ``g_log`` and ``polar`` compute on stacks only; a single
+    element goes through them as a one-row stack."""
 
     t: np.ndarray
     s: np.ndarray
@@ -82,6 +83,22 @@ def _check_elem(spec: LambdaSpec, g: GroupElem):
                          f"spec needs {spec.n}")
 
 
+def _check_rows(spec: LambdaSpec, g: GroupRows):
+    shapes = np.shape(g.t), np.shape(g.s), np.shape(g.z)
+    if len(shapes[0]) != 1 or shapes[1:] != (shapes[0], shapes[0] + (spec.n,)):
+        raise ValueError(f"group rows need t and s of shape (N,) and z of shape "
+                         f"(N, {spec.n}); got {', '.join(map(str, shapes))}")
+
+
+def _one_row(spec: LambdaSpec, g: GroupElem) -> GroupRows:
+    _check_elem(spec, g)
+    return GroupRows(np.array([g.t]), np.array([g.s]), g.zvec[None])
+
+
+def _row0(g: GroupRows) -> GroupElem:
+    return GroupElem(g.t[0], g.s[0], tuple(g.z[0]))
+
+
 def g_mul(spec: LambdaSpec, a: GroupElem, b: GroupElem) -> GroupElem:
     _check_elem(spec, a)
     _check_elem(spec, b)
@@ -93,11 +110,6 @@ def g_mul(spec: LambdaSpec, a: GroupElem, b: GroupElem) -> GroupElem:
 def g_inv(spec: LambdaSpec, a: GroupElem) -> GroupElem:
     _check_elem(spec, a)
     return GroupElem(-a.t, -a.s, tuple(-np.exp(-1j * a.t * spec.lam) * a.zvec))
-
-
-def alg_to_group_coords(spec: LambdaSpec, x) -> tuple[float, float, np.ndarray]:
-    x = _as_elem(spec, x)
-    return float(x[0]), float(x[1]), x[2 : 2 + spec.n] + 1j * x[2 + spec.n :]
 
 
 def group_to_alg_coords(spec: LambdaSpec, g: GroupElem) -> np.ndarray:
@@ -132,18 +144,15 @@ def _s_correction(theta: np.ndarray) -> np.ndarray:
 def g_exp(spec: LambdaSpec, x) -> GroupElem | GroupRows:
     """Group exponential; coincides with the geodesic exponential of the
     bi-invariant metric at the identity.  A stack x of shape (N, d) gives
-    GroupRows."""
-    if np.ndim(x) == 2:
-        x = _as_stack(spec, x)
-        n = spec.n
-        z = x[:, 2 : 2 + n] + 1j * x[:, 2 + n :]
-        theta = x[:, :1] * spec.lam
-        s_out = x[:, 1] + 0.5 * np.sum(np.abs(z) ** 2 * _s_correction(theta), axis=1)
-        return GroupRows(x[:, 0], s_out, _exp_multiplier(theta) * z)
-    t, s, z = alg_to_group_coords(spec, x)
-    theta = t * spec.lam
-    s_out = s + 0.5 * float(np.sum(np.abs(z) ** 2 * _s_correction(theta)))
-    return GroupElem(t, s_out, tuple(_exp_multiplier(theta) * z))
+    GroupRows; a single element is a one-row stack."""
+    if np.ndim(x) != 2:
+        return _row0(g_exp(spec, _as_elem(spec, x)[None]))
+    x = _as_stack(spec, x)
+    n = spec.n
+    z = x[:, 2 : 2 + n] + 1j * x[:, 2 + n :]
+    theta = x[:, :1] * spec.lam
+    s_out = x[:, 1] + 0.5 * np.sum(np.abs(z) ** 2 * _s_correction(theta), axis=1)
+    return GroupRows(x[:, 0], s_out, _exp_multiplier(theta) * z)
 
 
 def _log_domain_error(i: int, th: float) -> ValueError:
@@ -154,41 +163,32 @@ def _log_domain_error(i: int, th: float) -> ValueError:
 def g_log(spec: LambdaSpec, g: GroupElem | GroupRows) -> np.ndarray:
     """Inverse of g_exp on the domain |t l_j| < 2 pi (hard error outside:
     the j-th multiplier vanishes at 2 pi / l_j).  GroupRows give a stack of
-    shape (N, d)."""
-    if isinstance(g, GroupRows):
-        theta = g.t[:, None] * spec.lam
-        bad = np.argwhere(np.abs(theta) >= 2.0 * math.pi)
-        if bad.size:
-            row, i = bad[0]
-            raise _log_domain_error(i, theta[row, i])
-        z = g.z / _exp_multiplier(theta)
-        s = g.s - 0.5 * np.sum(np.abs(z) ** 2 * _s_correction(theta), axis=1)
-        return np.concatenate([g.t[:, None], s[:, None], z.real, z.imag], axis=1)
-    _check_elem(spec, g)
-    theta = g.t * spec.lam
-    for i, th in enumerate(theta):
-        if abs(th) >= 2.0 * math.pi:
-            raise _log_domain_error(i, th)
-    z = g.zvec / _exp_multiplier(theta)
-    s = g.s - 0.5 * float(np.sum(np.abs(z) ** 2 * _s_correction(theta)))
-    return np.concatenate([[g.t, s], z.real, z.imag])
+    shape (N, d); a single element is a one-row stack."""
+    if not isinstance(g, GroupRows):
+        return g_log(spec, _one_row(spec, g))[0]
+    _check_rows(spec, g)
+    theta = g.t[:, None] * spec.lam
+    bad = np.argwhere(np.abs(theta) >= 2.0 * math.pi)
+    if bad.size:
+        row, i = bad[0]
+        raise _log_domain_error(i, theta[row, i])
+    z = g.z / _exp_multiplier(theta)
+    s = g.s - 0.5 * np.sum(np.abs(z) ** 2 * _s_correction(theta), axis=1)
+    return np.concatenate([g.t[:, None], s[:, None], z.real, z.imag], axis=1)
 
 
 def geodesic_exponential(metric: Metric, x0, t_end: float = 1.0,
                          rtol: float = 1e-10, atol: float = 1e-12) -> GroupElem:
     """Geodesic exponential of k_u at the identity, by numeric integration.
 
-    Integrates the body equation for the velocity together with the frame
-    reconstruction on the group, so it is an independent oracle for g_exp
-    when u = id.
+    Integrates the body equation for the velocity (the right-hand side of a
+    body-form FlowProblem) together with the frame reconstruction on the
+    group, so it is an independent oracle for g_exp when u = id.
     """
-    from .connection import levi_civita
-
     spec = metric.spec
     n, d = spec.n, spec.dim
-    coeffs = levi_civita(metric).coeffs
     lam = spec.lam
-    x0 = _as_elem(spec, x0)
+    problem = FlowProblem(metric, x0, (0.0, t_end), form=BODY)
 
     # state = (x, t, s, Re z, Im z)
     def f(tau, state):
@@ -199,14 +199,14 @@ def geodesic_exponential(metric: Metric, x0, t_end: float = 1.0,
         ph = np.exp(1j * t * lam) * w
         ds = x[1] + 0.5 * float(np.sum(np.imag(np.conj(z) * ph)))
         out = np.empty(state.size)
-        out[:d] = -np.einsum("a,abc,b->c", x, coeffs, x)
+        out[:d] = problem.rhs(tau, x)
         out[d] = x[0]
         out[d + 1] = ds
         out[d + 2 : d + 2 + n] = ph.real
         out[d + 2 + n :] = ph.imag
         return out
 
-    state0 = np.concatenate([x0, np.zeros(d)])
+    state0 = np.concatenate([problem.x0, np.zeros(d)])
     res = ode.solve_rk45(f, (0.0, t_end), state0, rtol=rtol, atol=atol)
     if res.status != ode.COMPLETED:
         raise RuntimeError(f"geodesic did not reach t={t_end}: {res.status}")
@@ -301,6 +301,11 @@ class CurvIsometry:
             us.append(u)
         object.__setattr__(self, "vs", tuple(vs))
         object.__setattr__(self, "us", tuple(us))
+        with np.errstate(over="ignore"):
+            alpha = self.alpha
+        if not math.isfinite(alpha):
+            raise ValueError("translation parts overflow: the e_0 coefficient "
+                             f"alpha is {alpha}")
 
     @property
     def alpha(self) -> float:
@@ -447,56 +452,35 @@ def polar(spec: LambdaSpec, u: CurvIsometry | Sequence[CurvIsometry],
     """The global isometry extending u, in closed form (no logarithm involved,
     so there is no domain restriction).  Identity component only.
 
-    With GroupRows, u is a sequence of maps, one per row."""
-    if isinstance(g, GroupRows):
-        return _polar_rows(spec, u, g)
-    if u.rho != 1:
+    With GroupRows, u is a sequence of maps, one per row; a single element
+    is a one-row stack."""
+    if not isinstance(g, GroupRows):
+        return _row0(polar(spec, [u], _one_row(spec, g)))
+    _check_rows(spec, g)
+    if len(u) != len(g.t):
+        raise ValueError(f"need one map per row: {len(u)} maps, {len(g.t)} rows")
+    if any(ui.rho != 1 for ui in u):
         raise ValueError("closed-form polars cover the identity component (rho = +1)")
-    _check_elem(spec, g)
-    z = g.zvec
-    out = np.empty(spec.n, dtype=complex)
-    s_corr = 0.0
-    for i, ((lam, _), idx) in enumerate(zip(spec.blocks, spec.block_indices)):
-        theta = g.t * lam
-        zb = z[[j - 1 for j in idx]]
-        vi = _r2c(u.vs[i])
-        rot = complex(math.cos(0.5 * theta), math.sin(0.5 * theta))
-        inner = _r2c(u.us[i] @ _c2r(np.conj(rot) * zb))
-        out[[j - 1 for j in idx]] = (2.0 / lam) * math.sin(0.5 * theta) * rot * vi \
-            + rot * inner
-        a_i = (math.sin(theta) / (2.0 * lam)) * vi + math.cos(0.5 * theta) * inner
-        s_corr += float(u.vs[i] @ _c2r(a_i)) / lam
-    return GroupElem(g.t, g.s - s_corr, tuple(out))
-
-
-def _per_element(f, x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(f, x), float, len(x))
-
-
-def _polar_rows(spec: LambdaSpec, isos: Sequence[CurvIsometry],
-                g: GroupRows) -> GroupRows:
-    # polar row by row with the single-element operations: math.cos/sin per
-    # element (numpy's may differ in the last bit), one gemv per row for
-    # u_i w, one vector dot per row.
-    if len(isos) != len(g.t):
-        raise ValueError(f"need one map per row: {len(isos)} maps, {len(g.t)} rows")
-    if any(u.rho != 1 for u in isos):
-        raise ValueError("closed-form polars cover the identity component (rho = +1)")
+    # Per row: math.cos/sin per element (numpy's may differ in the last
+    # bit), one gemv for u_i w and one vector dot.
     out = np.empty(g.z.shape, dtype=complex)
     s_corr = 0.0
     for i, ((lam, _), idx) in enumerate(zip(spec.blocks, spec.block_indices)):
         cols = [j - 1 for j in idx]
         theta = g.t * lam
-        sin_half, cos_half = (_per_element(f, 0.5 * theta)[:, None]
+        if not np.isfinite(theta).all():
+            raise ValueError(f"t*l_{i+1} is not finite: block {i+1} rotation "
+                             "is undefined")
+        sin_half, cos_half = (np.fromiter(map(f, 0.5 * theta), float)[:, None]
                               for f in (math.sin, math.cos))
         rot = np.empty(sin_half.shape, dtype=complex)
         rot.real, rot.imag = cos_half, sin_half
-        vs = np.stack([u.vs[i] for u in isos])
-        us = np.stack([u.us[i] for u in isos])
+        vs = np.stack([ui.vs[i] for ui in u])
+        us = np.stack([ui.us[i] for ui in u])
         vi = _r2c(vs)
         inner = _r2c(np.matmul(us, _c2r(np.conj(rot) * g.z[:, cols])[..., None])[..., 0])
         out[:, cols] = ((2.0 / lam) * sin_half) * rot * vi + rot * inner
-        a_i = (_per_element(math.sin, theta)[:, None] / (2.0 * lam)) * vi \
+        a_i = (np.fromiter(map(math.sin, theta), float)[:, None] / (2.0 * lam)) * vi \
             + cos_half * inner
         s_corr = s_corr + _row_dot(vs, _c2r(a_i)) / lam
     return GroupRows(g.t, g.s - s_corr, out)

@@ -241,6 +241,12 @@ class TestIsometryAndLatticeInputs:
                              "--u", json.dumps(_U_OK), "--g", g)
         assert_one_line_input_error(code, out, err, "coordinates must be finite")
 
+    def test_reflected_component_polar_exits_2(self, capsys):
+        desc = dict(_U_OK, rho=-1)
+        code, out, err = run(capsys, "isometry-polar", "--lambda", "1",
+                             "--u", json.dumps(desc), "--g", "0.7,0.1,1,0")
+        assert_one_line_input_error(code, out, err, "identity component (rho = +1)")
+
     def test_non_numeric_float_lattice_exits_2(self, capsys):
         code, out, err = run(capsys, "lattice-check", "--lambda", "1,x")
         assert_one_line_input_error(code, out, err, "bad --lambda")
@@ -350,6 +356,12 @@ class TestErrorPaths:
 _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
+def run_child(*argv):
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    return subprocess.run([sys.executable, "-m", "osclab", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestOutOfRangeMetricEntries:
     """Descriptors whose Gram matrix overflows or whose entries are not
     finite exit 2 with one stderr line: no numpy warning, no traceback.
@@ -364,13 +376,37 @@ class TestOutOfRangeMetricEntries:
          "must be finite"),
     ])
     def test_exits_2_with_one_stderr_line(self, desc, needle):
-        env = dict(os.environ, PYTHONPATH=str(_SRC))
-        proc = subprocess.run(
-            [sys.executable, "-m", "osclab", "locsym-check", "--lambda", "1",
-             "--metric", desc], capture_output=True, text=True, env=env, timeout=60)
+        proc = run_child("locsym-check", "--lambda", "1", "--metric", desc)
         assert proc.returncode == 2 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: bad metric descriptor") and needle in proc.stderr
+
+
+def _u12(v1):
+    """An identity-component descriptor on lambda = (1, 2) with v_1 = v1."""
+    return json.dumps({"rho": 1, "blocks": [
+        {"v": [v1], "u": [[1, 0], [0, 1]]}, {"v": [[0, 0]], "u": [[1, 0], [0, 1]]}]})
+
+
+class TestOutOfRangeIsometryInputs:
+    """Isometry inputs whose angles, images or e_0 coefficient leave the
+    float range exit 2 with one stderr line: no numpy warning, no traceback,
+    no non-finite number in a report.  Child processes, as above."""
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["isometry-polar", "--u", _u12([1.5, 1.2]), "--g=1e308,0,1,0,1,0"],
+         "t*l_2 is not finite"),
+        (["isometry-polar", "--u", _u12([1.5, 1.2]),
+          "--g=0.5,0,1e308,1e308,1e308,1e308"], "polar image overflows"),
+        (["isometry-polar", "--u", _u12([1e200, 1.2]), "--g=0.5,0,1,0,1,0"],
+         "alpha is -inf"),
+        (["isometry-verify", "--u", _u12([1e200, 1.2])], "alpha is -inf"),
+    ], ids=["angle", "image", "alpha_polar", "alpha_verify"])
+    def test_exits_2_with_one_stderr_line(self, argv, needle):
+        proc = run_child(argv[0], "--lambda", "1,2", *argv[1:])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and needle in proc.stderr
 
 
 def test_failing_check_gives_exit_one(capsys, monkeypatch):

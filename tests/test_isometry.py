@@ -19,7 +19,7 @@ from osclab.isometry import (CurvIsometry, GroupElem, GroupRows, IsomElem,
                              orthogonality_residual, polar,
                              polar_transport_residuals, random_curv_isometry,
                              random_rotation, triple_bracket_residual,
-                             _exp_multiplier, _s_correction)
+                             _c2r, _exp_multiplier, _r2c, _s_correction)
 from osclab.metrics import k_lambda, metric_from_iso, named_family
 
 
@@ -189,6 +189,12 @@ class TestCurvIsometry:
             CurvIsometry(spec1, 1, (np.zeros(2),), (np.array([[1.0, 0.0],
                                                               [0.0, 2.0]]),))
 
+    def test_rejects_translation_parts_whose_alpha_overflows(self, spec12):
+        # Each v_i is finite, but |v_1|^2 / l_1 is not: alpha would be -inf.
+        with pytest.raises(ValueError, match="alpha"):
+            CurvIsometry(spec12, 1, (np.array([1e200, 1.2]), np.zeros(2)),
+                         (np.eye(2), np.eye(2)))
+
     def test_compose_matches_matrix_product(self, spec112, rng):
         a = random_curv_isometry(spec112, rng, identity_component=False)
         b = random_curv_isometry(spec112, rng, identity_component=False)
@@ -248,6 +254,11 @@ class TestPolar:
         refl = CurvIsometry(spec1, -1, u.vs, u.us)
         with pytest.raises(ValueError, match="identity component"):
             polar(spec1, refl, identity_elem(spec1))
+
+    def test_rejects_a_non_finite_rotation_angle(self, spec12, rng):
+        u = random_curv_isometry(spec12, rng)
+        with pytest.raises(ValueError, match="t\\*l_1 is not finite"):
+            polar(spec12, u, GroupElem(math.inf, 0.0, (1.0, 1.0)))
 
 
 class TestActions:
@@ -443,26 +454,72 @@ def per_column_matrix(u):
     return m
 
 
+def stack_elems(elems):
+    return GroupRows(np.array([e.t for e in elems]), np.array([e.s for e in elems]),
+                     np.array([e.zvec for e in elems]))
+
+
+# Single-element references: the closed forms written for one element with
+# scalar math.cos/sin, a 1-D gemv and a 1-D dot, independent of the stacked
+# code that g_exp, g_log and polar run for stacks and single elements alike.
+
+def reference_g_exp(spec, x):
+    t, s = float(x[0]), float(x[1])
+    z = x[2 : 2 + spec.n] + 1j * x[2 + spec.n :]
+    theta = t * spec.lam
+    s_out = s + 0.5 * float(np.sum(np.abs(z) ** 2 * _s_correction(theta)))
+    return GroupElem(t, s_out, tuple(_exp_multiplier(theta) * z))
+
+
+def reference_g_log(spec, g):
+    theta = g.t * spec.lam
+    z = g.zvec / _exp_multiplier(theta)
+    s = g.s - 0.5 * float(np.sum(np.abs(z) ** 2 * _s_correction(theta)))
+    return np.concatenate([[g.t, s], z.real, z.imag])
+
+
+def reference_polar(spec, u, g):
+    z = g.zvec
+    out = np.empty(spec.n, dtype=complex)
+    s_corr = 0.0
+    for i, ((lam, _), idx) in enumerate(zip(spec.blocks, spec.block_indices)):
+        theta = g.t * lam
+        zb = z[[j - 1 for j in idx]]
+        vi = _r2c(u.vs[i])
+        rot = complex(math.cos(0.5 * theta), math.sin(0.5 * theta))
+        inner = _r2c(u.us[i] @ _c2r(np.conj(rot) * zb))
+        out[[j - 1 for j in idx]] = (2.0 / lam) * math.sin(0.5 * theta) * rot * vi \
+            + rot * inner
+        a_i = (math.sin(theta) / (2.0 * lam)) * vi + math.cos(0.5 * theta) * inner
+        s_corr += float(u.vs[i] @ _c2r(a_i)) / lam
+    return GroupElem(g.t, g.s - s_corr, tuple(out))
+
+
 @pytest.mark.parametrize("lams", ROW_LAMBDAS, ids=lambda lams: f"n{len(lams)}")
 class TestStackedRows:
     def test_g_exp_rows_equal_the_single_loop(self, lams, rng):
         spec = LambdaSpec(lams)
         x = rng.standard_normal((60, spec.dim))
         x[:3, 0] = [0.0, 1e-6, -3e-3]
-        assert_rows_equal(g_exp(spec, x), [g_exp(spec, row) for row in x])
+        want = [reference_g_exp(spec, row) for row in x]
+        assert_rows_equal(g_exp(spec, x), want)
+        assert_rows_equal(stack_elems([g_exp(spec, row) for row in x]), want)
 
     def test_g_log_rows_equal_the_single_loop(self, lams, rng):
         spec = LambdaSpec(lams)
         g = rand_rows(spec, rng, 60)
-        np.testing.assert_array_equal(g_log(spec, g),
-                                      [g_log(spec, e) for e in row_elems(g)])
+        want = [reference_g_log(spec, e) for e in row_elems(g)]
+        np.testing.assert_array_equal(g_log(spec, g), want)
+        np.testing.assert_array_equal([g_log(spec, e) for e in row_elems(g)], want)
 
     def test_polar_rows_equal_the_single_loop(self, lams, rng):
         spec = LambdaSpec(lams)
         isos = mixed_isometries(spec, rng, 60, rho=1)
         g = rand_rows(spec, rng, 60)
-        assert_rows_equal(polar(spec, isos, g),
-                          [polar(spec, u, e) for u, e in zip(isos, row_elems(g))])
+        want = [reference_polar(spec, u, e) for u, e in zip(isos, row_elems(g))]
+        assert_rows_equal(polar(spec, isos, g), want)
+        assert_rows_equal(stack_elems([polar(spec, u, e)
+                                       for u, e in zip(isos, row_elems(g))]), want)
 
     def test_transport_residuals_equal_the_single_loop(self, lams, rng):
         spec = LambdaSpec(lams)
@@ -471,8 +528,8 @@ class TestStackedRows:
         g = rand_rows(spec, rng, len(rows))
         want = []
         for u, e in zip(rows, row_elems(g)):
-            p1 = polar(spec, u, e)
-            p2 = g_exp(spec, u.matrix @ g_log(spec, e))
+            p1 = reference_polar(spec, u, e)
+            p2 = reference_g_exp(spec, u.matrix @ reference_g_log(spec, e))
             want.append(max(abs(p1.t - p2.t), abs(p1.s - p2.s),
                             float(np.max(np.abs(p1.zvec - p2.zvec)))))
         got = polar_transport_residuals(spec, rows, g)
@@ -512,6 +569,22 @@ class TestStackedRowsContract:
             polar(spec12, isos[:3], g)
         with pytest.raises(ValueError, match="rho"):
             polar(spec12, isos[:3] + mixed_isometries(spec12, rng, 1, rho=-1), g)
+
+    @pytest.mark.parametrize("shape", ["z_columns", "t_rows", "s_rows", "t_2d"])
+    def test_rows_must_match_the_spec(self, spec12, rng, shape):
+        g = rand_rows(spec12, rng, 2)
+        t, s, z = {
+            "z_columns": (g.t[:1], g.s[:1], np.ones((1, 3), dtype=complex)),
+            "t_rows": (g.t, g.s[:1], g.z[:1]),
+            "s_rows": (g.t[:1], g.s, g.z[:1]),
+            "t_2d": (g.t[:, None], g.s, g.z),
+        }[shape]
+        bad = GroupRows(t, s, z)
+        isos = mixed_isometries(spec12, rng, len(t), rho=1)
+        with pytest.raises(ValueError, match="group rows need"):
+            polar(spec12, isos, bad)
+        with pytest.raises(ValueError, match="group rows need"):
+            g_log(spec12, bad)
 
     def test_structure_tensors_are_cached_read_only(self, spec112):
         assert basis_brackets(spec112) is spec112.basis_brackets
