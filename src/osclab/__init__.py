@@ -8,8 +8,8 @@ from .metrics import (BiInvariantForm, Metric, SymIso, ad_invariance_residual,
                       completeness_criteria, k_lambda, k_symmetry_residual,
                       locsym_conditions, metric_from_iso, named_family,
                       parse_sym_iso, random_k_symmetric, signature)
-from .connection import (AffineProduct, ConnTable, CurvOp, affine_product,
-                         closed_form_L, compatibility_residual, connection_report,
+from .connection import (ConnTable, affine_product, closed_form_L,
+                         compatibility_residual, connection_report,
                          curvature, flatness_residual, levi_civita,
                          local_symmetry_residual, torsion_residual)
 from .flows import (FlowProblem, FirstIntegral, FirstIntegralSet, Trajectory,

@@ -90,7 +90,10 @@ def _parse_x0(spec: LambdaSpec, text):
                              f"({err})") from err
         if spec.n != 1:
             raise InputError("gamma1 seeds live on the dim-4 oscillator")
-        return flows.analytic_gamma1(c, rho, 0.0)
+        try:
+            return flows.analytic_gamma1(c, rho, 0.0)
+        except ValueError as err:
+            raise InputError(f"bad --x0 {text!r}: {err}") from err
     vals = _parse_floats(text, "--x0")
     if len(vals) != spec.dim:
         raise InputError(f"--x0 needs {spec.dim} coordinates, got {len(vals)}")
@@ -412,7 +415,7 @@ def task_full_report(args, spec, metric):
     form = k_lambda(spec)
     rng = np.random.default_rng(args.seed)
     x, y, z = rng.standard_normal((200, 3, spec.dim)).transpose(1, 0, 2)
-    rep = connection_report(metric)
+    rep = connection_report(levi_civita(metric))
     checks = [
         _check("jacobi", "jacobi identity residual", jacobi_residual(spec, x, y, z), 1e-12),
         _check("ad_invariance", "bi-invariant form is ad-invariant",
@@ -440,8 +443,9 @@ def task_full_report(args, spec, metric):
 
 
 def _run_task(args) -> int:
-    """Parse the declared inputs in a fixed order (--lambda, --metric, then
-    --samples), run the body and wrap its result in the report envelope."""
+    """Parse the declared inputs in a fixed order (--lambda, --metric,
+    --samples, then --seed), run the body and wrap its result in the report
+    envelope."""
     body, _, takes_metric, takes_spec = _TASKS[args.task]
     report = {"task": args.task}
     inputs = []
@@ -453,6 +457,8 @@ def _run_task(args) -> int:
             inputs.append(_parse_metric(spec, args.metric))
     if getattr(args, "samples", 1) < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be at least 0, got {args.seed}")
     fields, checks = body(args, *inputs)
     report.update(fields, checks=checks)
     return _finish(report, args)
@@ -460,11 +466,19 @@ def _run_task(args) -> int:
 
 # -- argument wiring --------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a bad command line with one ``error:`` line and exit 2, like
+    every other input error; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process; parse_args leaves the parser unchanged and
     # returns a fresh namespace on every call.
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="osclab",
         description="Numerical laboratory for the geometry of oscillator Lie groups")
     top.add_argument("--version", action="version", version=f"osclab {__version__}")

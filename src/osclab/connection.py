@@ -1,6 +1,8 @@
 """Levi-Civita product, curvature, and the flat left-symmetric product.
 
-The connection is computed at algebra level from the Koszul identity
+Both are one type, ``ConnTable``: a left-invariant product with torsion
+L_x y - L_y x - [x, y].  The Levi-Civita product is computed at algebra
+level from the Koszul identity
 
     k_u(L_x y, z) = 1/2 (k_u([x,y],z) - k_u([y,z],x) + k_u([z,x],y)),
 
@@ -20,20 +22,18 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .algebra import LambdaSpec, _as_elem, basis_brackets
+from .algebra import LambdaSpec, _as_elem, ad, basis_brackets, bracket
 from .metrics import Metric
 
 
 @dataclass(frozen=True)
 class ConnTable:
-    """Levi-Civita product as a coefficient array, tied to its metric."""
+    """A left-invariant product as a coefficient array; the Levi-Civita
+    product carries its metric, the flat left-symmetric product has none."""
 
-    metric: Metric
+    spec: LambdaSpec
     coeffs: np.ndarray  # L[a, b, c]
-
-    @property
-    def spec(self) -> LambdaSpec:
-        return self.metric.spec
+    metric: Metric | None = None
 
     @cached_property
     def left_mult(self) -> np.ndarray:
@@ -53,6 +53,11 @@ class ConnTable:
         """Matrix of L_x for an arbitrary element x."""
         x = _as_elem(self.spec, x)
         return np.einsum("a,abc->cb", x, self.coeffs)
+
+    def right_mult_of(self, y) -> np.ndarray:
+        """Matrix of x -> L_x y."""
+        y = _as_elem(self.spec, y)
+        return np.einsum("b,abc->ca", y, self.coeffs)
 
     def product(self, x, y) -> np.ndarray:
         """L_x y."""
@@ -76,7 +81,7 @@ def levi_civita(metric: Metric) -> ConnTable:
     flat = rhs.reshape(spec.dim * spec.dim, spec.dim).T
     coeffs = scipy.linalg.lu_solve(lu, flat).T.reshape(spec.dim, spec.dim, spec.dim)
     coeffs.setflags(write=False)
-    return ConnTable(metric, coeffs)
+    return ConnTable(spec, coeffs, metric)
 
 
 def torsion_residual(table: ConnTable) -> float:
@@ -99,8 +104,6 @@ def closed_form_L(metric: Metric, x) -> np.ndarray:
     Valid whenever the base form is the bi-invariant one; must agree with
     the Koszul table columns.
     """
-    from .algebra import ad
-
     spec = metric.spec
     x = _as_elem(spec, x)
     u = metric.iso.matrix
@@ -110,28 +113,17 @@ def closed_form_L(metric: Metric, x) -> np.ndarray:
     return 0.5 * (adx - uinv @ adux + uinv @ adx @ u)
 
 
-@dataclass(frozen=True)
-class CurvOp:
-    """The curvature operator R(x, y) as a matrix."""
-
-    x: np.ndarray
-    y: np.ndarray
-    matrix: np.ndarray
-
-
-def curvature(table: ConnTable, x, y) -> CurvOp:
-    """R(x, y) = L_{[x,y]} - [L_x, L_y]."""
-    from .algebra import bracket
-
+def curvature(table: ConnTable, x, y) -> np.ndarray:
+    """The matrix of R(x, y) = L_{[x,y]} - [L_x, L_y]."""
     spec = table.spec
     x, y = _as_elem(spec, x), _as_elem(spec, y)
     mx, my = table.left_mult_of(x), table.left_mult_of(y)
     mbr = table.left_mult_of(bracket(spec, x, y))
-    return CurvOp(x, y, mbr - (mx @ my - my @ mx))
+    return mbr - (mx @ my - my @ mx)
 
 
-def curvature_basis(table) -> np.ndarray:
-    """R[a, b] over all basis pairs, for a ConnTable or an AffineProduct."""
+def curvature_basis(table: ConnTable) -> np.ndarray:
+    """R[a, b] over all basis pairs."""
     B = basis_brackets(table.spec)
     M = table.coeffs.transpose(0, 2, 1)
     l_br = np.einsum("abc,cxy->abxy", B, M)
@@ -140,13 +132,9 @@ def curvature_basis(table) -> np.ndarray:
     return l_br - comm
 
 
-def flatness_residual(table) -> float:
-    """max-entry norm of R(e_a, e_b) over all basis pairs; 0 means flat.
-
-    Accepts a ConnTable or an AffineProduct.
-    """
-    R = table.curvature if isinstance(table, ConnTable) else curvature_basis(table)
-    return float(np.max(np.abs(R)))
+def flatness_residual(table: ConnTable) -> float:
+    """max-entry norm of R(e_a, e_b) over all basis pairs; 0 means flat."""
+    return float(np.max(np.abs(table.curvature)))
 
 
 def curvature_norms(table: ConnTable) -> dict[str, float]:
@@ -192,24 +180,7 @@ def local_symmetry_residual(table: ConnTable) -> float:
     return float(np.max(np.abs(res), initial=0.0))
 
 
-@dataclass(frozen=True)
-class AffineProduct:
-    """Left-symmetric product inducing a flat torsion-free connection."""
-
-    spec: LambdaSpec
-    coeffs: np.ndarray
-
-    def product(self, x, y) -> np.ndarray:
-        x, y = _as_elem(self.spec, x), _as_elem(self.spec, y)
-        return np.einsum("a,abc,b->c", x, self.coeffs, y)
-
-    def right_mult_of(self, y) -> np.ndarray:
-        """Matrix of x -> r(x, y)."""
-        y = _as_elem(self.spec, y)
-        return np.einsum("b,abc->ca", y, self.coeffs)
-
-
-def affine_product(spec: LambdaSpec) -> AffineProduct:
+def affine_product(spec: LambdaSpec) -> ConnTable:
     """The complete flat left-invariant product:
 
     r(x, y) = 1/2 [x, y] on the derived ideal, r(e_-1, y) = [e_-1, y],
@@ -222,15 +193,10 @@ def affine_product(spec: LambdaSpec) -> AffineProduct:
     r[0, :, :] = B[0, :, :]
     r[:, 0, :] = 0.0
     r.setflags(write=False)
-    return AffineProduct(spec, r)
+    return ConnTable(spec, r)
 
 
-def skew_minus_bracket_residual(prod: AffineProduct) -> float:
-    B = basis_brackets(prod.spec)
-    return float(np.max(np.abs(prod.coeffs - prod.coeffs.transpose(1, 0, 2) - B)))
-
-
-def associator_symmetry_residual(prod: AffineProduct) -> float:
+def associator_symmetry_residual(prod: ConnTable) -> float:
     """max |A(x,y,z) - A(y,x,z)| with A(x,y,z) = r(x, r(y,z)) - r(r(x,y), z)."""
     r = prod.coeffs
     a1 = np.einsum("bcm,amk->abck", r, r)
@@ -239,24 +205,21 @@ def associator_symmetry_residual(prod: AffineProduct) -> float:
     return float(np.max(np.abs(assoc - assoc.transpose(1, 0, 2, 3))))
 
 
-def right_mult_nilpotency_residual(prod: AffineProduct, n_random: int = 10,
-                                   seed: int = 0) -> float:
-    """max |R_y^dim| over basis vectors and random y; 0 certifies completeness."""
+def right_mult_nilpotency_residual(prod: ConnTable, seed: int = 0) -> float:
+    """max |R_y^dim| over basis vectors and ten random y; 0 certifies completeness."""
     spec = prod.spec
     rng = np.random.default_rng(seed)
     worst = 0.0
     ys = [np.eye(spec.dim)[a] for a in range(spec.dim)]
-    ys += [rng.standard_normal(spec.dim) for _ in range(n_random)]
+    ys += [rng.standard_normal(spec.dim) for _ in range(10)]
     for y in ys:
         m = prod.right_mult_of(y)
         worst = max(worst, float(np.max(np.abs(np.linalg.matrix_power(m, spec.dim)))))
     return worst
 
 
-def connection_report(source: Metric | ConnTable) -> dict:
-    """Residual summary used by the CLI.  Pass the ConnTable when the caller
-    has one, so the Koszul system is solved once."""
-    table = source if isinstance(source, ConnTable) else levi_civita(source)
+def connection_report(table: ConnTable) -> dict:
+    """Residual summary of a Levi-Civita table, used by the CLI."""
     return {
         "torsion_residual": torsion_residual(table),
         "compat_residual": compatibility_residual(table),

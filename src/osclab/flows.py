@@ -20,8 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from . import ode
-from .algebra import LambdaSpec, _as_elem, basis_vector, bracket, ad
-from .metrics import Metric, named_family, metric_from_iso, k_lambda
+from .algebra import LambdaSpec, _as_elem, ad, basis_brackets, basis_vector, bracket
+from .connection import levi_civita
+from .metrics import Metric, completeness_criteria, named_family
 
 BODY = "body"
 EULER = "euler_u"
@@ -39,8 +40,6 @@ class FlowProblem:
     form: str = EULER
     rtol: float = 1e-10
     atol: float = 1e-12
-    h_min: float = 1e-13
-    blowup_threshold: float = 1e8
 
     def __post_init__(self):
         if self.form not in _FORMS:
@@ -59,12 +58,10 @@ class FlowProblem:
         d = spec.dim
         u = self.metric.iso.matrix
         if self.form == BODY:
-            from .connection import levi_civita
             lflat = -levi_civita(self.metric).coeffs.reshape(d * d, d)
             def f(t, x):
                 return (x[:, None] * x).ravel() @ lflat
             return f
-        from .algebra import basis_brackets
         bflat = basis_brackets(spec).reshape(d * d, d)
         uinv = self.metric.iso.inv  # u factored once, reused every call
         if self.form == EULER:
@@ -108,7 +105,6 @@ def _sq(v):
 class FirstIntegral:
     name: str
     fn: object  # callable on an (N, dim) stack of euler-coordinates states
-    description: str = ""
 
     def __call__(self, x) -> float:
         return float(self.fn(np.asarray(x, dtype=float)[None])[0])
@@ -129,8 +125,7 @@ class AdaptedFrame:
     """k-orthonormal eigenframe of u on the Euclidean complement of the
     canonical Cartan subalgebra, plus the Cartan block of u."""
 
-    basis: np.ndarray  # columns (e_-1, e_0, E_1..E_2n)
-    basis_inv: np.ndarray
+    basis_inv: np.ndarray  # inverse of the frame with columns (e_-1, e_0, E_1..E_2n)
     mu: np.ndarray     # eigenvalues of u on the complement, ascending
     a: float           # u(e_0)   = a e_-1 + alpha e_0
     alpha: float
@@ -156,7 +151,7 @@ def cartan_adapted_frame(metric: Metric, tol: float = 1e-10) -> AdaptedFrame:
     E = np.zeros((d, 2 * spec.n))
     E[2:, :] = vecs / scale[:, None]
     basis = np.column_stack([basis_vector(spec, 0), basis_vector(spec, 1), E])
-    return AdaptedFrame(basis, np.linalg.inv(basis), mu,
+    return AdaptedFrame(np.linalg.inv(basis), mu,
                         a=float(u[0, 1]), alpha=float(u[1, 1]), b=float(u[1, 0]))
 
 
@@ -178,9 +173,9 @@ def first_integrals(metric: Metric) -> FirstIntegralSet:
     uT_g_u = u.T @ gram @ u
 
     out = [
-        FirstIntegral("E", lambda X, m=gu: _quadratic(m, X), "metric square k_u(x,x)"),
-        FirstIntegral("A", lambda X, m=uT_g_u: _quadratic(m, X), "k(u x, u x)"),
-        FirstIntegral("C", lambda X, w=ue0: _rowwise(w, X), "center pairing k(x, u(e_0))"),
+        FirstIntegral("E", lambda X, m=gu: _quadratic(m, X)),      # k_u(x, x)
+        FirstIntegral("A", lambda X, m=uT_g_u: _quadratic(m, X)),  # k(u x, u x)
+        FirstIntegral("C", lambda X, w=ue0: _rowwise(w, X)),       # k(x, u(e_0))
     ]
     notes: list[str] = []
 
@@ -207,19 +202,16 @@ def first_integrals(metric: Metric) -> FirstIntegralSet:
                     return beta[j] * _sq(mu[j] * xb[:, 0] - cx) + quad
                 return q
             for j in range(2 * spec.n):
-                out.append(FirstIntegral(f"Q{j + 1}", make_q(j),
-                                         "adapted-frame quadratic integral"))
+                out.append(FirstIntegral(f"Q{j + 1}", make_q(j)))
         else:
             notes.append("u fixes the center line (a = 0); the quadratic "
                          "family degenerates and is skipped")
 
     if metric.iso.kind == "u2_dim4":
+        # P1 = 2 x_1 xc_1 + x_-1^2 + x_0^2 and P2 = x_-1 xc_1 + x_0 x_1
         out.append(FirstIntegral(
-            "P1", lambda X: 2 * X[:, 2] * X[:, 3] + _sq(X[:, 0]) + _sq(X[:, 1]),
-            "2 x_1 xc_1 + x_-1^2 + x_0^2"))
-        out.append(FirstIntegral(
-            "P2", lambda X: X[:, 0] * X[:, 3] + X[:, 1] * X[:, 2],
-            "x_-1 xc_1 + x_0 x_1"))
+            "P1", lambda X: 2 * X[:, 2] * X[:, 3] + _sq(X[:, 0]) + _sq(X[:, 1])))
+        out.append(FirstIntegral("P2", lambda X: X[:, 0] * X[:, 3] + X[:, 1] * X[:, 2]))
     return FirstIntegralSet(tuple(out), tuple(notes))
 
 
@@ -248,11 +240,11 @@ class Trajectory:
             raise KeyError(f"no sample at t={t} (closest {self.ts[i]})")
         return self.states[i]
 
-    def invariant_drift(self, floor: float = 1.0) -> dict[str, float]:
-        """Per integral, max |I(t) - I(0)| / max(|I(0)|, floor)."""
+    def invariant_drift(self) -> dict[str, float]:
+        """Per integral, max |I(t) - I(0)| / max(|I(0)|, 1)."""
         out = {}
         for name, vals in self.invariant_log.items():
-            denom = max(abs(float(vals[0])), floor)
+            denom = max(abs(float(vals[0])), 1.0)
             out[name] = float(np.max(np.abs(vals - vals[0]))) / denom
         return out
 
@@ -263,10 +255,7 @@ def integrate(problem: FlowProblem, integrals: FirstIntegralSet | None = None,
     if integrals is None:
         integrals = first_integrals(problem.metric)
     res = ode.solve_rk45(problem.rhs, problem.t_span, problem.x0,
-                         rtol=problem.rtol, atol=problem.atol,
-                         h_min=problem.h_min,
-                         blowup_threshold=problem.blowup_threshold,
-                         checkpoints=checkpoints)
+                         rtol=problem.rtol, atol=problem.atol, checkpoints=checkpoints)
     xs = problem.to_euler_states(res.ys)
     log = {i.name: i.fn(xs) for i in integrals.integrals}
     return Trajectory(problem, res.ts, res.ys, res.status, res.t_detected, log,
@@ -313,13 +302,12 @@ def scalar_blowup_time(x0: float) -> float:
     return 2.0 / x0 if x0 > 0 else math.inf
 
 
-def scalar_blowup_probe(x0: float, rtol: float = 1e-10, atol: float = 1e-12,
-                        blowup_threshold: float = 1e8) -> ode.IntegrationResult:
+def scalar_blowup_probe(x0: float, rtol: float = 1e-10,
+                        atol: float = 1e-12) -> ode.IntegrationResult:
     """Numeric integration of the scalar comparison equation, for calibrating
     the blow-up detector against the known time 2/x0."""
     return ode.solve_rk45(lambda t, y: 0.5 * y * y, (0.0, 4.0 * scalar_blowup_time(x0)),
-                          np.array([float(x0)]), rtol=rtol, atol=atol,
-                          blowup_threshold=blowup_threshold)
+                          np.array([float(x0)]), rtol=rtol, atol=atol)
 
 
 def euler_coadjoint_residual(metric: Metric, x) -> float:
@@ -388,8 +376,6 @@ def completeness_probe(metric: Metric, sample_count: int, t_max: float,
     """Integrate a batch of random initial conditions in both time
     orientations and tally blow-ups.  ``extra_states`` are appended after
     the random draws (used to seed known incomplete directions)."""
-    from .metrics import completeness_criteria
-
     spec = metric.spec
     children = np.random.SeedSequence(seed).spawn(sample_count)
     states = [random_initial_state(spec, np.random.default_rng(s)) for s in children]

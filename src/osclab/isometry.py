@@ -414,11 +414,10 @@ def curv_isometry_from_json(spec: LambdaSpec, obj) -> CurvIsometry:
 
 
 def random_curv_isometry(spec: LambdaSpec, rng: np.random.Generator,
-                         identity_component: bool = True,
-                         v_scale: float = 1.0) -> CurvIsometry:
+                         identity_component: bool = True) -> CurvIsometry:
     vs, us = [], []
     for _, r in spec.blocks:
-        vs.append(v_scale * rng.standard_normal(2 * r))
+        vs.append(rng.standard_normal(2 * r))
         u = random_rotation(2 * r, rng)
         if not identity_component and rng.random() < 0.5:
             u = u @ np.diag([-1.0] + [1.0] * (2 * r - 1))

@@ -273,27 +273,31 @@ def parse_sym_iso(spec: LambdaSpec, obj) -> SymIso:
     """Parse the JSON metric descriptor.
 
     Accepted kinds: diagonal_sym {eta, eta_check, rho?}, u1_dim4, u2_dim4,
-    lattice_dim4 {alpha?}, matrix {rows}.
+    lattice_dim4 {alpha?}, matrix {rows}.  A parameter that is not a number
+    or a list of numbers (null, an object) is a ValueError.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError('metric descriptor must be an object with a "kind" field')
     kind = obj["kind"]
-    if kind == "diagonal_sym":
-        missing = [k for k in ("eta", "eta_check") if k not in obj]
-        if missing:
-            raise ValueError(f"diagonal_sym descriptor missing {missing}")
-        return named_family(spec, "diagonal_sym", eta=obj["eta"],
-                            eta_check=obj["eta_check"], rho=obj.get("rho", 0.0))
-    if kind in ("u1_dim4", "u2_dim4"):
-        return named_family(spec, kind)
-    if kind == "lattice_dim4":
-        return named_family(spec, "lattice_dim4", alpha=obj.get("alpha", 1.0))
-    if kind == "matrix":
-        rows = obj.get("rows")
-        m = np.asarray(rows, dtype=float) if rows is not None else None
-        if m is None or m.shape != (spec.dim, spec.dim):
-            raise ValueError(f'matrix descriptor needs "rows" of shape {spec.dim}x{spec.dim}')
-        return SymIso(spec, m, "matrix")
+    try:
+        if kind == "diagonal_sym":
+            missing = [k for k in ("eta", "eta_check") if k not in obj]
+            if missing:
+                raise ValueError(f"diagonal_sym descriptor missing {missing}")
+            return named_family(spec, "diagonal_sym", eta=obj["eta"],
+                                eta_check=obj["eta_check"], rho=obj.get("rho", 0.0))
+        if kind in ("u1_dim4", "u2_dim4"):
+            return named_family(spec, kind)
+        if kind == "lattice_dim4":
+            return named_family(spec, "lattice_dim4", alpha=obj.get("alpha", 1.0))
+        if kind == "matrix":
+            rows = obj.get("rows")
+            m = np.asarray(rows, dtype=float) if rows is not None else None
+            if m is None or m.shape != (spec.dim, spec.dim):
+                raise ValueError(f'matrix descriptor needs "rows" of shape {spec.dim}x{spec.dim}')
+            return SymIso(spec, m, "matrix")
+    except TypeError as err:
+        raise ValueError(f"{kind} descriptor has a non-numeric parameter: {err}") from err
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
@@ -321,8 +325,7 @@ def completeness_criteria(spec: LambdaSpec, iso: SymIso | np.ndarray,
 
 
 def random_k_symmetric(spec: LambdaSpec, rng: np.random.Generator,
-                       index: int | None = None, fix_center_line: bool = False,
-                       eig_range: tuple[float, float] = (0.3, 3.0)) -> SymIso:
+                       index: int | None = None, fix_center_line: bool = False) -> SymIso:
     """Random k-symmetric invertible u, optionally with prescribed metric index.
 
     Since Gram(k_u) = Gram(k) @ u, sampling a symmetric matrix S with the
@@ -332,7 +335,7 @@ def random_k_symmetric(spec: LambdaSpec, rng: np.random.Generator,
     """
     d = spec.dim
     gram = k_lambda(spec).gram
-    lo, hi = eig_range
+    lo, hi = 0.3, 3.0  # range of the eigenvalue magnitudes of S
     if not fix_center_line:
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         mags = rng.uniform(lo, hi, size=d)

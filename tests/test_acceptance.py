@@ -15,8 +15,7 @@ from osclab.algebra import (LambdaSpec, ad, basis_vector, bracket, cartan,
                             center, derived_ideal, jacobi_residual)
 from osclab.connection import (affine_product, associator_symmetry_residual,
                                closed_form_L, curvature, flatness_residual,
-                               levi_civita, local_symmetry_residual,
-                               skew_minus_bracket_residual, torsion_residual)
+                               levi_civita, local_symmetry_residual, torsion_residual)
 from osclab.flows import (FlowProblem, analytic_gamma1, completeness_probe,
                           first_integrals, gamma1_residual, integrate,
                           random_initial_state, scalar_blowup_probe,
@@ -115,7 +114,7 @@ def test_criterion_03_connection_cross_validation():
             x, y = rng.standard_normal((2, spec.dim))
             expected = 0.25 * ad(spec, bracket(spec, x, y))
             worst_r = max(worst_r, float(np.max(np.abs(
-                curvature(table, x, y).matrix - expected))))
+                curvature(table, x, y) - expected))))
     elapsed = time.perf_counter() - t0
     ok = worst_cf <= 1e-11 and worst_r <= 1e-12 and elapsed < 10.0
     _report(3, ok, f"koszul vs closed form {worst_cf:.2e} (tol 1e-11), "
@@ -131,7 +130,7 @@ def test_criterion_04_flat_affine_structure():
         for spec in (LambdaSpec(lams), LambdaSpec((1.0,) * n)):
             prod = affine_product(spec)
             worst_assoc = max(worst_assoc, associator_symmetry_residual(prod))
-            worst_skew = max(worst_skew, skew_minus_bracket_residual(prod))
+            worst_skew = max(worst_skew, torsion_residual(prod))
             worst_flat = max(worst_flat, flatness_residual(prod))
             for a in range(spec.dim):
                 m = prod.right_mult_of(basis_vector(spec, a))
@@ -163,7 +162,7 @@ def test_criterion_05_locally_symmetric_families():
                                     eta_check=[eta]))
         e0 = basis_vector(spec, 0)
         lm = table.left_mult_of(e0)
-        r = curvature(table, e0, basis_vector(spec, 2)).matrix
+        r = curvature(table, e0, basis_vector(spec, 2))
         got = (lm @ r - r @ lm) @ e0
         expected = (lam**3 / (8 * eta**3)) * (2 * eta - 1) * basis_vector(spec, 3)
         worst_curv = max(worst_curv, float(np.max(np.abs(got - expected))))

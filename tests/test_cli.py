@@ -176,6 +176,46 @@ class TestSamplesContract:
         assert err.count("\n") == 1 and "--probe-samples" in err
 
 
+class TestSeedContract:
+    @pytest.mark.parametrize("argv", [
+        ["algebra-check", "--lambda", "1"],
+        ["metric-info", "--lambda", "1", "--metric", "u1_dim4"],
+        ["connection-report", "--lambda", "1", "--metric", "u1_dim4"],
+        ["isometry-verify", "--lambda", "1"],
+        ["completeness-probe", "--lambda", "1", "--metric", "u1_dim4"],
+        ["full-report", "--lambda", "1", "--metric", "u1_dim4"],
+    ])
+    def test_negative_seed_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert_one_line_input_error(code, out, err, "--seed must be at least 0, got -1")
+
+
+class TestArgparseRejections:
+    """argparse's own rejections print one ``error:`` line, no usage block."""
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["algebra-check", "--lambda", "1", "--samples", "abc"],
+         "argument --samples: invalid int value: 'abc'"),
+        (["algebra-check", "--lambda", "1", "--seed", "1e3"],
+         "argument --seed: invalid int value: '1e3'"),
+        (["no-such-task"], "invalid choice: 'no-such-task'"),
+        ([], "the following arguments are required: task"),
+    ], ids=["bad_int", "bad_seed", "unknown_task", "missing_task"])
+    def test_exits_2_with_one_line(self, capsys, argv, needle):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+        assert needle in out.err
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["algebra-check", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: osclab algebra-check")
+
+
 class TestProbeInputs:
     @pytest.mark.parametrize("argv", [
         ["completeness-probe", "--lambda", "1", "--metric", "u1_dim4",
@@ -260,6 +300,11 @@ class TestIsometryAndLatticeInputs:
         code, out, err = run(capsys, "geodesic-integrate", "--lambda", "1",
                              "--metric", "u1_dim4", "--x0", "gamma1:c")
         assert_one_line_input_error(code, out, err, "bad --x0 'gamma1:c'")
+
+    def test_zero_c_gamma1_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "geodesic-integrate", "--lambda", "1",
+                             "--metric", "u1_dim4", "--x0", "gamma1:c=0")
+        assert_one_line_input_error(code, out, err, "c must be nonzero")
 
     def test_valid_descriptor_still_runs(self, capsys):
         code, rep, _ = run_json(capsys, "isometry-verify", "--lambda", "1",
@@ -363,8 +408,9 @@ def run_child(*argv):
 
 
 class TestOutOfRangeMetricEntries:
-    """Descriptors whose Gram matrix overflows or whose entries are not
-    finite exit 2 with one stderr line: no numpy warning, no traceback.
+    """Descriptors whose Gram matrix overflows, whose entries are not finite
+    or whose parameters are not numbers exit 2 with one stderr line: no
+    numpy warning, no traceback.
     The CLI runs in a child process, because pytest would capture a
     RuntimeWarning before it reached stderr."""
 
@@ -374,6 +420,10 @@ class TestOutOfRangeMetricEntries:
         ('{"kind":"diagonal_sym","eta":[Infinity],"eta_check":[1]}', "must be finite"),
         ('{"kind":"matrix","rows":[[NaN,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}',
          "must be finite"),
+        ('{"kind":"diagonal_sym","eta":[1],"eta_check":[1],"rho":null}', "non-numeric"),
+        ('{"kind":"diagonal_sym","eta":[1],"eta_check":[1],"rho":[1]}', "non-numeric"),
+        ('{"kind":"diagonal_sym","eta":{"a":1},"eta_check":[1]}', "non-numeric"),
+        ('{"kind":"lattice_dim4","alpha":null}', "non-numeric"),
     ])
     def test_exits_2_with_one_stderr_line(self, desc, needle):
         proc = run_child("locsym-check", "--lambda", "1", "--metric", desc)

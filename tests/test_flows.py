@@ -122,8 +122,7 @@ class TestTrajectoryRecord:
                            rtol=1e-6, atol=1e-8)
         traj = integrate(prob)
         res = ode.solve_rk45(prob.rhs, prob.t_span, prob.x0, rtol=prob.rtol,
-                             atol=prob.atol, h_min=prob.h_min,
-                             blowup_threshold=prob.blowup_threshold)
+                             atol=prob.atol)
         assert (traj.n_steps, traj.n_rejected) == (res.n_steps, res.n_rejected)
         assert traj.n_rejected > 0 and traj.ts.size == traj.n_steps + 1
 

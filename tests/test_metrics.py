@@ -219,6 +219,18 @@ class TestJsonAndSampling:
         with pytest.raises(ValueError, match="missing"):
             parse_sym_iso(spec1, {"kind": "diagonal_sym"})
 
+    @pytest.mark.parametrize("desc", [
+        {"kind": "diagonal_sym", "eta": [1], "eta_check": [1], "rho": None},
+        {"kind": "diagonal_sym", "eta": [1], "eta_check": [1], "rho": [1]},
+        {"kind": "diagonal_sym", "eta": {"a": 1}, "eta_check": [1]},
+        {"kind": "lattice_dim4", "alpha": None},
+        {"kind": "matrix", "rows": [[1, 0, 0, {}], [0, 1, 0, 0], [0, 0, 1, 0],
+                                    [0, 0, 0, 1]]},
+    ])
+    def test_non_numeric_parameters_are_value_errors(self, spec1, desc):
+        with pytest.raises(ValueError, match="non-numeric parameter"):
+            parse_sym_iso(spec1, desc)
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_random_metrics_have_requested_index(self, seed):
