@@ -98,13 +98,11 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol):
 
 
 def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
-               blowup_threshold=1e8, max_steps=2_000_000,
-               checkpoints=None) -> IntegrationResult:
+               blowup_threshold=1e8, max_steps=2_000_000) -> IntegrationResult:
     """Integrate y' = f(t, y) over t_span, recording every accepted step.
 
-    ``checkpoints``: optional increasing times inside the span that the
-    integrator must land on exactly (used to compare solutions on a shared
-    grid). Backward integration (t1 < t0) is supported.
+    Steps stop only at the end of the span or at a blow-up or underflow
+    verdict.  Backward integration (t1 < t0) is supported.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).copy()
@@ -113,12 +111,6 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
     span = abs(t1 - t0)
     if span == 0.0:
         return IntegrationResult(np.array([t0]), y[None, :].copy(), COMPLETED)
-
-    stops = [t1]
-    if checkpoints is not None:
-        inside = [float(c) for c in checkpoints
-                  if (c - t0) * direction > 0 and (t1 - c) * direction > 0]
-        stops = sorted(inside, key=lambda c: (c - t0) * direction) + [t1]
 
     f0 = f(t0, y)
     if not np.all(np.isfinite(f0)):
@@ -135,14 +127,13 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
     n_steps = n_rejected = 0
     abs_y = np.abs(y)
     norm = norm_prev = float(abs_y.max())  # max-norms of y and its predecessor
-    stop_i = 0
+    status, t_detected, message = COMPLETED, None, ""
 
     while (t1 - t) * direction > 0:
         if n_steps >= max_steps:
             raise RuntimeError(f"step budget {max_steps} exhausted at t={t}")
-        next_stop = stops[stop_i]
-        # Floor first: a stop closer than h_min is landed on, not stepped over.
-        h = min(max(h, h_min), abs(next_stop - t))
+        # Floor first: an end closer than h_min is landed on, not stepped over.
+        h = min(max(h, h_min), abs(t1 - t))
         k[0] = k[6]
         failed_before = False
         while True:
@@ -154,13 +145,11 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
             abs_new = np.abs(y_new)
             norm_new = float(abs_new.max())  # NaN or inf unless y_new is finite
             if not math.isfinite(norm_new):
-                if norm >= norm_prev:
-                    return IntegrationResult(
-                        np.array(ts), np.array(ys), BLOWUP, t_detected=t,
-                        n_steps=n_steps, n_rejected=n_rejected,
-                        message="state left the finite range while growing")
-                raise FloatingPointError(
-                    f"non-finite state near t={t + hd} with non-growing norm")
+                if norm < norm_prev:
+                    raise FloatingPointError(
+                        f"non-finite state near t={t + hd} with non-growing norm")
+                status, message = BLOWUP, "state left the finite range while growing"
+                break
             err = _error_norm(hd * np.dot(_E, k), abs_y, abs_new, rtol, atol)
             if err <= 1.0:
                 break
@@ -169,14 +158,16 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
             factor = max(_MIN_FACTOR, _SAFETY * err ** (-_ALPHA))
             h *= factor
             if h < h_min:
-                if norm >= norm_prev:
-                    return IntegrationResult(
-                        np.array(ts), np.array(ys), STEP_UNDERFLOW, t_detected=t,
-                        n_steps=n_steps, n_rejected=n_rejected,
-                        message=f"step underflow below h_min={h_min:g} with growing norm")
-                raise RuntimeError(
-                    f"step size underflow at t={t} without norm growth; "
-                    "refusing to report incompleteness")
+                if norm < norm_prev:
+                    raise RuntimeError(
+                        f"step size underflow at t={t} without norm growth; "
+                        "refusing to report incompleteness")
+                status = STEP_UNDERFLOW
+                message = f"step underflow below h_min={h_min:g} with growing norm"
+                break
+        if status != COMPLETED:
+            t_detected = t
+            break
 
         # Accepted.
         n_steps += 1
@@ -185,17 +176,14 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
         ts.append(t)
         ys.append(y)
         if norm > blowup_threshold:
-            return IntegrationResult(
-                np.array(ts), np.array(ys), BLOWUP, t_detected=t,
-                n_steps=n_steps, n_rejected=n_rejected,
-                message=f"max-norm {norm:.3e} exceeded threshold")
-        if abs(t - next_stop) <= 1e-14 * max(1.0, abs(next_stop)) and stop_i < len(stops) - 1:
-            stop_i += 1
+            status, t_detected = BLOWUP, t
+            message = f"max-norm {norm:.3e} exceeded threshold"
+            break
         factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA if err > 0 else _MAX_FACTOR
         if failed_before:
             factor = min(1.0, factor)
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev = max(err, 1e-10)
 
-    return IntegrationResult(np.array(ts), np.array(ys), COMPLETED,
-                             n_steps=n_steps, n_rejected=n_rejected)
+    return IntegrationResult(np.array(ts), np.array(ys), status, t_detected,
+                             n_steps, n_rejected, message)

@@ -101,13 +101,12 @@ class TestIntegrate:
     def test_forms_agree_on_a_common_grid(self, spec1, rng):
         m = metric(spec1, "lattice_dim4", alpha=0.8)
         x0 = random_initial_state(spec1, rng)
-        cps = np.linspace(0.5, 4.5, 9)
-        te = integrate(FlowProblem(m, x0, (0.0, 5.0), form=EULER), checkpoints=cps)
-        tl = integrate(FlowProblem(m, m.iso.matrix @ x0, (0.0, 5.0), form=LAX),
-                       checkpoints=cps)
         u = m.iso.matrix
-        for c in cps:
-            assert np.max(np.abs(u @ te.state_at(c) - tl.state_at(c))) <= 1e-7
+        for t_end in np.linspace(0.5, 4.5, 9):
+            te = integrate(FlowProblem(m, x0, (0.0, t_end), form=EULER))
+            tl = integrate(FlowProblem(m, u @ x0, (0.0, t_end), form=LAX))
+            assert te.ts[-1] == tl.ts[-1] == t_end
+            assert np.max(np.abs(u @ te.states[-1] - tl.states[-1])) <= 1e-7
 
     def test_nan_in_rhs_aborts_with_diagnostic(self, spec1):
         def bad(t, y):
@@ -276,21 +275,26 @@ class TestProbe:
         assert len(rep.samples) == 10  # both orientations
 
     def test_seeded_incomplete_direction_is_found(self, u1_metric):
-        rep = completeness_probe(u1_metric, 2, 3.0, seed=5,
-                                 extra_states=[analytic_gamma1(1.0, 1.0, 0.0)])
+        x0 = analytic_gamma1(1.0, 1.0, 0.0)
+        for ori in (+1, -1):
+            traj = integrate(FlowProblem(u1_metric, x0, (0.0, ori * 3.0)))
+            assert traj.status == ode.BLOWUP
+
+    def test_incomplete_family_reports_its_earliest_blowup(self, u1_metric):
+        rep = completeness_probe(u1_metric, 4, 5.0, seed=0)
         assert rep.verdict == "undetermined"
-        seeded = [s for s in rep.samples if s.seeded]
-        assert any(s.status == ode.BLOWUP for s in seeded)
-        assert rep.earliest_blowup is not None
+        blown = [abs(s.t_detected) for s in rep.samples if s.status == ode.BLOWUP]
+        assert rep.n_blowup == len(blown) > 0
+        assert rep.earliest_blowup == min(blown)
 
     def test_direct_sum_extension_carries_the_blowup(self):
         spec = LambdaSpec((1.0, 2.0))
         m = metric(spec, "direct_sum", core="u2",
                    blocks=[[[1.1, 0.2], [0.2, 0.8]]])
         gamma = np.array([0.0, 1.0, 0.5, 0.0, -2.0, 0.0])  # (u2 seed, 0) embedded
-        rep = completeness_probe(m, 1, 5.0, seed=2, extra_states=[gamma])
-        seeded = [s for s in rep.samples if s.seeded]
-        assert any(s.status == ode.BLOWUP for s in seeded)
+        for ori in (+1, -1):
+            traj = integrate(FlowProblem(m, gamma, (0.0, ori * 5.0)))
+            assert traj.status == ode.BLOWUP
 
     def test_same_seed_probes_give_equal_samples(self, spec1):
         m = metric(spec1, "diagonal_sym", eta=[0.4], eta_check=[0.6])
