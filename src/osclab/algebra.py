@@ -218,7 +218,6 @@ class Subspace:
     """Subspace given by an orthonormal basis (columns)."""
 
     basis: np.ndarray
-    label: str = ""
 
     @property
     def dim(self) -> int:
@@ -233,39 +232,38 @@ class Subspace:
         return float(np.max(np.abs(x - self.project(x)))) <= tol * scale
 
 
-def _null_space(m: np.ndarray, label: str) -> Subspace:
-    u, s, vt = np.linalg.svd(m)
-    if s.size == 0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > RANK_RTOL * s[0]))
-    return Subspace(vt[rank:].T.copy(), label)
+def _svd_rank(s: np.ndarray) -> int:
+    """Singular values above RANK_RTOL times the largest; 0 for an empty matrix."""
+    return int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
 
 
-def _column_space(m: np.ndarray, label: str) -> Subspace:
-    u, s, vt = np.linalg.svd(m)
-    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
-    return Subspace(u[:, :rank].copy(), label)
+def _null_space(m: np.ndarray) -> Subspace:
+    _, s, vt = np.linalg.svd(m)
+    return Subspace(vt[_svd_rank(s):].T.copy())
+
+
+def _column_space(m: np.ndarray) -> Subspace:
+    u, s, _ = np.linalg.svd(m)
+    return Subspace(u[:, :_svd_rank(s)].copy())
 
 
 def center(spec: LambdaSpec) -> Subspace:
     """Common kernel of all adjoint maps; equals span{e_0}."""
     stacked = np.vstack([ad(spec, basis_vector(spec, a)) for a in range(spec.dim)])
-    return _null_space(stacked, "center")
+    return _null_space(stacked)
 
 
 def derived_ideal(spec: LambdaSpec) -> Subspace:
     """Column space of all adjoint maps; equals span{e_0, e_j, ec_j}."""
     stacked = np.hstack([ad(spec, basis_vector(spec, a)) for a in range(spec.dim)])
-    return _column_space(stacked, "derived_ideal")
+    return _column_space(stacked)
 
 
 def ker_ad(spec: LambdaSpec, x) -> Subspace:
     """Kernel of ad(x) for a supplied element x."""
-    return _null_space(ad(spec, x), "ker_ad")
+    return _null_space(ad(spec, x))
 
 
 def cartan(spec: LambdaSpec) -> Subspace:
     """The canonical Cartan subalgebra Ker ad(e_-1) = span{e_-1, e_0}."""
-    sub = ker_ad(spec, basis_vector(spec, 0))
-    return Subspace(sub.basis, "cartan")
+    return ker_ad(spec, basis_vector(spec, 0))

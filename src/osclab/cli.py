@@ -27,8 +27,9 @@ from . import __version__
 from .algebra import (LambdaSpec, basis_vector, bracket, cartan, center,
                       derived_ideal, jacobi_residual)
 from .metrics import (DegenerateMetric, NotKSymmetric, ad_invariance_residual,
-                      completeness_criteria, k_lambda, k_symmetry_residual,
-                      locsym_conditions, metric_from_iso, parse_sym_iso, signature)
+                      completeness_criteria, is_json_number, k_lambda,
+                      k_symmetry_residual, locsym_conditions, metric_from_iso,
+                      parse_sym_iso, signature)
 from .connection import (closed_form_L, compatibility_residual, connection_report,
                          levi_civita, local_symmetry_residual, torsion_residual)
 from . import flows, ode
@@ -501,6 +502,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_scenario(path: str) -> int:
+    """Each key but "task" is a flag (t_max -> --t-max); a flat list of
+    numbers becomes a comma list, an object or nested list stays JSON."""
     obj = _load_json("@" + path, "scenario")
     if not isinstance(obj, dict) or "task" not in obj:
         raise InputError('scenario must be an object with a "task" field')
@@ -513,6 +516,8 @@ def _run_scenario(path: str) -> int:
         if isinstance(val, bool):
             if val:
                 argv.append(flag)
+        elif isinstance(val, list) and all(is_json_number(v) for v in val):
+            argv += [flag, ",".join(str(v) for v in val)]
         elif isinstance(val, (dict, list)):
             argv += [flag, json.dumps(val)]
         else:
@@ -546,7 +551,7 @@ def main(argv=None) -> int:
         if args.task == "run":
             return _run_scenario(args.scenario)
         return _run_task(args)
-    except (InputError, ode.SolverInputError) as err:
+    except (InputError, ode.SolverInputError, ode.StepBudgetExhausted) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

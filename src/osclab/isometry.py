@@ -31,7 +31,7 @@ import numpy as np
 from . import ode
 from .flows import BODY, FlowProblem
 from .algebra import LambdaSpec, _as_elem, _as_stack, _row_dot
-from .metrics import BiInvariantForm, Metric
+from .metrics import BiInvariantForm, Metric, check_json_numbers
 
 # Series branches near theta = 0 (removable singularities).  Switch points
 # are placed where the series and closed branches agree to 1e-14: the
@@ -395,6 +395,7 @@ def curv_isometry_from_json(spec: LambdaSpec, obj) -> CurvIsometry:
     """Parse {"rho": 1, "blocks": [{"v": [[re, im], ...], "u": [[...]]}]}."""
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise ValueError('expected an object with "rho" and "blocks"')
+    check_json_numbers(obj, "isometry descriptor", scalars=("rho",), arrays=())
     rho = obj.get("rho", 1)
     if rho not in (-1, 1):
         raise ValueError(f'"rho" must be +1 or -1, got {rho!r}')
@@ -405,6 +406,7 @@ def curv_isometry_from_json(spec: LambdaSpec, obj) -> CurvIsometry:
     for i, blk in enumerate(blocks):
         if not isinstance(blk, dict) or "v" not in blk or "u" not in blk:
             raise ValueError(f'block {i}: expected an object with "v" and "u"')
+        check_json_numbers(blk, f"block {i}", scalars=(), arrays=("v", "u"))
         pairs = np.asarray(blk["v"], dtype=float)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f'block {i}: "v" must be a list of [re, im] pairs')

@@ -269,35 +269,51 @@ def locsym_conditions(iso: SymIso, tol: float = 1e-12) -> tuple[str | None, ...]
     return tuple(out)
 
 
+def is_json_number(v) -> bool:
+    """A float, or an int float() takes; JSON true and false are not numbers."""
+    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
+                                    and abs(v) <= float(np.finfo(float).max))
+
+
+def check_json_numbers(obj: dict, what: str, scalars, arrays):
+    """ValueError unless each of ``scalars`` is a number and each of ``arrays``
+    a nested list of numbers; float() and numpy would coerce true and "1"."""
+    def numeric(v, nested):
+        if nested and isinstance(v, list):
+            return all(numeric(w, True) for w in v)
+        return is_json_number(v)
+    for key in (*scalars, *arrays):
+        if key in obj and not numeric(obj[key], key in arrays):
+            raise ValueError(f"{what} has a non-numeric parameter {key!r}: {obj[key]!r}")
+
+
 def parse_sym_iso(spec: LambdaSpec, obj) -> SymIso:
     """Parse the JSON metric descriptor.
 
     Accepted kinds: diagonal_sym {eta, eta_check, rho?}, u1_dim4, u2_dim4,
     lattice_dim4 {alpha?}, matrix {rows}.  A parameter that is not a number
-    or a list of numbers (null, an object) is a ValueError.
+    or a list of numbers (true, "1", null, an object) is a ValueError.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError('metric descriptor must be an object with a "kind" field')
     kind = obj["kind"]
-    try:
-        if kind == "diagonal_sym":
-            missing = [k for k in ("eta", "eta_check") if k not in obj]
-            if missing:
-                raise ValueError(f"diagonal_sym descriptor missing {missing}")
-            return named_family(spec, "diagonal_sym", eta=obj["eta"],
-                                eta_check=obj["eta_check"], rho=obj.get("rho", 0.0))
-        if kind in ("u1_dim4", "u2_dim4"):
-            return named_family(spec, kind)
-        if kind == "lattice_dim4":
-            return named_family(spec, "lattice_dim4", alpha=obj.get("alpha", 1.0))
-        if kind == "matrix":
-            rows = obj.get("rows")
-            m = np.asarray(rows, dtype=float) if rows is not None else None
-            if m is None or m.shape != (spec.dim, spec.dim):
-                raise ValueError(f'matrix descriptor needs "rows" of shape {spec.dim}x{spec.dim}')
-            return SymIso(spec, m, "matrix")
-    except TypeError as err:
-        raise ValueError(f"{kind} descriptor has a non-numeric parameter: {err}") from err
+    check_json_numbers(obj, f"{kind} descriptor", scalars=("rho", "alpha"),
+                       arrays=("eta", "eta_check", "rows"))
+    if kind == "diagonal_sym":
+        missing = [k for k in ("eta", "eta_check") if k not in obj]
+        if missing:
+            raise ValueError(f"diagonal_sym descriptor missing {missing}")
+        return named_family(spec, "diagonal_sym", eta=obj["eta"],
+                            eta_check=obj["eta_check"], rho=obj.get("rho", 0.0))
+    if kind in ("u1_dim4", "u2_dim4"):
+        return named_family(spec, kind)
+    if kind == "lattice_dim4":
+        return named_family(spec, "lattice_dim4", alpha=obj.get("alpha", 1.0))
+    if kind == "matrix":
+        m = np.asarray(obj.get("rows", []), dtype=float)
+        if m.shape != (spec.dim, spec.dim):
+            raise ValueError(f'matrix descriptor needs "rows" of shape {spec.dim}x{spec.dim}')
+        return SymIso(spec, m, "matrix")
     raise ValueError(f"unknown metric kind {kind!r}")
 
 

@@ -9,10 +9,11 @@ about why integration stopped:
                     was increasing
 
 A step underflow with non-increasing norm raises instead, since that is
-stiffness or a bug, not incompleteness evidence.  Inputs that could only
-produce a meaningless status (negative or all-zero tolerances, a
-non-finite time span or initial state) raise ``SolverInputError``, a
-``ValueError``, up front.
+stiffness or a bug, not incompleteness evidence, and so does a span that
+``max_steps`` accepted steps do not cover (``StepBudgetExhausted``).
+Inputs that could only produce a meaningless status (negative or all-zero
+tolerances, a non-finite time span or initial state) raise
+``SolverInputError``, a ``ValueError``, up front.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ STEP_UNDERFLOW = "step_underflow"
 
 class SolverInputError(ValueError):
     """Tolerances, time span or initial state that no integration can honour."""
+
+
+class StepBudgetExhausted(RuntimeError):
+    """max_steps accepted steps did not reach the end of the span."""
 
 
 @dataclass
@@ -127,11 +132,11 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
     n_steps = n_rejected = 0
     abs_y = np.abs(y)
     norm = norm_prev = float(abs_y.max())  # max-norms of y and its predecessor
-    status, t_detected, message = COMPLETED, None, ""
+    status, message = COMPLETED, ""
 
     while (t1 - t) * direction > 0:
         if n_steps >= max_steps:
-            raise RuntimeError(f"step budget {max_steps} exhausted at t={t}")
+            raise StepBudgetExhausted(f"step budget {max_steps} exhausted at t={t}")
         # Floor first: an end closer than h_min is landed on, not stepped over.
         h = min(max(h, h_min), abs(t1 - t))
         k[0] = k[6]
@@ -166,7 +171,6 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
                 message = f"step underflow below h_min={h_min:g} with growing norm"
                 break
         if status != COMPLETED:
-            t_detected = t
             break
 
         # Accepted.
@@ -176,8 +180,7 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
         ts.append(t)
         ys.append(y)
         if norm > blowup_threshold:
-            status, t_detected = BLOWUP, t
-            message = f"max-norm {norm:.3e} exceeded threshold"
+            status, message = BLOWUP, f"max-norm {norm:.3e} exceeded threshold"
             break
         factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA if err > 0 else _MAX_FACTOR
         if failed_before:
@@ -185,5 +188,6 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev = max(err, 1e-10)
 
+    t_detected = None if status == COMPLETED else t
     return IntegrationResult(np.array(ts), np.array(ys), status, t_detected,
                              n_steps, n_rejected, message)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from osclab import ode
 from osclab.cli import main
 
 
@@ -240,6 +242,24 @@ class TestProbeInputs:
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
+class TestStepBudget:
+    """A span the solver's step budget does not cover exits 2 with one line
+    naming the time reached.  A 50-step budget keeps the runs short."""
+
+    _METRIC = '{"kind":"diagonal_sym","eta":[0.3],"eta_check":[0.7]}'
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic-integrate", "--x0", "0.5,0.1,0.6,-0.4", "--t-max", "1e300"],
+        ["completeness-probe", "--samples", "1", "--t-max", "1e300"],
+    ])
+    def test_exhausted_budget_exits_2_with_one_line(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(ode, "solve_rk45",
+                            functools.partial(ode.solve_rk45, max_steps=50))
+        code, out, err = run(capsys, argv[0], "--lambda", "1", "--metric", self._METRIC,
+                             *argv[1:])
+        assert_one_line_input_error(code, out, err, "step budget 50 exhausted at t=")
+
+
 _U_OK = {"rho": 1, "blocks": [{"v": [[0.5, -0.3]], "u": [[1, 0], [0, 1]]}]}
 _BAD_U = {
     "missing_v": ({"rho": 1, "blocks": [{"u": [[1, 0], [0, 1]]}]},
@@ -249,6 +269,14 @@ _BAD_U = {
                        "u is not orthogonal"),
     "rho_2": ({"rho": 2, "blocks": [{"v": [[0.5, -0.3]], "u": [[1, 0], [0, 1]]}]},
               '"rho" must be +1 or -1'),
+    "rho_true": ({"rho": True, "blocks": [{"v": [[0.5, -0.3]], "u": [[1, 0], [0, 1]]}]},
+                 "non-numeric parameter 'rho'"),
+    "v_strings": ({"rho": 1, "blocks": [{"v": [["0.5", "-0.3"]], "u": [[1, 0], [0, 1]]}]},
+                  "non-numeric parameter 'v'"),
+    "u_true": ({"rho": 1, "blocks": [{"v": [[0.5, -0.3]], "u": [[True, 0], [0, 1]]}]},
+               "non-numeric parameter 'u'"),
+    "v_huge_int": ({"rho": 1, "blocks": [{"v": [[10**400, 0]], "u": [[1, 0], [0, 1]]}]},
+                   "non-numeric parameter 'v'"),
 }
 
 
@@ -357,6 +385,26 @@ class TestScenarioFile:
         assert code == 0
         assert rep["dim"] == 21
 
+    @pytest.mark.parametrize("scenario, argv", [
+        ({"task": "algebra-check", "lambda": [1, 2], "samples": 50},
+         ["algebra-check", "--lambda", "1,2", "--samples", "50"]),
+        ({"task": "geodesic-integrate", "lambda": [1],
+          "metric": {"kind": "diagonal_sym", "eta": [0.3], "eta_check": [0.7]},
+          "x0": [-0.5, 0.1, 0.6, -0.4], "t_max": 1},
+         ["geodesic-integrate", "--lambda", "1", "--metric",
+          '{"kind": "diagonal_sym", "eta": [0.3], "eta_check": [0.7]}',
+          "--x0", "-0.5,0.1,0.6,-0.4", "--t-max", "1"]),
+        ({"task": "isometry-polar", "lambda": [1], "u": _U_OK, "g": [0.7, 0.1, 1, 0]},
+         ["isometry-polar", "--lambda", "1", "--u", json.dumps(_U_OK),
+          "--g", "0.7,0.1,1,0"]),
+    ], ids=["lambda", "x0_and_metric", "g_and_u"])
+    def test_number_lists_are_comma_lists(self, capsys, tmp_path, scenario, argv):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, "run", str(scen))
+        assert (code, err) == (0, "")
+        assert (code, out) == run(capsys, *argv)[:2]
+
     def test_unknown_task_is_an_input_error(self, capsys, tmp_path):
         scen = tmp_path / "scenario.json"
         scen.write_text(json.dumps({"task": "prove-everything"}))
@@ -424,6 +472,7 @@ class TestOutOfRangeMetricEntries:
         ('{"kind":"diagonal_sym","eta":[1],"eta_check":[1],"rho":[1]}', "non-numeric"),
         ('{"kind":"diagonal_sym","eta":{"a":1},"eta_check":[1]}', "non-numeric"),
         ('{"kind":"lattice_dim4","alpha":null}', "non-numeric"),
+        ('{"kind":"diagonal_sym","eta":[true],"eta_check":[1]}', "non-numeric"),
     ])
     def test_exits_2_with_one_stderr_line(self, desc, needle):
         proc = run_child("locsym-check", "--lambda", "1", "--metric", desc)

@@ -226,6 +226,16 @@ class TestJsonAndSampling:
         {"kind": "lattice_dim4", "alpha": None},
         {"kind": "matrix", "rows": [[1, 0, 0, {}], [0, 1, 0, 0], [0, 0, 1, 0],
                                     [0, 0, 0, 1]]},
+        # JSON booleans and numeric strings, which float() and numpy coerce
+        {"kind": "diagonal_sym", "eta": [True], "eta_check": [1]},
+        {"kind": "diagonal_sym", "eta": ["1"], "eta_check": [1]},
+        {"kind": "diagonal_sym", "eta": [1], "eta_check": [1], "rho": "0.5"},
+        {"kind": "lattice_dim4", "alpha": "2"},
+        {"kind": "matrix", "rows": [[1, 0, 0, "1"], [0, 1, 0, 0], [0, 0, 1, 0],
+                                    [0, 0, 0, 1]]},
+        {"kind": "matrix", "rows": [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                    [0, 0, 0, 1]]},
+        {"kind": "lattice_dim4", "alpha": 10**400},  # float() overflows
     ])
     def test_non_numeric_parameters_are_value_errors(self, spec1, desc):
         with pytest.raises(ValueError, match="non-numeric parameter"):
