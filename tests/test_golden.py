@@ -46,6 +46,15 @@ _SHORT = {
         [0.5, 0.1, 0.6, -0.4]),
     2: ((1.0, 2.0), {"kind": "matrix", "rows": _CARTAN_ROWS},
         [0.3, -0.2, 0.5, 0.1, -0.4, 0.2]),
+    # A repeated frequency, and the sizes the benchmark integrates at.
+    3: ((1.0, 1.0, 2.0),
+        {"kind": "diagonal_sym", "eta": [0.4, 1.3, 0.8], "eta_check": [0.6, 0.9, 1.5],
+         "rho": 0.9},
+        [0.4, -0.3, 0.2, -0.5, 0.3, 0.1, 0.6, -0.2]),
+    6: ((0.5, 1.0, 1.5, 2.0, 3.0, 4.0),
+        {"kind": "diagonal_sym", "eta": [0.3, 1.4, 0.8, -0.6, 2.0, 1.2],
+         "eta_check": [0.7, -0.4, 0.8, -0.6, -1.0, 1.2], "rho": -0.5},
+        [0.3, 0.2, 0.1, -0.2, 0.3, 0.25, -0.1, 0.15, -0.3, 0.2, 0.05, -0.25, 0.1, 0.2]),
 }
 
 
