@@ -29,6 +29,24 @@ class DimensionMismatch(ValueError):
     """Elements of different oscillator algebras were combined."""
 
 
+def is_json_number(v) -> bool:
+    """A float, or an int float() takes; JSON true and false are not numbers."""
+    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
+                                    and abs(v) <= float(np.finfo(float).max))
+
+
+def check_json_numbers(obj: dict, what: str, scalars, arrays):
+    """ValueError unless each of ``scalars`` is a number and each of ``arrays``
+    a nested list of numbers; float() and numpy would coerce true and "1"."""
+    def numeric(v, nested):
+        if nested and isinstance(v, list):
+            return all(numeric(w, True) for w in v)
+        return is_json_number(v)
+    for key in (*scalars, *arrays):
+        if key in obj and not numeric(obj[key], key in arrays):
+            raise ValueError(f"{what} has a non-numeric parameter {key!r}: {obj[key]!r}")
+
+
 @dataclass(frozen=True)
 class LambdaSpec:
     """Frequency vector with its multiplicity blocks.
@@ -58,6 +76,8 @@ class LambdaSpec:
         lam = obj["lambda"]
         if not isinstance(lam, (list, tuple)) or not lam:
             raise ValueError('"lambda" must be a non-empty array of positive reals')
+        if not all(is_json_number(v) for v in lam):
+            raise ValueError(f'"lambda" has a non-numeric entry: {lam!r}')
         return cls(tuple(lam))
 
     @property

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .algebra import (LambdaSpec, basis_vector, bracket, cartan, center,
-                      derived_ideal, jacobi_residual)
+                      derived_ideal, is_json_number, jacobi_residual)
 from .metrics import (DegenerateMetric, NotKSymmetric, ad_invariance_residual,
-                      completeness_criteria, is_json_number, k_lambda,
+                      completeness_criteria, k_lambda,
                       k_symmetry_residual, locsym_conditions, metric_from_iso,
                       parse_sym_iso, signature)
 from .connection import (closed_form_L, compatibility_residual, connection_report,

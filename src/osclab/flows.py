@@ -51,8 +51,8 @@ class FlowProblem:
         """The selected vector field as f(t, state).
 
         Each form is reduced to one flattened bilinear contraction against a
-        precomputed (dim^2, dim) table, which keeps the per-call cost at a
-        few vector operations.
+        precomputed (dim^2, dim) table, a few bound ``.dot`` calls (the gemv
+        of ``@`` at less dispatch cost), each call returning a fresh array.
         """
         spec = self.metric.spec
         d = spec.dim
@@ -60,17 +60,17 @@ class FlowProblem:
         if self.form == BODY:
             lflat = -levi_civita(self.metric).coeffs.reshape(d * d, d)
             def f(t, x):
-                return (x[:, None] * x).ravel() @ lflat
+                return (x[:, None] * x).ravel().dot(lflat)
             return f
         bflat = basis_brackets(spec).reshape(d * d, d)
         uinv = self.metric.iso.inv  # u factored once, reused every call
         if self.form == EULER:
             table = np.ascontiguousarray(bflat @ uinv.T)
             def f(t, x):
-                return ((u @ x)[:, None] * x).ravel() @ table
+                return (u.dot(x)[:, None] * x).ravel().dot(table)
             return f
         def f(t, y):
-            return (y[:, None] * (uinv @ y)).ravel() @ bflat
+            return (y[:, None] * uinv.dot(y)).ravel().dot(bflat)
         return f
 
     def to_euler_states(self, states: np.ndarray) -> np.ndarray:
@@ -406,7 +406,7 @@ def trajectory_csv(traj: Trajectory) -> str:
     lines = [",".join(names)]
     fmt = ",".join(["%.17g"] * len(names))
     table = np.column_stack([traj.ts, traj.states, *traj.invariant_log.values()])
-    lines += [fmt % tuple(row.tolist()) for row in table]
+    lines += [fmt % row for row in map(tuple, table.tolist())]
     tail = f"# status={traj.status}"
     if traj.t_detected is not None:
         tail += f" t_detected={traj.t_detected:.17g}"

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import ode
 from .flows import BODY, FlowProblem
-from .algebra import LambdaSpec, _as_elem, _as_stack, _row_dot
-from .metrics import BiInvariantForm, Metric, check_json_numbers
+from .algebra import LambdaSpec, _as_elem, _as_stack, _row_dot, check_json_numbers
+from .metrics import BiInvariantForm, Metric
 
 # Series branches near theta = 0 (removable singularities).  Switch points
 # are placed where the series and closed branches agree to 1e-14: the

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .algebra import LambdaSpec, _as_elem, bracket
+from .algebra import LambdaSpec, _as_elem, bracket, check_json_numbers
 
 # Acceptance tolerance for k-symmetry, absolute on max|Gram@u - (Gram@u)^T|.
 K_SYMMETRY_TOL = 1e-10
@@ -267,24 +267,6 @@ def locsym_conditions(iso: SymIso, tol: float = 1e-12) -> tuple[str | None, ...]
         else:
             out.append(None)
     return tuple(out)
-
-
-def is_json_number(v) -> bool:
-    """A float, or an int float() takes; JSON true and false are not numbers."""
-    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
-                                    and abs(v) <= float(np.finfo(float).max))
-
-
-def check_json_numbers(obj: dict, what: str, scalars, arrays):
-    """ValueError unless each of ``scalars`` is a number and each of ``arrays``
-    a nested list of numbers; float() and numpy would coerce true and "1"."""
-    def numeric(v, nested):
-        if nested and isinstance(v, list):
-            return all(numeric(w, True) for w in v)
-        return is_json_number(v)
-    for key in (*scalars, *arrays):
-        if key in obj and not numeric(obj[key], key in arrays):
-            raise ValueError(f"{what} has a non-numeric parameter {key!r}: {obj[key]!r}")
 
 
 def parse_sym_iso(spec: LambdaSpec, obj) -> SymIso:

@@ -14,6 +14,10 @@ stiffness or a bug, not incompleteness evidence, and so does a span that
 Inputs that could only produce a meaningless status (negative or all-zero
 tolerances, a non-finite time span or initial state) raise
 ``SolverInputError``, a ``ValueError``, up front.
+
+A right-hand side returns a fresh array on every call, never a shared
+buffer, and leaves its input alone: the solver keeps references to its
+stage inputs and outputs (accepted states are stored uncopied).
 """
 
 from __future__ import annotations
@@ -70,11 +74,6 @@ class IntegrationResult:
     message: str = ""
 
 
-def _error_norm(err, abs_old, abs_new, rtol, atol):
-    q = err / (atol + rtol * np.maximum(abs_old, abs_new))
-    return math.sqrt(float((q * q).sum()) / q.size)
-
-
 def _check_inputs(t0, t1, y0, rtol, atol):
     if not (rtol >= 0.0 and atol >= 0.0):
         raise SolverInputError(f"tolerances must be non-negative, got rtol={rtol!r}, atol={atol!r}")
@@ -127,7 +126,7 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
     t = t0
     k = np.empty((7, y.size))
     k[6] = f0  # FSAL slot holds f(t, y)
-    stages = [(_C[i], _A[i], k[:i], k[i]) for i in range(1, 7)]
+    stages = [(i, _C[i], _A[i].dot, k[:i]) for i in range(1, 7)]
     err_prev = 1.0
     n_steps = n_rejected = 0
     abs_y = np.abs(y)
@@ -143,19 +142,23 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
         failed_before = False
         while True:
             hd = h * direction
-            for c, a, k_prev, k_out in stages:
-                yi = y + hd * np.dot(a, k_prev)
-                k_out[:] = f(t + c * hd, yi)
+            # Bound .dot, the array first in a product and ufunc.reduce run
+            # the kernels of @, hd * v and .sum() / .max() on the same operands
+            # (same bits) at less dispatch cost; reverting them is a slowdown.
+            for i, c, a_dot, k_prev in stages:
+                yi = y + a_dot(k_prev) * hd
+                k[i] = f(t + c * hd, yi)
             y_new = yi  # stage 7 input equals the order-5 solution
             abs_new = np.abs(y_new)
-            norm_new = float(abs_new.max())  # NaN or inf unless y_new is finite
+            norm_new = float(np.maximum.reduce(abs_new))  # NaN or inf unless finite
             if not math.isfinite(norm_new):
                 if norm < norm_prev:
                     raise FloatingPointError(
                         f"non-finite state near t={t + hd} with non-growing norm")
                 status, message = BLOWUP, "state left the finite range while growing"
                 break
-            err = _error_norm(hd * np.dot(_E, k), abs_y, abs_new, rtol, atol)
+            q = _E.dot(k) * hd / (np.maximum(abs_y, abs_new) * rtol + atol)
+            err = math.sqrt(float(np.add.reduce(q * q)) / q.size)  # RMS error
             if err <= 1.0:
                 break
             n_rejected += 1

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from osclab import ode
-from osclab.algebra import LambdaSpec, basis_vector
+from osclab.algebra import LambdaSpec, basis_brackets, basis_vector
+from osclab.connection import levi_civita
 from osclab.flows import (BODY, EULER, LAX, FlowProblem, analytic_gamma1,
                           analytic_gamma1_velocity, cartan_adapted_frame,
                           completeness_probe, euler_coadjoint_residual,
                           first_integrals, gamma1_residual, integrate,
                           random_initial_state, scalar_blowup_probe,
                           scalar_blowup_time, trajectory_csv)
-from osclab.metrics import SymIso, k_lambda, metric_from_iso, named_family
+from osclab.metrics import (SymIso, k_lambda, metric_from_iso, named_family,
+                            random_k_symmetric)
 
 
 def metric(spec, name, **params):
@@ -67,6 +69,55 @@ class TestRhs:
     def test_rejects_unknown_form(self, u1_metric):
         with pytest.raises(ValueError, match="form"):
             FlowProblem(u1_metric, np.zeros(4), (0, 1), form="hamiltonian")
+
+
+def reference_rhs(m, form):
+    """FlowProblem.rhs as written with np.matmul (@), before the right-hand
+    sides moved to bound ndarray.dot for its lower dispatch cost."""
+    spec = m.spec
+    d = spec.dim
+    u = m.iso.matrix
+    if form == BODY:
+        lflat = -levi_civita(m).coeffs.reshape(d * d, d)
+        return lambda t, x: (x[:, None] * x).ravel() @ lflat
+    bflat = basis_brackets(spec).reshape(d * d, d)
+    uinv = m.iso.inv
+    if form == EULER:
+        table = np.ascontiguousarray(bflat @ uinv.T)
+        return lambda t, x: ((u @ x)[:, None] * x).ravel() @ table
+    return lambda t, y: (y[:, None] * (uinv @ y)).ravel() @ bflat
+
+
+RHS_LAMBDAS = [(1.0,), (1.0, 2.0), (1.0, 1.0, 2.0), (0.5, 1.0, 3.0, 4.0),
+               (1.0, 1.5, 2.0, 2.5, 3.0), (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)]
+
+
+@pytest.mark.parametrize("form", [BODY, EULER, LAX])
+@pytest.mark.parametrize("lams", RHS_LAMBDAS, ids=lambda lams: f"n{len(lams)}")
+class TestRhsBits:
+    def test_rhs_equals_the_matmul_reference(self, lams, form, rng):
+        spec = LambdaSpec(lams)
+        n = spec.n
+        isos = [named_family(spec, "diagonal_sym", eta=rng.uniform(0.3, 2.0, n),
+                             eta_check=rng.uniform(-2.0, -0.3, n), rho=0.9),
+                random_k_symmetric(spec, rng),  # a dense u
+                random_k_symmetric(spec, rng, fix_center_line=True)]
+        for iso in isos:
+            m = metric_from_iso(k_lambda(spec), iso)
+            f = FlowProblem(m, np.zeros(spec.dim), (0, 1), form=form).rhs
+            ref = reference_rhs(m, form)
+            states = rng.standard_normal((40, spec.dim)) * rng.uniform(1e-3, 1e3, (40, 1))
+            for x in states:
+                np.testing.assert_array_equal(f(0.0, x), ref(0.0, x))
+
+    def test_rhs_returns_a_fresh_array_every_call(self, lams, form, rng):
+        spec = LambdaSpec(lams)
+        m = metric_from_iso(k_lambda(spec), random_k_symmetric(spec, rng))
+        f = FlowProblem(m, np.zeros(spec.dim), (0, 1), form=form).rhs
+        x = rng.standard_normal(spec.dim)
+        a, b = f(0.0, x), f(0.0, 2.0 * x)
+        assert not np.shares_memory(a, b) and not np.shares_memory(a, x)
+        np.testing.assert_array_equal(a, f(0.0, x))
 
 
 class TestIntegrate:
