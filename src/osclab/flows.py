@@ -403,12 +403,12 @@ def trajectory_csv(traj: Trajectory) -> str:
     names += [f"x_{j}" for j in range(1, spec.n + 1)]
     names += [f"xc_{j}" for j in range(1, spec.n + 1)]
     names += list(traj.invariant_log.keys())
-    lines = [",".join(names)]
     fmt = ",".join(["%.17g"] * len(names))
     table = np.column_stack([traj.ts, traj.states, *traj.invariant_log.values()])
-    lines += [fmt % row for row in map(tuple, table.tolist())]
+    # One % over the flat table: per-row tuples cost more, and a list per
+    # row kept alive at once sets off the garbage collector.
+    rows = "\n".join([fmt] * len(table)) % tuple(table.ravel().tolist())
     tail = f"# status={traj.status}"
     if traj.t_detected is not None:
         tail += f" t_detected={traj.t_detected:.17g}"
-    lines.append(tail)
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(names), rows, tail]) + "\n"
