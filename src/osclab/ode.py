@@ -144,7 +144,8 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
             hd = h * direction
             # Bound .dot, the array first in a product and ufunc.reduce run
             # the kernels of @, hd * v and .sum() / .max() on the same operands
-            # (same bits) at less dispatch cost; reverting them is a slowdown.
+            # (same bits) at less dispatch cost: reverting them is a slowdown,
+            # not a style fix.
             for i, c, a_dot, k_prev in stages:
                 yi = y + a_dot(k_prev) * hd
                 k[i] = f(t + c * hd, yi)

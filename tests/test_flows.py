@@ -72,8 +72,8 @@ class TestRhs:
 
 
 def reference_rhs(m, form):
-    """FlowProblem.rhs as written with np.matmul (@), before the right-hand
-    sides moved to bound ndarray.dot for its lower dispatch cost."""
+    """FlowProblem.rhs written with np.matmul (@): the reference that the
+    bound-ndarray.dot closures must equal bit for bit."""
     spec = m.spec
     d = spec.dim
     u = m.iso.matrix
