@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import LambdaSpec, _as_elem, ad, basis_brackets, bracket
 from .metrics import Metric
@@ -68,7 +67,7 @@ class ConnTable:
 def levi_civita(metric: Metric) -> ConnTable:
     """Solve the Koszul linear system for every basis pair.
 
-    One LU factorization of the k_u Gram matrix is shared by all
+    One ``np.linalg.solve`` with the k_u Gram matrix covers all d^2
     right-hand sides.
     """
     spec = metric.spec
@@ -77,9 +76,8 @@ def levi_civita(metric: Metric) -> ConnTable:
     # K[a, b, z] = k_u([e_a, e_b], e_z)
     K = np.einsum("abk,kz->abz", B, gram)
     rhs = 0.5 * (K - K.transpose(2, 0, 1) + K.transpose(1, 2, 0))
-    lu = scipy.linalg.lu_factor(gram)
     flat = rhs.reshape(spec.dim * spec.dim, spec.dim).T
-    coeffs = scipy.linalg.lu_solve(lu, flat).T.reshape(spec.dim, spec.dim, spec.dim)
+    coeffs = np.linalg.solve(gram, flat).T.reshape(spec.dim, spec.dim, spec.dim)
     coeffs.setflags(write=False)
     return ConnTable(spec, coeffs, metric)
 

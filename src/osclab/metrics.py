@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import LambdaSpec, _as_elem, bracket, check_json_numbers
 
@@ -343,7 +342,7 @@ def random_k_symmetric(spec: LambdaSpec, rng: np.random.Generator,
         signs[neg] = -1.0
         s = (q * (signs * mags)) @ q.T
         s = 0.5 * (s + s.T)
-        u = scipy.linalg.solve(gram, s)
+        u = np.linalg.solve(gram, s)
         return SymIso(spec, u, "random", {"index": index})
     # u(e_0) = nu e_0 forces S[:, e_0-column] proportional to Gram @ e_0.
     for _ in range(10_000):
@@ -359,6 +358,6 @@ def random_k_symmetric(spec: LambdaSpec, rng: np.random.Generator,
             continue
         if index is not None and int(np.sum(w < 0)) != index:
             continue
-        u = scipy.linalg.solve(gram, s)
+        u = np.linalg.solve(gram, s)
         return SymIso(spec, u, "random_center_line", {"index": index})
     raise RuntimeError("rejection sampling failed to find a matching metric")
