@@ -528,3 +528,12 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "osclab" in capsys.readouterr().out
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows it.
+    code = "import sys, osclab, osclab.cli; assert 'scipy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
