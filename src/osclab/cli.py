@@ -83,9 +83,12 @@ def _parse_x0(spec: LambdaSpec, text):
         raise InputError("missing --x0")
     if text.startswith("gamma1:"):
         try:
-            params = dict(kv.split("=") for kv in text[len("gamma1:"):].split(","))
-            c = float(params.get("c", 1.0))
-            rho = float(params.get("rho", 1.0))
+            pairs = [kv.split("=") for kv in text[len("gamma1:"):].split(",")]
+            params = {key: float(value) for key, value in pairs}
+            if len(params) < len(pairs) or not params.keys() <= {"c", "rho"}:
+                raise ValueError("the keys are c and rho, each at most once")
+            c = params.get("c", 1.0)
+            rho = params.get("rho", 1.0)
         except ValueError as err:
             raise InputError(f'bad --x0 {text!r}: expected "gamma1:c=..,rho=.." '
                              f"({err})") from err

@@ -324,10 +324,12 @@ class TestIsometryAndLatticeInputs:
         code, out, err = run(capsys, "lattice-check", "--lambda", lam)
         assert_one_line_input_error(code, out, err, "frequencies must be positive reals")
 
-    def test_malformed_gamma1_seed_exits_2(self, capsys):
+    @pytest.mark.parametrize("seed", ["gamma1:c", "gamma1:c=1,rh=2", "gamma1:c=1,c=2"],
+                             ids=["no_value", "unknown_key", "repeated_key"])
+    def test_malformed_gamma1_seed_exits_2(self, capsys, seed):
         code, out, err = run(capsys, "geodesic-integrate", "--lambda", "1",
-                             "--metric", "u1_dim4", "--x0", "gamma1:c")
-        assert_one_line_input_error(code, out, err, "bad --x0 'gamma1:c'")
+                             "--metric", "u1_dim4", "--x0", seed)
+        assert_one_line_input_error(code, out, err, f"bad --x0 {seed!r}")
 
     def test_zero_c_gamma1_seed_exits_2(self, capsys):
         code, out, err = run(capsys, "geodesic-integrate", "--lambda", "1",
