@@ -60,7 +60,8 @@ class TestLeviCivita:
                                    (lam / (2 * eta)) * (2 * eta - 1) * e(spec, 3),
                                    atol=1e-13)
 
-    @pytest.mark.parametrize("lams", [(1.0,), (1.0, 2.0), (1.0, 1.0, 2.0)])
+    @pytest.mark.parametrize("lams", [(1.0,), (1.0, 2.0), (1.0, 1.0, 2.0),
+                                      (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)])
     def test_koszul_solution_is_torsion_free_and_compatible(self, lams, rng):
         spec = LambdaSpec(lams)
         for _ in range(10):
