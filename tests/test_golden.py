@@ -103,9 +103,10 @@ def test_blowup_goldens_stop_near_the_pole():
 
 
 # The README examples as written (default seed 0), a larger algebra-check,
-# a full-report at n = 2 with a non-default seed, isometry-verify at n = 6
-# with a repeated block and on a rho = -1 map, and the integrating tasks: a
-# gamma1 blow-up with its CSV, a short probe and a full-report with a probe.
+# a full-report at n = 2 with a non-default seed, isometry-verify at n = 5
+# and n = 6 with a repeated block and on a rho = -1 map, and the integrating
+# tasks: a gamma1 blow-up with its CSV, a short probe and a full-report with
+# a probe.
 _LOCSYM_N1 = '{"kind":"diagonal_sym","eta":[0.3],"eta_check":[0.7]}'
 CLI_CASES = {
     "geodesic_integrate": ["geodesic-integrate", "--lambda", "1", "--metric", "u1_dim4",
@@ -133,6 +134,7 @@ CLI_CASES = {
     "isometry_verify": ["isometry-verify", "--lambda", "1,1,2"],
     "isometry_verify_n6": ["isometry-verify", "--lambda", "0.5,1,1,2,3,4",
                            "--seed", "3"],
+    "isometry_verify_n5": ["isometry-verify", "--lambda", "1,1.5,2,3,3"],
     # rho = -1 (one rotation block, one reflection block): no polar check.
     "isometry_verify_reflected": [
         "isometry-verify", "--lambda", "1,2", "--u",
