@@ -90,9 +90,7 @@ class LambdaSpec:
 
     @cached_property
     def lam(self) -> np.ndarray:
-        a = np.asarray(self.lambdas, dtype=float)
-        a.setflags(write=False)
-        return a
+        return _read_only(np.asarray(self.lambdas, dtype=float))
 
     @cached_property
     def blocks(self) -> tuple[tuple[float, int], ...]:
@@ -112,6 +110,12 @@ class LambdaSpec:
             out.append(tuple(range(j, j + r)))
             j += r
         return tuple(out)
+
+    @cached_property
+    def block_rows(self) -> tuple[np.ndarray, ...]:
+        """Per block, the read-only coordinates of its (e_j, ec_j, e_j', ec_j', ...)."""
+        return tuple(_read_only(np.array([k for j in idx for k in (1 + j, 1 + self.n + j)]))
+                     for idx in self.block_indices)
 
     def e_index(self, j: int) -> int:
         """Coordinate index of e_j, 1 <= j <= n."""
@@ -137,25 +141,33 @@ class LambdaSpec:
         """Dense read-only table B with B[a, b, :] = [e_a, e_b], from the
         closed-form ``bracket``; ``+ 0.0`` turns its -0.0 entries into 0.0."""
         eye = np.eye(self.dim)
-        B = bracket(self, eye[:, None], eye) + 0.0
-        B.setflags(write=False)
-        return B
+        return _read_only(bracket(self, eye[:, None], eye) + 0.0)
 
     @cached_property
     def triple_brackets(self) -> np.ndarray:
         """Read-only T with T[a, b, c, :] = [e_a, [e_b, e_c]]."""
         B = self.basis_brackets
-        T = np.einsum("bcp,apq->abcq", B, B)
-        T.setflags(write=False)
-        return T
+        return _read_only(np.einsum("bcp,apq->abcq", B, B))
 
     @cached_property
-    def triple_image_path(self) -> list:
-        """Contraction path of ``einsum("ia,jb,kc,ijkm->abcm", m, m, m, T)``,
-        which depends on the shapes alone."""
-        m = np.empty((self.dim, self.dim))
-        return np.einsum_path("ia,jb,kc,ijkm->abcm", m, m, m, self.triple_brackets,
-                              optimize=True)[0]
+    def triple_support(self) -> tuple[np.ndarray, ...]:
+        """Read-only (a, b, c, q, value, x_cols, z_cols) over the nonzeros T[a, b, c, q]
+        = value, one at most per (a, b, c) and per (b, c, q): x_cols is l d + b when (c, q)
+        is the l-th live pair (T[:, :, c, q] != 0), and z_cols is q d + c per live pair."""
+        T, d = self.triple_brackets, self.dim
+        nz = T != 0
+        if nz.sum(axis=3).max() > 1 or nz.sum(axis=0).max() > 1:
+            raise ArithmeticError("a row or column of T holds two nonzeros")
+        a, b, c, q = np.nonzero(nz)
+        live = nz.any(axis=(0, 1))
+        live_c, live_q = np.nonzero(live)
+        slot = (np.cumsum(live) - 1).reshape(d, d)[c, q]
+        return tuple(map(_read_only, (a, b, c, q, T[nz], slot * d + b, live_q * d + live_c)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def basis_vector(spec: LambdaSpec, index: int) -> np.ndarray:

@@ -268,6 +268,10 @@ def task_geodesic_integrate(args, spec, metric):
         args.out_csv, args.out = args.out, None
     problem = flows.FlowProblem(metric, x0, (args.t_min, args.t_max), form=args.form,
                                 rtol=args.rtol, atol=args.atol)
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite x0 can overflow f(x0)
+        f0 = problem.rhs(args.t_min, problem.x0)
+    if np.isfinite(problem.x0).all() and not np.isfinite(f0).all():
+        raise InputError(f"bad --x0 {args.x0!r}: the right-hand side overflows the float range")
     traj = flows.integrate(problem)
     drifts = traj.invariant_drift()
     checks = []

@@ -229,13 +229,6 @@ def _r2c(w: np.ndarray) -> np.ndarray:
     return w[..., 0::2] + 1j * w[..., 1::2]
 
 
-def _block_rows(spec: LambdaSpec) -> list[np.ndarray]:
-    """Per block, the algebra coordinates of its real interleaved
-    coordinates (e_j, ec_j, e_j', ec_j', ...)."""
-    return [np.array([k for j in idx for k in (spec.e_index(j), spec.ec_index(j))])
-            for idx in spec.block_indices]
-
-
 def _rot(theta: float, r: int) -> np.ndarray:
     """Multiplication by e^{i theta} on interleaved real coordinates."""
     c, s = math.cos(theta), math.sin(theta)
@@ -327,7 +320,7 @@ class CurvIsometry:
         u = np.zeros((spec.dim, spec.dim))
         u[0, 0] = u[1, 1] = float(self.rho)
         u[1, 0] = self.alpha
-        for (lam, _), rows, ui, vi in zip(spec.blocks, _block_rows(spec),
+        for (lam, _), rows, ui, vi in zip(spec.blocks, spec.block_rows,
                                           self.us, self.vs):
             u[rows, 0] = vi
             u[rows[:, None], rows] = ui
@@ -376,7 +369,7 @@ def curv_isometry_from_matrix(spec: LambdaSpec, m, tol: float = 1e-10) -> CurvIs
         raise ValueError(f"center eigenvalue {rho_f} is not a unit sign")
     rho = 1 if rho_f > 0 else -1
     vs, us = [], []
-    for rows in _block_rows(spec):
+    for rows in spec.block_rows:
         vs.append(m[rows, 0])
         us.append(m[rows[:, None], rows])
     try:
@@ -437,13 +430,19 @@ def triple_bracket_residual(spec: LambdaSpec, m) -> float:
     """max over basis triples of |U[x,[y,z]] - [Ux,[Uy,Uz]]|.
 
     Together with orthogonality this is the membership test for the
-    curvature-preserving group."""
-    m = np.asarray(m, dtype=float)
-    T = spec.triple_brackets  # T[a,b,c] = [e_a, [e_b, e_c]]
-    lhs = np.einsum("mq,abcq->abcm", m, T)
-    rhs = np.einsum("ia,jb,kc,ijkm->abcm", m, m, m, T,
-                    optimize=spec.triple_image_path)
-    return float(np.max(np.abs(lhs - rhs)))
+    curvature-preserving group.  It has the bits of the dense einsums over T,
+    ``mq,abcq->abcm`` and the optimized ``ia,jb,kc,ijkm->abcm``: their sums
+    with one nonzero term are single products, the others the same matmuls."""
+    m, d = np.asarray(m, dtype=float), spec.dim
+    a, b, c, q, val, x_cols, z_cols = spec.triple_support
+    x = np.zeros((d, z_cols.size * d))  # ijkm,ia->ajkm as rows (a, live km), cols j
+    x[:, x_cols] = m[a].T * val
+    y = np.matmul(x.reshape(-1, d), m)  # ajkm,jb->abkm
+    z = np.zeros((d, d, d * d))  # rows (a, b, m), cols k
+    z[:, :, z_cols] = y.reshape(d, -1, d).transpose(0, 2, 1)
+    r = np.matmul(z.reshape(-1, d), m).reshape(d, d, d, d)  # abkm,kc->abcm as r[a,b,m,c]
+    r[a, b, :, c] -= m[:, q].T * val[:, None]  # U[e_a,[e_b,e_c]] = value U e_q
+    return float(np.max(np.abs(r, out=r)))
 
 
 # -- polar isometries and the group of isometries --------------------------------

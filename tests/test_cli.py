@@ -510,6 +510,32 @@ class TestOutOfRangeIsometryInputs:
         assert proc.stderr.startswith("error: ") and needle in proc.stderr
 
 
+class TestOutOfRangeInitialState:
+    """A finite initial state whose first right-hand side overflows exits 2
+    with one stderr line, before the solver sees it.  Child processes, as
+    above."""
+
+    @pytest.mark.parametrize("x0", ["gamma1:c=1e200", "1e200,1e200,1e200,1e200"])
+    def test_exits_2_with_one_stderr_line(self, x0):
+        proc = run_child("geodesic-integrate", "--lambda", "1", "--metric", "u1_dim4",
+                         "--x0", x0, "--t-max", "3")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error: bad --x0 {x0!r}")
+        assert "overflows the float range" in proc.stderr
+
+
+def test_isometry_verify_takes_one_triple_bracket_residual_per_sample(capsys, monkeypatch):
+    # perfbench's isometry.triple_bracket_ms is a per-call time of this function.
+    import osclab.isometry as iso_mod
+    calls = []
+    residual = iso_mod.triple_bracket_residual
+    monkeypatch.setattr(iso_mod, "triple_bracket_residual",
+                        lambda spec, m: calls.append(m) or residual(spec, m))
+    code, rep, _ = run_json(capsys, "isometry-verify", "--lambda", "1,2,2", "--samples", "7")
+    assert code == 0 and rep["samples"] == 7 and len(calls) == 7
+
+
 def test_failing_check_gives_exit_one(capsys, monkeypatch):
     # exit-code contract: a report with a failing asserted check returns 1
     import osclab.cli as cli
@@ -537,5 +563,16 @@ def test_import_does_not_load_scipy():
     code = "import sys, osclab, osclab.cli; assert 'scipy' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=str(_SRC))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_isometry_verify_does_not_load_numpy_ma():
+    # numpy.ma (about 1.3 MB resident) comes in with np.unique, for one.
+    code = ("import sys; from osclab.cli import main; "
+            "assert main(['isometry-verify', '--lambda', '1,1.5,2,3,3', '--samples', '2', "
+            "'--out', sys.argv[1]]) == 0; assert 'numpy.ma' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -555,6 +555,66 @@ class TestStackedRows:
             assert triple_bracket_residual(spec, m) == float(np.max(np.abs(lhs - rhs)))
 
 
+# -- the triple-bracket residual over the nonzeros of T ----------------------------
+
+# n = 1..6 with distinct frequencies, and with repeated ones.
+SUPPORT_LAMBDAS = [(2.5,), (1.0, 2.0), (0.5, 1.0, 3.0), (1.0, 1.5, 2.0, 4.0),
+                   (1.0, 1.5, 2.0, 3.0, 5.0), (1.0, 1.5, 2.0, 2.5, 3.0, 4.0),
+                   (1.0,), (1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 1.0, 2.0),
+                   (1.0, 1.5, 2.0, 3.0, 3.0), (0.5, 1.0, 1.0, 2.0, 3.0, 4.0)]
+
+
+def dense_triple_bracket_residual(spec, m):
+    """The residual as the two dense einsums over T = [e_a, [e_b, e_c]]."""
+    T = np.einsum("bcp,apq->abcq", paper_basis_brackets(spec), paper_basis_brackets(spec))
+    lhs = np.einsum("mq,abcq->abcm", m, T)
+    rhs = np.einsum("ia,jb,kc,ijkm->abcm", m, m, m, T, optimize=True)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+@pytest.mark.parametrize("lams", SUPPORT_LAMBDAS, ids=lambda lams: "_".join(map(str, lams)))
+class TestTripleBracketResidual:
+    def test_t_has_one_nonzero_per_support_row_and_column(self, lams):
+        spec = LambdaSpec(lams)
+        nz = spec.triple_brackets != 0
+        assert nz.sum(axis=3).max() == 1 and nz.sum(axis=0).max() == 1
+        a, b, c, q, val, _, _ = spec.triple_support
+        rebuilt = np.zeros_like(spec.triple_brackets)
+        rebuilt[a, b, c, q] = val
+        np.testing.assert_array_equal(rebuilt, spec.triple_brackets)
+        assert all(not v.flags.writeable for v in spec.triple_support)
+
+    def test_residual_equals_the_dense_einsums_bit_for_bit(self, lams, rng):
+        # 100 maps per spec, 1,200 in all: isometries, rho = -1 maps and
+        # reflected blocks, and random matrices scaled 1e-3 to 1e3.
+        spec = LambdaSpec(lams)
+        ms = [u.matrix for u in mixed_isometries(spec, rng, 40)]
+        ms += [u.matrix for u in mixed_isometries(spec, rng, 15, rho=-1)]
+        ms += [random_curv_isometry(spec, rng).matrix for _ in range(15)]
+        ms += [rng.standard_normal((spec.dim, spec.dim)) * scale
+               for scale in (1e-3, 1e-1, 1.0, 1e1, 1e2, 1e3) for _ in range(5)]
+        for m in ms:
+            assert triple_bracket_residual(spec, m) == dense_triple_bracket_residual(spec, m)
+
+
+@pytest.mark.parametrize("axis", [0, 3], ids=["column", "row"])
+def test_triple_support_refuses_two_nonzeros_in_a_row_or_column(spec12, axis):
+    spec = LambdaSpec(spec12.lambdas)
+    T = spec12.triple_brackets.copy()
+    at = np.argwhere(T != 0)[0]
+    at[axis] = (at[axis] + 1) % spec.dim
+    T[tuple(at)] = 1.0
+    spec.__dict__["triple_brackets"] = T  # what the cached property would hold
+    with pytest.raises(ArithmeticError, match="two nonzeros"):
+        spec.triple_support
+
+
+def test_block_rows_are_cached_read_only(spec112):
+    assert spec112.block_rows is spec112.block_rows
+    assert [r.tolist() for r in spec112.block_rows] == [[2, 5, 3, 6], [4, 7]]
+    assert all(not r.flags.writeable for r in spec112.block_rows)
+
+
 class TestStackedRowsContract:
     def test_g_log_rows_raise_outside_the_domain(self, spec12, rng):
         g = rand_rows(spec12, rng, 8)
