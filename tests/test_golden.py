@@ -144,6 +144,19 @@ CLI_CASES = {
                        '{"rho":1,"blocks":[{"v":[[0.5,-0.3]],"u":[[1,0],[0,1]]}]}',
                        "--g", "0.7,0.1,1.0,0.0"],
     "lattice_check": ["lattice-check", "--lambda", "2/3,1,5/3", "--exact"],
+    # isometry-verify on a stack of 50 maps with repeated blocks and on a
+    # stack of one; isometry-polar at n = 6 with a repeated block.
+    "isometry_verify_stack50": ["isometry-verify", "--lambda", "1,1,2,2,2,3",
+                                "--samples", "50", "--seed", "7"],
+    "isometry_verify_one": ["isometry-verify", "--lambda", "2", "--samples", "1"],
+    "isometry_polar_n6": [
+        "isometry-polar", "--lambda", "0.5,1,1,2,3,4", "--u",
+        '{"rho":1,"blocks":[{"v":[[0.4,-0.7]],"u":[[0.6,-0.8],[0.8,0.6]]},'
+        '{"v":[[0.3,0.2],[-0.5,1.1]],"u":[[0.5,0.5,0.5,0.5],[0.5,-0.5,0.5,-0.5],'
+        '[0.5,0.5,-0.5,-0.5],[0.5,-0.5,-0.5,0.5]]},'
+        '{"v":[[-0.2,0.9]],"u":[[0,-1],[1,0]]},{"v":[[1.3,-0.4]],"u":[[1,0],[0,1]]},'
+        '{"v":[[0.05,0.6]],"u":[[-0.28,-0.96],[0.96,-0.28]]}]}',
+        "--g", "0.9,-0.4,0.3,-0.2,1.1,0.5,-0.7,0.4,0.2,0.1,-0.6,-0.9,0.8,0.3"],
     # The local-symmetry residual where its tensors are sparse (n = 5, 6, a
     # locally symmetric and a generic diagonal metric, the second with a
     # nonzero residual) and on a dense literal matrix metric.
