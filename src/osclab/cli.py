@@ -40,6 +40,9 @@ class InputError(Exception):
     """Bad scenario input; maps to exit code 2."""
 
 
+MAX_SAMPLES = 10_000  # samples are drawn as one stack: more could exhaust memory
+
+
 def _parse_lambda(text) -> LambdaSpec:
     if text is None:
         raise InputError("missing --lambda")
@@ -315,31 +318,23 @@ def task_completeness_probe(args, spec, metric):
 def task_isometry_verify(args, spec):
     form = k_lambda(spec)
     rng = np.random.default_rng(args.seed)
-    if args.u:
-        isos = [_parse_isometry(spec, args.u)]
-    else:
-        isos = [iso_mod.random_curv_isometry(spec, rng) for _ in range(args.samples)]
-    worst_orth = worst_triple = worst_round = worst_polar = 0.0
-    for u in isos:
-        m = u.matrix
-        worst_orth = max(worst_orth, iso_mod.orthogonality_residual(form, m))
-        worst_triple = max(worst_triple, iso_mod.triple_bracket_residual(spec, m))
-        rt = iso_mod.curv_isometry_from_matrix(spec, m)
-        worst_round = max(worst_round, float(np.max(np.abs(rt.matrix - m))))
+    isos = (_parse_isometry(spec, args.u).rows if args.u
+            else iso_mod.random_curv_isometries(spec, rng, args.samples))
+    m = isos.matrix
+    worst_triple = max(iso_mod.triple_bracket_residual(spec, mk) for mk in m)
+    worst_round = float(np.max(np.abs(iso_mod.curv_isometry_from_matrix(spec, m).matrix - m)))
     # Five group elements per identity-component map, drawn in map order,
     # then checked as one stack of rows.
-    rows = [u for u in isos if u.rho == 1 for _ in range(5)]
-    if rows:
-        ts, ss, zs = [], [], []
-        for _ in rows:
-            ts.append(rng.uniform(-0.9, 0.9) * 2 * np.pi / max(spec.lambdas))
-            ss.append(rng.uniform(-2, 2))
-            zs.append(rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n))
-        g = iso_mod.GroupRows(np.array(ts), np.array(ss), np.array(zs))
-        worst_polar = float(np.max(iso_mod.polar_transport_residuals(spec, rows, g)))
+    keep = np.repeat(np.flatnonzero(isos.rho == 1), 5)
+    worst_polar = 0.0
+    if keep.size:
+        tsz = [(rng.uniform(-0.9, 0.9) * 2 * np.pi / max(spec.lambdas), rng.uniform(-2, 2),
+                rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n)) for _ in keep]
+        g = iso_mod.GroupRows(*(np.array(col) for col in zip(*tsz)))
+        worst_polar = float(np.max(iso_mod.polar_transport_residuals(spec, isos[keep], g)))
     checks = [
         _check("orthogonality", "induced maps preserve the bi-invariant form",
-               worst_orth, 1e-12),
+               iso_mod.orthogonality_residual(form, m), 1e-12),
         _check("triple_bracket", "induced maps preserve triple brackets",
                worst_triple, 1e-10),
         _check("roundtrip", "parametrization round-trip is exact",
@@ -463,8 +458,9 @@ def _run_task(args) -> int:
         inputs.append(spec)
         if takes_metric:
             inputs.append(_parse_metric(spec, args.metric))
-    if getattr(args, "samples", 1) < 1:
-        raise InputError(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= getattr(args, "samples", 1) <= MAX_SAMPLES:
+        raise InputError(f"--samples must be at least 1 and at most {MAX_SAMPLES}, "
+                         f"got {args.samples}")
     if args.seed < 0:
         raise InputError(f"--seed must be at least 0, got {args.seed}")
     fields, checks = body(args, *inputs)

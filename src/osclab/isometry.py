@@ -21,7 +21,6 @@ Euclidean one divided by the block frequency.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,8 +28,9 @@ from functools import cached_property
 import numpy as np
 
 from . import ode
-from .flows import BODY, FlowProblem
-from .algebra import LambdaSpec, _as_elem, _as_stack, _row_dot, check_json_numbers
+from .flows import BODY, FlowProblem, _rowwise
+from .algebra import (LambdaSpec, _as_elem, _as_stack, _read_only, _row_dot,
+                      check_json_numbers)
 from .metrics import BiInvariantForm, Metric
 
 # Series branches near theta = 0 (removable singularities).  Switch points
@@ -245,12 +245,90 @@ def _jmat(r: int) -> np.ndarray:
     return _rot(0.5 * math.pi, r)
 
 
-def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((m, m)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+def _special_orthogonal(a: np.ndarray, flip=False) -> np.ndarray:
+    """Per (m, m) matrix of a, Q of its QR with R's diagonal made positive and
+    Q's first column flipped where det Q < 0, other than where ``flip`` is set."""
+    q, r = np.linalg.qr(a)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[(np.linalg.det(q) < 0) ^ flip, :, 0] *= -1
     return q
+
+
+def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
+    return _special_orthogonal(rng.standard_normal((1, m, m)))[0]
+
+
+def _refuse_rows(bad: np.ndarray, message) -> None:
+    """ValueError naming the first row where the mask ``bad`` is set."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"row {k}" + message(k))
+
+
+@dataclass(frozen=True, eq=False)
+class IsometryRows:
+    """A stack of N curvature-preserving maps: rho of shape (N,) and, per
+    frequency block, vs of shape (N, 2r) and us of shape (N, 2r, 2r).
+
+    The one place where maps are validated and their induced (N, d, d)
+    ``matrix`` is assembled; a ``CurvIsometry`` is a one-row stack.  ``alpha``
+    is per row the e_0 component of the image of e_-1, forced by isotropy."""
+
+    spec: LambdaSpec
+    rho: np.ndarray
+    vs: tuple[np.ndarray, ...]
+    us: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        rho, blocks = np.asarray(self.rho), self.spec.blocks
+        if rho.ndim != 1 or len(self.vs) != len(blocks) or len(self.us) != len(blocks):
+            raise ValueError(f"need rho of shape (N,) and one (v, u) pair per "
+                             f"frequency block ({len(blocks)} blocks)")
+        _refuse_rows((rho != 1) & (rho != -1), lambda k: f": rho must be +1 or -1, got {rho[k]}")
+        # C-contiguous copies: ``matrix`` takes each row's dots from them, and
+        # a strided slice would sum in another order.
+        vs = tuple(_read_only(np.array(v, dtype=float, order="C")) for v in self.vs)
+        us = tuple(_read_only(np.array(u, dtype=float, order="C")) for u in self.us)
+        for i, ((_, r), v, u) in enumerate(zip(blocks, vs, us)):
+            if v.shape != (rho.size, 2 * r) or u.shape != (rho.size, 2 * r, 2 * r):
+                raise ValueError(f"block {i}: each of {rho.size} rows needs v of shape "
+                                 f"({2 * r},) and u of shape ({2 * r}, {2 * r})")
+            _refuse_rows(~np.isfinite(v).all(axis=1), lambda k: f", block {i}: v must be finite")
+            res = np.max(np.abs(np.swapaxes(u, 1, 2) @ u - np.eye(2 * r)), axis=(1, 2))
+            _refuse_rows(~(res <= ORTHOGONALITY_TOL),  # also refuses NaN entries
+                         lambda k: f", block {i}: u is not orthogonal (residual {res[k]:.2e})")
+        rho = _read_only(rho.astype(int))
+        with np.errstate(over="ignore"):
+            alpha = -0.5 * rho * sum(_row_dot(v, v) / lam for (lam, _), v in zip(blocks, vs))
+        _refuse_rows(~np.isfinite(alpha), lambda k: ": translation parts overflow: "
+                     f"the e_0 coefficient alpha is {alpha[k]}")
+        for name, value in (("rho", rho), ("vs", vs), ("us", us), ("alpha", _read_only(alpha))):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return self.rho.size
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        spec, rho = self.spec, self.rho
+        u = np.zeros((rho.size, spec.dim, spec.dim))
+        u[:, 0, 0] = u[:, 1, 1] = rho
+        u[:, 1, 0] = self.alpha
+        for (lam, _), rows, ui, vi in zip(spec.blocks, spec.block_rows, self.us, self.vs):
+            u[:, rows, 0] = vi
+            u[:, rows[:, None], rows] = ui
+            # The e_0 row is -rho k(u_i w, v_i) / lam per basis vector w: a
+            # vector dot per column of u_i, taken as contiguous rows so each
+            # has the bits of the 1-D dot.
+            u[:, 1, rows] = -rho[:, None] * _row_dot(
+                np.ascontiguousarray(np.swapaxes(ui, 1, 2)), vi[:, None]) / lam
+        return _read_only(u)
+
+    def __getitem__(self, idx) -> "CurvIsometry | IsometryRows":
+        """Row k as a CurvIsometry, or the rows at an index array as a new stack."""
+        cls, rho = ((CurvIsometry, int(self.rho[idx])) if np.ndim(idx) == 0
+                    else (IsometryRows, self.rho[idx]))
+        return cls(self.spec, rho, tuple(v[idx] for v in self.vs), tuple(u[idx] for u in self.us))
 
 
 @dataclass(frozen=True)
@@ -260,6 +338,7 @@ class CurvIsometry:
     Parametrized by rho in {-1, +1} and per frequency block a translation
     part v_i (real interleaved coordinates on V_i) and an orthogonal matrix
     u_i acting on V_i.  ``matrix`` is the induced linear map on the algebra.
+    The map is validated and assembled as the one-row stack ``rows``.
     """
 
     spec: LambdaSpec
@@ -268,43 +347,17 @@ class CurvIsometry:
     us: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.rho not in (-1, 1):
-            raise ValueError(f"rho must be +1 or -1, got {self.rho}")
-        blocks = self.spec.block_indices
-        if len(self.vs) != len(blocks) or len(self.us) != len(blocks):
-            raise ValueError(f"need one (v, u) pair per frequency block "
-                             f"({len(blocks)} blocks)")
-        vs, us = [], []
-        for i, idx in enumerate(blocks):
-            r = len(idx)
-            v = np.asarray(self.vs[i], dtype=float).copy()
-            u = np.asarray(self.us[i], dtype=float).copy()
-            if v.shape != (2 * r,):
-                raise ValueError(f"block {i}: v must have shape ({2*r},)")
-            if u.shape != (2 * r, 2 * r):
-                raise ValueError(f"block {i}: u must have shape ({2*r},{2*r})")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"block {i}: v must be finite")
-            res = float(np.max(np.abs(u.T @ u - np.eye(2 * r))))
-            if not res <= ORTHOGONALITY_TOL:  # also refuses NaN entries
-                raise ValueError(f"block {i}: u is not orthogonal (residual {res:.2e})")
-            v.setflags(write=False)
-            u.setflags(write=False)
-            vs.append(v)
-            us.append(u)
-        object.__setattr__(self, "vs", tuple(vs))
-        object.__setattr__(self, "us", tuple(us))
-        with np.errstate(over="ignore"):
-            alpha = self.alpha
-        if not math.isfinite(alpha):
-            raise ValueError("translation parts overflow: the e_0 coefficient "
-                             f"alpha is {alpha}")
+        rows = IsometryRows(self.spec, np.array([self.rho]),
+                            tuple(np.asarray(v, dtype=float)[None] for v in self.vs),
+                            tuple(np.asarray(u, dtype=float)[None] for u in self.us))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "vs", tuple(v[0] for v in rows.vs))
+        object.__setattr__(self, "us", tuple(u[0] for u in rows.us))
 
     @property
     def alpha(self) -> float:
         """e_0 component of the image of e_-1, forced by isotropy of that image."""
-        total = sum(float(v @ v) / lam for (lam, _), v in zip(self.spec.blocks, self.vs))
-        return -0.5 * self.rho * total
+        return float(self.rows.alpha[0])
 
     @property
     def rotational(self) -> bool:
@@ -314,22 +367,9 @@ class CurvIsometry:
     def identity_component(self) -> bool:
         return self.rho == 1 and self.rotational
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        spec = self.spec
-        u = np.zeros((spec.dim, spec.dim))
-        u[0, 0] = u[1, 1] = float(self.rho)
-        u[1, 0] = self.alpha
-        for (lam, _), rows, ui, vi in zip(spec.blocks, spec.block_rows,
-                                          self.us, self.vs):
-            u[rows, 0] = vi
-            u[rows[:, None], rows] = ui
-            # The e_0 row is -rho k(u_i w, v_i) / lam per basis vector w: a
-            # vector dot per column of u_i, taken as contiguous rows so each
-            # has the bits of the 1-D dot.
-            u[1, rows] = -self.rho * _row_dot(np.ascontiguousarray(ui.T), vi) / lam
-        u.setflags(write=False)
-        return u
+        return self.rows.matrix[0]
 
     def apply(self, x) -> np.ndarray:
         return self.matrix @ _as_elem(self.spec, x)
@@ -356,31 +396,32 @@ def compose(outer: CurvIsometry, inner: CurvIsometry) -> CurvIsometry:
     return CurvIsometry(outer.spec, rho, vs, us)
 
 
-def curv_isometry_from_matrix(spec: LambdaSpec, m, tol: float = 1e-10) -> CurvIsometry:
-    """Recover (rho, (v_i, u_i)) from an induced matrix; exact round-trip.
+def curv_isometry_from_matrix(spec: LambdaSpec, m,
+                              tol: float = 1e-10) -> CurvIsometry | IsometryRows:
+    """Recover (rho, (v_i, u_i)) from induced matrices; exact round-trip.  A
+    stack of shape (N, d, d) gives IsometryRows; a single matrix is a
+    one-row stack.
 
-    Raises when the matrix is not of the parametrized shape (which is the
+    Raises when a matrix is not of the parametrized shape (which is the
     membership test failing, not a numeric accident)."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (spec.dim, spec.dim):
-        raise ValueError(f"expected a {spec.dim}x{spec.dim} matrix")
-    rho_f = m[1, 1]
-    if abs(abs(rho_f) - 1.0) > tol:
-        raise ValueError(f"center eigenvalue {rho_f} is not a unit sign")
-    rho = 1 if rho_f > 0 else -1
-    vs, us = [], []
-    for rows in spec.block_rows:
-        vs.append(m[rows, 0])
-        us.append(m[rows[:, None], rows])
+    if m.ndim == 2:
+        return curv_isometry_from_matrix(spec, m[None], tol)[0]
+    if m.shape[1:] != (spec.dim, spec.dim):
+        raise ValueError(f"expected {spec.dim}x{spec.dim} matrices, got shape {m.shape}")
+    rho_f = m[:, 1, 1]
+    _refuse_rows(~(np.abs(np.abs(rho_f) - 1.0) <= tol),
+                 lambda k: f": center eigenvalue {rho_f[k]} is not a unit sign")
     try:
-        cand = CurvIsometry(spec, rho, tuple(vs), tuple(us))
+        cand = IsometryRows(spec, np.where(rho_f > 0, 1, -1),
+                            tuple(m[:, rows, 0] for rows in spec.block_rows),
+                            tuple(m[:, rows[:, None], rows] for rows in spec.block_rows))
     except ValueError as err:
         raise ValueError("matrix is not in the curvature-isometry "
                          f"parametrization: {err}") from err
-    res = float(np.max(np.abs(cand.matrix - m)))
-    if res > tol:
-        raise ValueError(f"matrix is not in the curvature-isometry "
-                         f"parametrization (residual {res:.3e})")
+    res = np.max(np.abs(cand.matrix - m), axis=(1, 2))
+    _refuse_rows(~(res <= tol), lambda k: ": matrix is not in the curvature-isometry "
+                 f"parametrization (residual {res[k]:.3e})")
     return cand
 
 
@@ -408,22 +449,33 @@ def curv_isometry_from_json(spec: LambdaSpec, obj) -> CurvIsometry:
     return CurvIsometry(spec, int(rho), tuple(vs), tuple(us))
 
 
+def random_curv_isometries(spec: LambdaSpec, rng: np.random.Generator, count: int,
+                           identity_component: bool = True) -> IsometryRows:
+    """count random maps, drawn map by map as count single draws would take
+    the numbers; the rotations are then made per block as one stack."""
+    sizes = [2 * r for _, r in spec.blocks]
+    vs, us, flips, rho = [], [], [], []
+    for _ in range(count):
+        for m in sizes:
+            vs.append(rng.standard_normal(m))
+            us.append(rng.standard_normal((m, m)))
+            flips.append(not identity_component and rng.random() < 0.5)
+        rho.append(1 if identity_component else int(rng.choice([-1, 1])))
+    per_block = [slice(i, None, len(sizes)) for i in range(len(sizes))]
+    return IsometryRows(spec, rho, tuple(np.array(vs[b]) for b in per_block),
+                        tuple(_special_orthogonal(np.array(us[b]), np.array(flips[b], bool))
+                              for b in per_block))
+
+
 def random_curv_isometry(spec: LambdaSpec, rng: np.random.Generator,
                          identity_component: bool = True) -> CurvIsometry:
-    vs, us = [], []
-    for _, r in spec.blocks:
-        vs.append(rng.standard_normal(2 * r))
-        u = random_rotation(2 * r, rng)
-        if not identity_component and rng.random() < 0.5:
-            u = u @ np.diag([-1.0] + [1.0] * (2 * r - 1))
-        us.append(u)
-    rho = 1 if identity_component else int(rng.choice([-1, 1]))
-    return CurvIsometry(spec, rho, tuple(vs), tuple(us))
+    return random_curv_isometries(spec, rng, 1, identity_component)[0]
 
 
 def orthogonality_residual(form: BiInvariantForm, m) -> float:
+    """max |m^T K m - K| over a matrix or a stack of them."""
     m = np.asarray(m, dtype=float)
-    return float(np.max(np.abs(m.T @ form.gram @ m - form.gram)))
+    return float(np.max(np.abs(np.swapaxes(m, -1, -2) @ form.gram @ m - form.gram)))
 
 
 def triple_bracket_residual(spec: LambdaSpec, m) -> float:
@@ -447,25 +499,26 @@ def triple_bracket_residual(spec: LambdaSpec, m) -> float:
 
 # -- polar isometries and the group of isometries --------------------------------
 
-def polar(spec: LambdaSpec, u: CurvIsometry | Sequence[CurvIsometry],
+def polar(spec: LambdaSpec, u: CurvIsometry | IsometryRows,
           g: GroupElem | GroupRows) -> GroupElem | GroupRows:
     """The global isometry extending u, in closed form (no logarithm involved,
     so there is no domain restriction).  Identity component only.
 
-    With GroupRows, u is a sequence of maps, one per row; a single element
-    is a one-row stack."""
+    With GroupRows, u is an IsometryRows with one map per row; a single map
+    and element are a one-row stack."""
     if not isinstance(g, GroupRows):
-        return _row0(polar(spec, [u], _one_row(spec, g)))
+        return _row0(polar(spec, u.rows, _one_row(spec, g)))
     _check_rows(spec, g)
     if len(u) != len(g.t):
         raise ValueError(f"need one map per row: {len(u)} maps, {len(g.t)} rows")
-    if any(ui.rho != 1 for ui in u):
+    if np.any(u.rho != 1):
         raise ValueError("closed-form polars cover the identity component (rho = +1)")
     # Per row: math.cos/sin per element (numpy's may differ in the last
     # bit), one gemv for u_i w and one vector dot.
     out = np.empty(g.z.shape, dtype=complex)
     s_corr = 0.0
-    for i, ((lam, _), idx) in enumerate(zip(spec.blocks, spec.block_indices)):
+    for i, ((lam, _), idx, vs, us) in enumerate(zip(spec.blocks, spec.block_indices,
+                                                     u.vs, u.us)):
         cols = [j - 1 for j in idx]
         theta = g.t * lam
         if not np.isfinite(theta).all():
@@ -475,8 +528,6 @@ def polar(spec: LambdaSpec, u: CurvIsometry | Sequence[CurvIsometry],
                               for f in (math.sin, math.cos))
         rot = np.empty(sin_half.shape, dtype=complex)
         rot.real, rot.imag = cos_half, sin_half
-        vs = np.stack([ui.vs[i] for ui in u])
-        us = np.stack([ui.us[i] for ui in u])
         vi = _r2c(vs)
         inner = _r2c(np.matmul(us, _c2r(np.conj(rot) * g.z[:, cols])[..., None])[..., 0])
         out[:, cols] = ((2.0 / lam) * sin_half) * rot * vi + rot * inner
@@ -486,15 +537,14 @@ def polar(spec: LambdaSpec, u: CurvIsometry | Sequence[CurvIsometry],
     return GroupRows(g.t, g.s - s_corr, out)
 
 
-def polar_transport_residuals(spec: LambdaSpec, isos: Sequence[CurvIsometry],
+def polar_transport_residuals(spec: LambdaSpec, isos: IsometryRows,
                               g: GroupRows) -> np.ndarray:
     """Per row, the max deviation of the closed-form polar P_u(g) from
     exp(u log g), u being the map of that row."""
     p1 = polar(spec, isos, g)
-    logs = g_log(spec, g)
     # One gemv per row, as u.matrix @ g_log(spec, g) for a single element;
-    # a stacked matmul sums in another order.
-    p2 = g_exp(spec, np.array([u.matrix @ x for u, x in zip(isos, logs)]))
+    # logs @ matrix^T would sum in another order.
+    p2 = g_exp(spec, _rowwise(isos.matrix, g_log(spec, g)))
     return np.maximum(np.maximum(np.abs(p1.t - p2.t), np.abs(p1.s - p2.s)),
                       np.max(np.abs(p1.z - p2.z), axis=1))
 

@@ -12,7 +12,8 @@ A step underflow with non-increasing norm raises instead, since that is
 stiffness or a bug, not incompleteness evidence, and so does a span that
 ``max_steps`` accepted steps do not cover (``StepBudgetExhausted``).
 Inputs that could only produce a meaningless status (negative or all-zero
-tolerances, a non-finite time span or initial state) raise
+tolerances, a non-finite time span or initial state, an initial state
+already beyond the blow-up threshold) raise
 ``SolverInputError``, a ``ValueError``, up front.
 
 A right-hand side returns a fresh array on every call, never a shared
@@ -74,7 +75,7 @@ class IntegrationResult:
     message: str = ""
 
 
-def _check_inputs(t0, t1, y0, rtol, atol):
+def _check_inputs(t0, t1, y0, rtol, atol, blowup_threshold):
     if not (rtol >= 0.0 and atol >= 0.0):
         raise SolverInputError(f"tolerances must be non-negative, got rtol={rtol!r}, atol={atol!r}")
     if rtol == 0.0 and atol == 0.0:
@@ -83,6 +84,9 @@ def _check_inputs(t0, t1, y0, rtol, atol):
         raise SolverInputError(f"time span endpoints must be finite, got ({t0!r}, {t1!r})")
     if not np.all(np.isfinite(y0)):
         raise SolverInputError("initial state has non-finite entries")
+    if np.max(np.abs(y0), initial=0.0) > blowup_threshold:  # a blowup at t0 means nothing
+        raise SolverInputError(f"initial state max-norm {np.max(np.abs(y0)):.3e} already "
+                               f"exceeds the blow-up threshold {blowup_threshold:g}")
 
 
 def _initial_step(f, t0, y0, f0, direction, rtol, atol):
@@ -110,7 +114,7 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).copy()
-    _check_inputs(t0, t1, y, rtol, atol)
+    _check_inputs(t0, t1, y, rtol, atol, blowup_threshold)
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
     if span == 0.0:

@@ -171,6 +171,25 @@ class TestSamplesContract:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "--samples must be at least 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["algebra-check", "--lambda", "1"],
+        ["isometry-verify", "--lambda", "1"],
+        ["completeness-probe", "--lambda", "1", "--metric", "u1_dim4"],
+    ])
+    def test_more_than_the_maximum_exits_2_before_the_task_runs(self, capsys, monkeypatch,
+                                                                argv):
+        import osclab.cli as cli
+        bodies = []
+        body, *rest = cli._TASKS[argv[0]]
+        monkeypatch.setitem(cli._TASKS, argv[0],
+                            (lambda args, *inputs: bodies.append(args) or ({}, []), *rest))
+        code, out, err = run(capsys, *argv, "--samples", str(cli.MAX_SAMPLES + 1))
+        assert code == 2 and out == "" and bodies == []
+        assert err == f"error: --samples must be at least 1 and at most " \
+                      f"{cli.MAX_SAMPLES}, got {cli.MAX_SAMPLES + 1}\n"
+        code, _, _ = run(capsys, *argv, "--samples", str(cli.MAX_SAMPLES))
+        assert code == 0 and len(bodies) == 1
+
     def test_negative_probe_samples_exit_2(self, capsys):
         code, out, err = run(capsys, "full-report", "--lambda", "1", "--metric",
                              "u1_dim4", "--probe-samples", "-3")
@@ -510,6 +529,16 @@ class TestOutOfRangeIsometryInputs:
         assert proc.stderr.startswith("error: ") and needle in proc.stderr
 
 
+def test_initial_state_beyond_the_blowup_threshold_exits_2_with_one_line():
+    # The state and its right-hand side are finite, but the solver's first
+    # step guess would divide by zero.
+    proc = run_child("geodesic-integrate", "--lambda", "1", "--metric", "u1_dim4",
+                     "--x0", "1e100,1,1,1", "--t-max", "3")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: initial state max-norm 1.000e+100 already exceeds "
+                           "the blow-up threshold 1e+08\n")
+
+
 class TestOutOfRangeInitialState:
     """A finite initial state whose first right-hand side overflows exits 2
     with one stderr line, before the solver sees it.  Child processes, as
@@ -534,6 +563,27 @@ def test_isometry_verify_takes_one_triple_bracket_residual_per_sample(capsys, mo
                         lambda spec, m: calls.append(m) or residual(spec, m))
     code, rep, _ = run_json(capsys, "isometry-verify", "--lambda", "1,2,2", "--samples", "7")
     assert code == 0 and rep["samples"] == 7 and len(calls) == 7
+
+
+def test_isometry_verify_draws_and_checks_its_maps_as_one_stack(capsys, monkeypatch):
+    # One QR per frequency block, not per sample, and one IsometryRows
+    # validation each for the drawn maps, their round trip and the polar rows.
+    import osclab.isometry as iso_mod
+    qr_shapes, validated = [], []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda a, *args: qr_shapes.append(a.shape) or qr(a, *args))
+    post_init = iso_mod.IsometryRows.__post_init__
+    monkeypatch.setattr(iso_mod.IsometryRows, "__post_init__",
+                        lambda self: validated.append(len(self.rho)) or post_init(self))
+    for n in (7, 13):
+        qr_shapes.clear()
+        validated.clear()
+        code, rep, _ = run_json(capsys, "isometry-verify", "--lambda", "1,2,2,3",
+                                "--samples", str(n))
+        assert code == 0 and rep["samples"] == n
+        assert qr_shapes == [(n, 2, 2), (n, 4, 4), (n, 2, 2)]
+        assert validated == [n, n, 5 * n]
 
 
 def test_failing_check_gives_exit_one(capsys, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import group_dist, isom_dist, paper_basis_brackets
 from osclab.algebra import LambdaSpec, basis_brackets, basis_vector
-from osclab.isometry import (CurvIsometry, GroupElem, GroupRows, IsomElem,
+from osclab.isometry import (CurvIsometry, GroupElem, GroupRows, IsomElem, IsometryRows,
                              act_sigma_on_u, commensurability_oracle, compose,
                              curv_isometry_from_json, curv_isometry_from_matrix,
                              g_exp, g_inv, g_log, g_mul, geodesic_exponential,
@@ -17,7 +17,8 @@ from osclab.isometry import (CurvIsometry, GroupElem, GroupRows, IsomElem,
                              isom_inv, isom_mul, isometry_parametrization_dim,
                              lattice_criterion, o_r_distance_from_identity,
                              orthogonality_residual, polar,
-                             polar_transport_residuals, random_curv_isometry,
+                             polar_transport_residuals, random_curv_isometries,
+                             random_curv_isometry,
                              random_rotation, triple_bracket_residual,
                              _c2r, _exp_multiplier, _r2c, _s_correction)
 from osclab.metrics import k_lambda, metric_from_iso, named_family
@@ -409,14 +410,17 @@ ROW_LAMBDAS = [(1.0,), (1.0, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 2.0, 2.0),
                (1 / 3, 1 / 3, 1 / 3, 2.0, 2.5), (0.5, 1.0, 1.0, 2.0, 3.0, 4.0)]
 
 
+def mixed_rows(spec, rng, count, rho=None):
+    """A stack of maps with random rho and reflected blocks (det u_i = -1)
+    mixed in; ``rho`` forces the sign."""
+    rows = random_curv_isometries(spec, rng, count, identity_component=False)
+    return rows if rho is None else IsometryRows(spec, np.full(count, rho), rows.vs, rows.us)
+
+
 def mixed_isometries(spec, rng, count, rho=None):
-    """Maps with random rho and reflected blocks (det u_i = -1) mixed in;
-    ``rho`` forces the sign."""
-    out = []
-    for _ in range(count):
-        u = random_curv_isometry(spec, rng, identity_component=False)
-        out.append(u if rho is None else CurvIsometry(spec, rho, u.vs, u.us))
-    return out
+    """The maps of ``mixed_rows`` one by one."""
+    rows = mixed_rows(spec, rng, count, rho)
+    return list(rows)
 
 
 def rand_rows(spec, rng, count):
@@ -514,17 +518,17 @@ class TestStackedRows:
 
     def test_polar_rows_equal_the_single_loop(self, lams, rng):
         spec = LambdaSpec(lams)
-        isos = mixed_isometries(spec, rng, 60, rho=1)
+        rows = mixed_rows(spec, rng, 60, rho=1)
+        isos = list(rows)
         g = rand_rows(spec, rng, 60)
         want = [reference_polar(spec, u, e) for u, e in zip(isos, row_elems(g))]
-        assert_rows_equal(polar(spec, isos, g), want)
+        assert_rows_equal(polar(spec, rows, g), want)
         assert_rows_equal(stack_elems([polar(spec, u, e)
                                        for u, e in zip(isos, row_elems(g))]), want)
 
     def test_transport_residuals_equal_the_single_loop(self, lams, rng):
         spec = LambdaSpec(lams)
-        isos = mixed_isometries(spec, rng, 20, rho=1)
-        rows = [u for u in isos for _ in range(5)]
+        rows = mixed_rows(spec, rng, 20, rho=1)[np.repeat(np.arange(20), 5)]
         g = rand_rows(spec, rng, len(rows))
         want = []
         for u, e in zip(rows, row_elems(g)):
@@ -553,6 +557,110 @@ class TestStackedRows:
             lhs = np.einsum("mq,abcq->abcm", m, T)
             rhs = np.einsum("ia,jb,kc,ijkm->abcm", m, m, m, T, optimize=True)
             assert triple_bracket_residual(spec, m) == float(np.max(np.abs(lhs - rhs)))
+
+
+# -- maps as one stack ---------------------------------------------------------------
+
+def reference_random_curv_isometry(spec, rng, identity_component):
+    """The per-map draw: per block one QR, sign fix and det, and a reflected
+    block as a product with diag(-1, 1, ..., 1)."""
+    vs, us = [], []
+    for _, r in spec.blocks:
+        vs.append(rng.standard_normal(2 * r))
+        q, rr = np.linalg.qr(rng.standard_normal((2 * r, 2 * r)))
+        q = q * np.sign(np.diag(rr))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        if not identity_component and rng.random() < 0.5:
+            q = q @ np.diag([-1.0] + [1.0] * (2 * r - 1))
+        us.append(q)
+    return (1 if identity_component else int(rng.choice([-1, 1]))), vs, us
+
+
+@pytest.mark.parametrize("lams", ROW_LAMBDAS, ids=lambda lams: f"n{len(lams)}")
+class TestIsometryRows:
+    @pytest.mark.parametrize("identity_component", [True, False])
+    def test_stack_rows_equal_successive_single_draws(self, lams, identity_component):
+        spec = LambdaSpec(lams)
+        rngs = [np.random.default_rng(17) for _ in range(3)]
+        rows = random_curv_isometries(spec, rngs[0], 40, identity_component)
+        singles = [random_curv_isometry(spec, rngs[1], identity_component)
+                   for _ in range(40)]
+        for k, u in enumerate(singles):
+            np.testing.assert_array_equal(rows.matrix[k], u.matrix)
+            rho, vs, us = reference_random_curv_isometry(spec, rngs[2], identity_component)
+            assert rows.rho[k] == u.rho == rho
+            for i in range(len(spec.blocks)):
+                np.testing.assert_array_equal(rows.vs[i][k], vs[i])
+                np.testing.assert_array_equal(rows.us[i][k], us[i])
+            np.testing.assert_array_equal(u.matrix, CurvIsometry(spec, rho, vs, us).matrix)
+        # The three generators stand at the same place in the stream.
+        assert len({rng.random() for rng in rngs}) == 1
+
+    def test_round_trip_of_a_stack_is_exact(self, lams, rng):
+        spec, d = LambdaSpec(lams), 2 * len(lams) + 2
+        rows = mixed_rows(spec, rng, 40)
+        m = rows.matrix
+        big = np.zeros((80, d + 3, d + 2))
+        big[::2, 2 : d + 2, 1 : d + 1] = m
+        sliced = big[::2, 2 : d + 2, 1 : d + 1]
+        for stack in (m, sliced, np.asfortranarray(m)):
+            back = curv_isometry_from_matrix(spec, stack)
+            assert float(np.max(np.abs(back.matrix - stack))) == 0.0
+            np.testing.assert_array_equal(back.rho, rows.rho)
+        for k in range(len(rows)):
+            single = curv_isometry_from_matrix(spec, sliced[k])
+            assert float(np.max(np.abs(single.matrix - m[k]))) == 0.0
+
+    def test_orthogonality_of_a_stack_is_the_worst_row(self, lams, rng):
+        spec = LambdaSpec(lams)
+        form, m = k_lambda(spec), mixed_rows(spec, rng, 30).matrix
+        assert orthogonality_residual(form, m) == max(orthogonality_residual(form, mk)
+                                                      for mk in m)
+
+
+class TestIsometryRowsContract:
+    @pytest.mark.parametrize("part, block, value, needle", [
+        ("u", 0, 1e-3, "u is not orthogonal"), ("u", 1, math.nan, "u is not orthogonal"),
+        ("v", 0, math.inf, "v must be finite"), ("v", 1, math.nan, "v must be finite"),
+    ])
+    def test_a_bad_row_is_refused_by_row_and_block(self, spec112, rng, part, block,
+                                                   value, needle):
+        rows = random_curv_isometries(spec112, rng, 6)
+        vs, us = [v.copy() for v in rows.vs], [u.copy() for u in rows.us]
+        if part == "u":
+            us[block][3, 0, 1] += value
+        else:
+            vs[block][3, 1] = value
+        with pytest.raises(ValueError, match=rf"^row 3, block {block}: {needle}"):
+            IsometryRows(spec112, rows.rho, vs, us)
+
+    def test_a_bad_sign_or_overflowing_alpha_names_the_row(self, spec12, rng):
+        rows = random_curv_isometries(spec12, rng, 5)
+        with pytest.raises(ValueError, match=r"^row 2: rho must be \+1 or -1, got 0"):
+            IsometryRows(spec12, [1, -1, 0, 1, 1], rows.vs, rows.us)
+        vs = [v.copy() for v in rows.vs]
+        vs[0][4] = [1e200, 1.2]
+        with pytest.raises(ValueError, match=r"^row 4: .* alpha is -inf"):
+            IsometryRows(spec12, rows.rho, vs, rows.us)
+
+    def test_shapes_are_checked_per_block(self, spec12, rng):
+        rows = random_curv_isometries(spec12, rng, 3)
+        for rho, vs, us in ((rows.rho[:, None], rows.vs, rows.us),
+                            (rows.rho, rows.vs[:1], rows.us[:1])):
+            with pytest.raises(ValueError, match=r"need rho of shape \(N,\) and one "):
+                IsometryRows(spec12, rho, vs, us)
+        with pytest.raises(ValueError, match="block 1: each of 3 rows"):
+            IsometryRows(spec12, rows.rho, (rows.vs[0], rows.vs[1][:2]), rows.us)
+
+    def test_the_stack_is_read_only_and_contiguous(self, spec112, rng):
+        m = random_curv_isometries(spec112, rng, 4).matrix
+        rows = curv_isometry_from_matrix(spec112, m)
+        for a in (rows.rho, *rows.vs, *rows.us, rows.matrix):
+            assert not a.flags.writeable and a.flags.c_contiguous
+        single = rows[2]
+        np.testing.assert_array_equal(single.matrix, m[2])
+        assert single.rows.matrix.shape == (1, spec112.dim, spec112.dim)
 
 
 # -- the triple-bracket residual over the nonzeros of T ----------------------------
@@ -624,11 +732,11 @@ class TestStackedRowsContract:
 
     def test_polar_rows_need_one_identity_component_map_per_row(self, spec12, rng):
         g = rand_rows(spec12, rng, 4)
-        isos = mixed_isometries(spec12, rng, 4, rho=1)
+        isos = mixed_rows(spec12, rng, 4, rho=1)
         with pytest.raises(ValueError, match="one map per row"):
-            polar(spec12, isos[:3], g)
+            polar(spec12, isos[[0, 1, 2]], g)
         with pytest.raises(ValueError, match="rho"):
-            polar(spec12, isos[:3] + mixed_isometries(spec12, rng, 1, rho=-1), g)
+            polar(spec12, IsometryRows(spec12, [1, 1, 1, -1], isos.vs, isos.us), g)
 
     @pytest.mark.parametrize("shape", ["z_columns", "t_rows", "s_rows", "t_2d"])
     def test_rows_must_match_the_spec(self, spec12, rng, shape):
@@ -640,7 +748,7 @@ class TestStackedRowsContract:
             "t_2d": (g.t[:, None], g.s, g.z),
         }[shape]
         bad = GroupRows(t, s, z)
-        isos = mixed_isometries(spec12, rng, len(t), rho=1)
+        isos = mixed_rows(spec12, rng, len(t), rho=1)
         with pytest.raises(ValueError, match="group rows need"):
             polar(spec12, isos, bad)
         with pytest.raises(ValueError, match="group rows need"):

@@ -111,6 +111,17 @@ class TestInputGuards:
         with pytest.raises(ode.SolverInputError, match="initial state"):
             ode.solve_rk45(decay, (0.0, 1.0), np.array(y0))
 
+    def test_initial_state_beyond_the_blowup_threshold(self):
+        # (f0 / scale) ** 2 would overflow in the first-step guess and make
+        # it zero; the state is refused before any right-hand side call.
+        f = Counted(decay)
+        with pytest.raises(ode.SolverInputError, match="already exceeds the blow-up"):
+            ode.solve_rk45(f, (0.0, 1.0), np.array([1e100, 1.0]))
+        assert f.calls == 0
+        res = ode.solve_rk45(decay, (0.0, 1.0), np.array([1e100, 1.0]),
+                             blowup_threshold=math.inf)
+        assert res.status == ode.COMPLETED
+
     def test_input_errors_are_value_errors(self):
         assert issubclass(ode.SolverInputError, ValueError)
 
