@@ -328,9 +328,12 @@ def task_isometry_verify(args, spec):
     keep = np.repeat(np.flatnonzero(isos.rho == 1), 5)
     worst_polar = 0.0
     if keep.size:
-        tsz = [(rng.uniform(-0.9, 0.9) * 2 * np.pi / max(spec.lambdas), rng.uniform(-2, 2),
-                rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n)) for _ in keep]
-        g = iso_mod.GroupRows(*(np.array(col) for col in zip(*tsz)))
+        ts, ss, zs = [], [], []
+        for _ in keep:
+            ts.append(rng.uniform(-0.9, 0.9) * 2 * np.pi / max(spec.lambdas))
+            ss.append(rng.uniform(-2, 2))
+            zs.append(rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n))
+        g = iso_mod.GroupRows(np.array(ts), np.array(ss), np.array(zs))
         worst_polar = float(np.max(iso_mod.polar_transport_residuals(spec, isos[keep], g)))
     checks = [
         _check("orthogonality", "induced maps preserve the bi-invariant form",

@@ -254,10 +254,6 @@ def _special_orthogonal(a: np.ndarray, flip=False) -> np.ndarray:
     return q
 
 
-def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
-    return _special_orthogonal(rng.standard_normal((1, m, m)))[0]
-
-
 def _refuse_rows(bad: np.ndarray, message) -> None:
     """ValueError naming the first row where the mask ``bad`` is set."""
     if bad.any():

@@ -84,9 +84,10 @@ def _check_inputs(t0, t1, y0, rtol, atol, blowup_threshold):
         raise SolverInputError(f"time span endpoints must be finite, got ({t0!r}, {t1!r})")
     if not np.all(np.isfinite(y0)):
         raise SolverInputError("initial state has non-finite entries")
-    if np.max(np.abs(y0), initial=0.0) > blowup_threshold:  # a blowup at t0 means nothing
-        raise SolverInputError(f"initial state max-norm {np.max(np.abs(y0)):.3e} already "
-                               f"exceeds the blow-up threshold {blowup_threshold:g}")
+    norm = float(np.max(np.abs(y0), initial=0.0))
+    if norm > blowup_threshold:  # a blowup verdict at t0 would mean nothing
+        raise SolverInputError(f"initial state max-norm {norm:.3e} already exceeds "
+                               f"the blow-up threshold {blowup_threshold:g}")
 
 
 def _initial_step(f, t0, y0, f0, direction, rtol, atol):

@@ -19,7 +19,7 @@ from osclab.isometry import (CurvIsometry, GroupElem, GroupRows, IsomElem, Isome
                              orthogonality_residual, polar,
                              polar_transport_residuals, random_curv_isometries,
                              random_curv_isometry,
-                             random_rotation, triple_bracket_residual,
+                             triple_bracket_residual,
                              _c2r, _exp_multiplier, _r2c, _s_correction)
 from osclab.metrics import k_lambda, metric_from_iso, named_family
 
@@ -396,11 +396,11 @@ class TestLattice:
         assert v.discrete == commensurability_oracle(values)
 
 
-def test_random_rotation_is_special_orthogonal(rng):
-    for m in (2, 4, 6):
-        q = random_rotation(m, rng)
-        assert np.max(np.abs(q.T @ q - np.eye(m))) <= 1e-12
-        assert np.linalg.det(q) > 0
+def test_drawn_rotations_are_special_orthogonal(rng):
+    for r in (1, 2, 3):
+        for q in random_curv_isometries(LambdaSpec((1.0,) * r), rng, 20).us[0]:
+            assert np.max(np.abs(q.T @ q - np.eye(2 * r))) <= 1e-12
+            assert np.linalg.det(q) > 0
 
 
 # -- stacked rows, bit for bit against the single-element functions --------------
