@@ -245,7 +245,7 @@ def _jmat(r: int) -> np.ndarray:
     return _rot(0.5 * math.pi, r)
 
 
-def _special_orthogonal(a: np.ndarray, flip=False) -> np.ndarray:
+def _special_orthogonal(a: np.ndarray, flip: np.ndarray) -> np.ndarray:
     """Per (m, m) matrix of a, Q of its QR with R's diagonal made positive and
     Q's first column flipped where det Q < 0, other than where ``flip`` is set."""
     q, r = np.linalg.qr(a)

@@ -18,8 +18,7 @@ from osclab.isometry import (CurvIsometry, GroupElem, GroupRows, IsomElem, Isome
                              lattice_criterion, o_r_distance_from_identity,
                              orthogonality_residual, polar,
                              polar_transport_residuals, random_curv_isometries,
-                             random_curv_isometry,
-                             triple_bracket_residual,
+                             random_curv_isometry, triple_bracket_residual,
                              _c2r, _exp_multiplier, _r2c, _s_correction)
 from osclab.metrics import k_lambda, metric_from_iso, named_family
 
@@ -419,8 +418,7 @@ def mixed_rows(spec, rng, count, rho=None):
 
 def mixed_isometries(spec, rng, count, rho=None):
     """The maps of ``mixed_rows`` one by one."""
-    rows = mixed_rows(spec, rng, count, rho)
-    return list(rows)
+    return list(mixed_rows(spec, rng, count, rho))
 
 
 def rand_rows(spec, rng, count):
