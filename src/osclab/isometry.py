@@ -321,8 +321,8 @@ class IsometryRows:
         return _read_only(u)
 
     def __getitem__(self, idx) -> "CurvIsometry | IsometryRows":
-        """Row k as a CurvIsometry, or the rows at an index array as a new stack."""
-        cls, rho = ((CurvIsometry, int(self.rho[idx])) if np.ndim(idx) == 0
+        """Row k as a CurvIsometry; a slice, index array or mask gives a new stack."""
+        cls, rho = ((CurvIsometry, int(self.rho[idx])) if np.isscalar(idx)
                     else (IsometryRows, self.rho[idx]))
         return cls(self.spec, rho, tuple(v[idx] for v in self.vs), tuple(u[idx] for u in self.us))
 

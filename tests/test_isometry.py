@@ -659,6 +659,9 @@ class TestIsometryRowsContract:
         single = rows[2]
         np.testing.assert_array_equal(single.matrix, m[2])
         assert single.rows.matrix.shape == (1, spec112.dim, spec112.dim)
+        for idx in (slice(1, 3), [1, 2], np.array([False, True, True, False])):
+            np.testing.assert_array_equal(rows[idx].matrix, m[1:3])
+        assert len(list(rows)) == 4
 
 
 # -- the triple-bracket residual over the nonzeros of T ----------------------------
