@@ -194,11 +194,24 @@ def _as_stack(spec: LambdaSpec, x) -> np.ndarray:
     return x
 
 
+# Bit-stable stacked products.  Each row of a stacked matmul runs the same
+# BLAS kernel as the single-element product (vector dot for a @ b, gemv for
+# m @ x), so every row has the bits of a per-row loop; einsum, X @ m.T and
+# (a * b).sum(-1) sum in another order.
+
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # A stack of (1, n) @ (n, 1) products runs numpy's vector dot per row,
-    # so each row has the bits of the 1-D ``a @ b``; einsum and
-    # ``(a * b).sum(-1)`` sum in another order.
+    """a @ b for every pair of rows, over any leading axes."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _rowwise(m: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """m @ x for every row x of X; m is a matrix or a vector."""
+    return (m @ X[:, :, None])[..., 0]
+
+
+def _row_bilinear(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a @ m) @ b for every pair of rows of a and b."""
+    return ((a[:, None, :] @ m) @ b[:, :, None])[:, 0, 0]
 
 
 def bracket(spec: LambdaSpec, x, y) -> np.ndarray:
@@ -214,7 +227,7 @@ def bracket(spec: LambdaSpec, x, y) -> np.ndarray:
     n, lam = spec.n, spec.lam
     x0, x1, xc = x[..., :1], x[..., 2 : 2 + n], x[..., 2 + n :]
     y0, y1, yc = y[..., :1], y[..., 2 : 2 + n], y[..., 2 + n :]
-    out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    out = np.zeros(np.broadcast(x, y).shape)
     out[..., 1] = _row_dot(x1, yc) - _row_dot(xc, y1)
     out[..., 2 : 2 + n] = -lam * (x0 * yc - y0 * xc)
     out[..., 2 + n :] = lam * (x0 * y1 - y0 * x1)

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .algebra import (LambdaSpec, basis_vector, bracket, cartan, center,
                       derived_ideal, is_json_number, jacobi_residual)
-from .metrics import (DegenerateMetric, NotKSymmetric, ad_invariance_residual,
+from .metrics import (DegenerateMetric, NotKSymmetric, SymIso, ad_invariance_residual,
                       completeness_criteria, k_lambda,
                       k_symmetry_residual, locsym_conditions, metric_from_iso,
                       parse_sym_iso, signature)
@@ -137,7 +137,7 @@ def _locsym_tolerance(metric):
     """1e-10 where the diagonal conditions certify local symmetry, else None
     (the residual is only measured)."""
     certified = metric.iso.kind == "diagonal_sym" and all(
-        c is not None for c in locsym_conditions(metric.iso, tol=1e-9))
+        c is not None for c in locsym_conditions(metric.iso))
     return 1e-10 if certified else None
 
 
@@ -210,8 +210,7 @@ def task_metric_info(args, spec, metric):
         _check("ad_invariance", "bi-invariant form is ad-invariant",
                ad_invariance_residual(form, seed=args.seed), 1e-12),
         _verdict_check("k_index", "bi-invariant form has index 1",
-                       metric_from_iso(form, parse_sym_iso(spec, {"kind": "matrix",
-                           "rows": np.eye(spec.dim).tolist()})).index, 1),
+                       metric_from_iso(form, SymIso(spec, np.eye(spec.dim))).index, 1),
     ]
     info = {
         "kind": metric.iso.kind,
@@ -222,7 +221,7 @@ def task_metric_info(args, spec, metric):
         "completeness_verdict": completeness_criteria(spec, metric.iso),
     }
     if metric.iso.kind == "diagonal_sym":
-        info["symmetry_conditions"] = list(locsym_conditions(metric.iso, tol=1e-9))
+        info["symmetry_conditions"] = list(locsym_conditions(metric.iso))
     return {"metric": info, "seed": args.seed}, checks
 
 
@@ -324,16 +323,17 @@ def task_isometry_verify(args, spec):
     worst_triple = max(iso_mod.triple_bracket_residual(spec, mk) for mk in m)
     worst_round = float(np.max(np.abs(iso_mod.curv_isometry_from_matrix(spec, m).matrix - m)))
     # Five group elements per identity-component map, drawn in map order,
-    # then checked as one stack of rows.
+    # then checked as one stack of rows.  Per row, (t, s) is uniform on
+    # [-0.9, 0.9] x [-2, 2] by numpy's own low + (high - low) * u, and z
+    # takes one normal draw of 2n values.
     keep = np.repeat(np.flatnonzero(isos.rho == 1), 5)
     worst_polar = 0.0
     if keep.size:
-        ts, ss, zs = [], [], []
-        for _ in keep:
-            ts.append(rng.uniform(-0.9, 0.9) * 2 * np.pi / max(spec.lambdas))
-            ss.append(rng.uniform(-2, 2))
-            zs.append(rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n))
-        g = iso_mod.GroupRows(np.array(ts), np.array(ss), np.array(zs))
+        n, low, high = spec.n, np.array([-0.9, -2.0]), np.array([0.9, 2.0])
+        ts_ss, w = map(np.array, zip(*[(low + (high - low) * rng.random(2),
+                                        rng.standard_normal(2 * n)) for _ in keep]))
+        g = iso_mod.GroupRows(ts_ss[:, 0] * 2 * np.pi / max(spec.lambdas), ts_ss[:, 1],
+                              w[:, :n] + 1j * w[:, n:])
         worst_polar = float(np.max(iso_mod.polar_transport_residuals(spec, isos[keep], g)))
     checks = [
         _check("orthogonality", "induced maps preserve the bi-invariant form",

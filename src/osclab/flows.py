@@ -20,9 +20,10 @@ from functools import cached_property
 import numpy as np
 
 from . import ode
-from .algebra import LambdaSpec, _as_elem, ad, basis_brackets, basis_vector, bracket
+from .algebra import (LambdaSpec, _as_elem, _row_bilinear, _rowwise, ad, basis_brackets,
+                      basis_vector, bracket)
 from .connection import levi_civita
-from .metrics import Metric, completeness_criteria, named_family
+from .metrics import Metric, completeness_criteria, named_family, stabilizes_cartan
 
 BODY = "body"
 EULER = "euler_u"
@@ -80,20 +81,6 @@ class FlowProblem:
         return states
 
 
-# Stacked products.  Each row of a stacked matmul runs the same BLAS kernel
-# as the single-state product (gemv for m @ x, dot for w @ x), so the values
-# are bit-equal to a per-row loop; X @ m.T or einsum are not.
-
-def _rowwise(m, X):
-    """m @ x for every row x of X; m is a matrix or a vector."""
-    return (m @ X[:, :, None])[..., 0]
-
-
-def _quadratic(m, X):
-    """x @ m @ x for every row x of X."""
-    return (X[:, None, :] @ m @ X[:, :, None])[:, 0, 0]
-
-
 def _sq(v):
     # libm pow(v, 2), the rounding the pinned invariant logs were made with
     # (a scalar v ** 2 calls it); array v ** 2 computes v * v instead, which
@@ -132,14 +119,13 @@ class AdaptedFrame:
     b: float           # u(e_-1)  = alpha e_-1 + b e_0
 
 
-def cartan_adapted_frame(metric: Metric, tol: float = 1e-10) -> AdaptedFrame:
+def cartan_adapted_frame(metric: Metric) -> AdaptedFrame:
     """Requires u to stabilize the canonical Cartan subalgebra span{e_-1, e_0}."""
     spec = metric.spec
     u = metric.iso.matrix
     d = spec.dim
-    for col in (0, 1):
-        if float(np.max(np.abs(u[2:, col]))) > tol * max(1.0, float(np.max(np.abs(u[:, col])))):
-            raise ValueError("u does not stabilize the canonical Cartan subalgebra")
+    if not stabilizes_cartan(u):
+        raise ValueError("u does not stabilize the canonical Cartan subalgebra")
     lam_rep = np.concatenate([spec.lam, spec.lam])
     scale = np.sqrt(1.0 / lam_rep)          # Cholesky factor of the diagonal Gram
     a_w = u[2:, 2:]
@@ -173,9 +159,9 @@ def first_integrals(metric: Metric) -> FirstIntegralSet:
     uT_g_u = u.T @ gram @ u
 
     out = [
-        FirstIntegral("E", lambda X, m=gu: _quadratic(m, X)),      # k_u(x, x)
-        FirstIntegral("A", lambda X, m=uT_g_u: _quadratic(m, X)),  # k(u x, u x)
-        FirstIntegral("C", lambda X, w=ue0: _rowwise(w, X)),       # k(x, u(e_0))
+        FirstIntegral("E", lambda X, m=gu: _row_bilinear(X, m, X)),      # k_u(x, x)
+        FirstIntegral("A", lambda X, m=uT_g_u: _row_bilinear(X, m, X)),  # k(u x, u x)
+        FirstIntegral("C", lambda X, w=ue0: _rowwise(w, X)),             # k(x, u(e_0))
     ]
     notes: list[str] = []
 
@@ -331,11 +317,8 @@ class ProbeSample:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    metric_kind: str
     verdict: str                  # sufficient-condition verdict for completeness
-    sample_count: int
-    t_max: float
-    samples: tuple[ProbeSample, ...]
+    samples: tuple[ProbeSample, ...]  # two per initial state, forward then backward
     n_blowup: int
     n_underflow: int
     earliest_blowup: float | None
@@ -382,10 +365,7 @@ def completeness_probe(metric: Metric, sample_count: int, t_max: float,
     under = [s for s in results if s.status == ode.STEP_UNDERFLOW]
     times = [abs(s.t_detected) for s in blow + under if s.t_detected is not None]
     return ProbeReport(
-        metric_kind=metric.iso.kind,
         verdict=completeness_criteria(spec, metric.iso),
-        sample_count=sample_count,
-        t_max=t_max,
         samples=tuple(results),
         n_blowup=len(blow),
         n_underflow=len(under),

@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from . import ode
-from .flows import BODY, FlowProblem, _rowwise
-from .algebra import (LambdaSpec, _as_elem, _as_stack, _read_only, _row_dot,
+from .flows import BODY, FlowProblem
+from .algebra import (LambdaSpec, _as_elem, _as_stack, _read_only, _row_dot, _rowwise,
                       check_json_numbers)
 from .metrics import BiInvariantForm, Metric
 
@@ -41,6 +41,8 @@ from .metrics import BiInvariantForm, Metric
 _MULT_SWITCH = 1e-4
 _CORR_SWITCH = 5e-2
 ORTHOGONALITY_TOL = 1e-10
+# Largest entry-wise deviation of a matrix from the map it is recovered as.
+ROUNDTRIP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -177,9 +179,10 @@ def g_log(spec: LambdaSpec, g: GroupElem | GroupRows) -> np.ndarray:
     return np.concatenate([g.t[:, None], s[:, None], z.real, z.imag], axis=1)
 
 
-def geodesic_exponential(metric: Metric, x0, t_end: float = 1.0,
-                         rtol: float = 1e-10, atol: float = 1e-12) -> GroupElem:
-    """Geodesic exponential of k_u at the identity, by numeric integration.
+def geodesic_exponential(metric: Metric, x0, rtol: float = 1e-10,
+                         atol: float = 1e-12) -> GroupElem:
+    """Geodesic exponential of k_u at the identity (the time-1 flow), by
+    numeric integration.
 
     Integrates the body equation for the velocity (the right-hand side of a
     body-form FlowProblem) together with the frame reconstruction on the
@@ -188,7 +191,7 @@ def geodesic_exponential(metric: Metric, x0, t_end: float = 1.0,
     spec = metric.spec
     n, d = spec.n, spec.dim
     lam = spec.lam
-    problem = FlowProblem(metric, x0, (0.0, t_end), form=BODY)
+    problem = FlowProblem(metric, x0, (0.0, 1.0), form=BODY)
 
     # state = (x, t, s, Re z, Im z)
     def f(tau, state):
@@ -207,9 +210,9 @@ def geodesic_exponential(metric: Metric, x0, t_end: float = 1.0,
         return out
 
     state0 = np.concatenate([problem.x0, np.zeros(d)])
-    res = ode.solve_rk45(f, (0.0, t_end), state0, rtol=rtol, atol=atol)
+    res = ode.solve_rk45(f, (0.0, 1.0), state0, rtol=rtol, atol=atol)
     if res.status != ode.COMPLETED:
-        raise RuntimeError(f"geodesic did not reach t={t_end}: {res.status}")
+        raise RuntimeError(f"geodesic did not reach t=1: {res.status}")
     end = res.ys[-1]
     return GroupElem(end[d], end[d + 1],
                      tuple(end[d + 2 : d + 2 + n] + 1j * end[d + 2 + n :]))
@@ -392,8 +395,7 @@ def compose(outer: CurvIsometry, inner: CurvIsometry) -> CurvIsometry:
     return CurvIsometry(outer.spec, rho, vs, us)
 
 
-def curv_isometry_from_matrix(spec: LambdaSpec, m,
-                              tol: float = 1e-10) -> CurvIsometry | IsometryRows:
+def curv_isometry_from_matrix(spec: LambdaSpec, m) -> CurvIsometry | IsometryRows:
     """Recover (rho, (v_i, u_i)) from induced matrices; exact round-trip.  A
     stack of shape (N, d, d) gives IsometryRows; a single matrix is a
     one-row stack.
@@ -402,11 +404,11 @@ def curv_isometry_from_matrix(spec: LambdaSpec, m,
     membership test failing, not a numeric accident)."""
     m = np.asarray(m, dtype=float)
     if m.ndim == 2:
-        return curv_isometry_from_matrix(spec, m[None], tol)[0]
+        return curv_isometry_from_matrix(spec, m[None])[0]
     if m.shape[1:] != (spec.dim, spec.dim):
         raise ValueError(f"expected {spec.dim}x{spec.dim} matrices, got shape {m.shape}")
     rho_f = m[:, 1, 1]
-    _refuse_rows(~(np.abs(np.abs(rho_f) - 1.0) <= tol),
+    _refuse_rows(~(np.abs(np.abs(rho_f) - 1.0) <= ROUNDTRIP_TOL),
                  lambda k: f": center eigenvalue {rho_f[k]} is not a unit sign")
     try:
         cand = IsometryRows(spec, np.where(rho_f > 0, 1, -1),
@@ -416,7 +418,7 @@ def curv_isometry_from_matrix(spec: LambdaSpec, m,
         raise ValueError("matrix is not in the curvature-isometry "
                          f"parametrization: {err}") from err
     res = np.max(np.abs(cand.matrix - m), axis=(1, 2))
-    _refuse_rows(~(res <= tol), lambda k: ": matrix is not in the curvature-isometry "
+    _refuse_rows(~(res <= ROUNDTRIP_TOL), lambda k: ": matrix is not in the curvature-isometry "
                  f"parametrization (residual {res[k]:.3e})")
     return cand
 

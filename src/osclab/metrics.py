@@ -14,12 +14,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LambdaSpec, _as_elem, bracket, check_json_numbers
+from .algebra import LambdaSpec, _as_elem, _row_bilinear, bracket, check_json_numbers
 
 # Acceptance tolerance for k-symmetry, absolute on max|Gram@u - (Gram@u)^T|.
 K_SYMMETRY_TOL = 1e-10
 # Tolerance used when testing whether u stabilizes a distinguished subspace.
 STABILITY_TOL = 1e-10
+# Tolerance of the diagonal family's local-symmetry conditions (a) and (b).
+LOCSYM_TOL = 1e-9
 
 COMPLETE_CENTER = "complete_center"
 COMPLETE_CARTAN = "complete_cartan"
@@ -56,17 +58,12 @@ def k_lambda(spec: LambdaSpec) -> BiInvariantForm:
     return BiInvariantForm(spec, g)
 
 
-def ad_invariance_residual(form: BiInvariantForm, n_samples: int = 200, seed: int = 0) -> float:
-    """Worst |k([x,y],z) + k(y,[x,z])| over random unit-scale triples."""
+def ad_invariance_residual(form: BiInvariantForm, seed: int = 0) -> float:
+    """Worst |k([x,y],z) + k(y,[x,z])| over 200 random unit-scale triples."""
     spec, gram = form.spec, form.gram
-    x, y, z = np.random.default_rng(seed).standard_normal(
-        (n_samples, 3, spec.dim)).transpose(1, 0, 2)
-
-    def k(a, b):  # row-wise form.value(a, b), with its bits
-        return ((a[:, None, :] @ gram) @ b[:, :, None])[:, 0, 0]
-
-    r = k(bracket(spec, x, y), z) + k(y, bracket(spec, x, z))
-    return float(np.max(np.abs(r), initial=0.0))
+    x, y, z = np.random.default_rng(seed).standard_normal((200, 3, spec.dim)).transpose(1, 0, 2)
+    r = _row_bilinear(bracket(spec, x, y), gram, z) + _row_bilinear(y, gram, bracket(spec, x, z))
+    return float(np.max(np.abs(r)))
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ class Metric:
         return float(_as_elem(spec, x) @ self.gram_u @ _as_elem(spec, y))
 
 
-def metric_from_iso(form: BiInvariantForm, iso: SymIso, tol: float = K_SYMMETRY_TOL) -> Metric:
+def metric_from_iso(form: BiInvariantForm, iso: SymIso) -> Metric:
     """Build k_u from a k-symmetric isomorphism; rejects bad input loudly."""
     if iso.spec is not form.spec and iso.spec != form.spec:
         raise ValueError("isomorphism and form belong to different specs")
@@ -130,9 +127,9 @@ def metric_from_iso(form: BiInvariantForm, iso: SymIso, tol: float = K_SYMMETRY_
         raise ValueError("isomorphism entries must be finite"
                          if not np.isfinite(iso.matrix).all()
                          else "gram matrix of k_u overflows the float range")
-    if res > tol:
+    if res > K_SYMMETRY_TOL:
         raise NotKSymmetric(
-            f"matrix is not k-symmetric: residual {res:.3e} exceeds {tol:.1e}"
+            f"matrix is not k-symmetric: residual {res:.3e} exceeds {K_SYMMETRY_TOL:.1e}"
         )
     w = np.linalg.eigvalsh(gram_u)
     scale = float(np.max(np.abs(w)))
@@ -143,11 +140,11 @@ def metric_from_iso(form: BiInvariantForm, iso: SymIso, tol: float = K_SYMMETRY_
     return Metric(form, iso, gram_u, index)
 
 
-def signature(metric: Metric, tol: float = 1e-10) -> tuple[int, int]:
+def signature(metric: Metric) -> tuple[int, int]:
     """Eigenvalue sign counts (positive, negative) of the Gram matrix of k_u."""
     w = np.linalg.eigvalsh(metric.gram_u)
     scale = float(np.max(np.abs(w)))
-    if float(np.min(np.abs(w))) <= tol * scale:
+    if float(np.min(np.abs(w))) <= 1e-10 * scale:
         raise DegenerateMetric("eigenvalue within tolerance of zero; signature undefined")
     return int(np.sum(w > 0.0)), int(np.sum(w < 0.0))
 
@@ -250,18 +247,18 @@ def named_family(spec: LambdaSpec, name: str, **params) -> SymIso:
     raise ValueError(f"unknown metric family {name!r}")
 
 
-def locsym_conditions(iso: SymIso, tol: float = 1e-12) -> tuple[str | None, ...]:
-    """Per oscillator index, which diagonal-family condition holds:
-    'a' when eta_i + etc_i = 1, 'b' when eta_i = etc_i, else None."""
+def locsym_conditions(iso: SymIso) -> tuple[str | None, ...]:
+    """Per oscillator index, which diagonal-family condition holds, to
+    LOCSYM_TOL: 'a' when eta_i + etc_i = 1, 'b' when eta_i = etc_i, else None."""
     if iso.kind != "diagonal_sym":
         raise ValueError("condition flags only apply to the diagonal_sym family")
     eta = np.asarray(iso.params["eta"])
     etc = np.asarray(iso.params["eta_check"])
     out = []
     for h, hc in zip(eta, etc):
-        if abs(h + hc - 1.0) <= tol:
+        if abs(h + hc - 1.0) <= LOCSYM_TOL:
             out.append("a")
-        elif abs(h - hc) <= tol:
+        elif abs(h - hc) <= LOCSYM_TOL:
             out.append("b")
         else:
             out.append(None)
@@ -298,15 +295,20 @@ def parse_sym_iso(spec: LambdaSpec, obj) -> SymIso:
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
-def _stable_column(col: np.ndarray, keep_rows, tol: float) -> bool:
+def _stable_column(col: np.ndarray, keep_rows) -> bool:
     mask = np.ones(col.shape, dtype=bool)
     mask[list(keep_rows)] = False
     scale = max(1.0, float(np.max(np.abs(col))))
-    return float(np.max(np.abs(col[mask]))) <= tol * scale
+    return float(np.max(np.abs(col[mask]))) <= STABILITY_TOL * scale
 
 
-def completeness_criteria(spec: LambdaSpec, iso: SymIso | np.ndarray,
-                          tol: float = STABILITY_TOL) -> str:
+def stabilizes_cartan(m: np.ndarray) -> bool:
+    """Whether the matrix m maps the canonical Cartan subalgebra
+    span{e_-1, e_0} into itself, to STABILITY_TOL."""
+    return _stable_column(m[:, 0], (0, 1)) and _stable_column(m[:, 1], (0, 1))
+
+
+def completeness_criteria(spec: LambdaSpec, iso: SymIso | np.ndarray) -> str:
     """Sufficient-condition verdict for geodesic completeness of k_u.
 
     complete_center when u maps span{e_0} into itself, complete_cartan when
@@ -314,11 +316,9 @@ def completeness_criteria(spec: LambdaSpec, iso: SymIso | np.ndarray,
     undetermined (no conclusion, not a claim of incompleteness).
     """
     m = iso.matrix if isinstance(iso, SymIso) else np.asarray(iso, dtype=float)
-    if _stable_column(m[:, 1], (1,), tol):
+    if _stable_column(m[:, 1], (1,)):
         return COMPLETE_CENTER
-    if _stable_column(m[:, 0], (0, 1), tol) and _stable_column(m[:, 1], (0, 1), tol):
-        return COMPLETE_CARTAN
-    return UNDETERMINED
+    return COMPLETE_CARTAN if stabilizes_cartan(m) else UNDETERMINED
 
 
 def random_k_symmetric(spec: LambdaSpec, rng: np.random.Generator,

@@ -5,12 +5,12 @@ about why integration stopped:
 
     completed       reached the end of the time span
     blowup          solution max-norm exceeded the blow-up threshold
-    step_underflow  controller pushed the step below h_min while the norm
+    step_underflow  controller pushed the step below H_MIN while the norm
                     was increasing
 
 A step underflow with non-increasing norm raises instead, since that is
 stiffness or a bug, not incompleteness evidence, and so does a span that
-``max_steps`` accepted steps do not cover (``StepBudgetExhausted``).
+``MAX_STEPS`` accepted steps do not cover (``StepBudgetExhausted``).
 Inputs that could only produce a meaningless status (negative or all-zero
 tolerances, a non-finite time span or initial state, an initial state
 already beyond the blow-up threshold) raise
@@ -51,6 +51,12 @@ _MAX_FACTOR = 10.0
 _ALPHA = 0.7 / 5
 _BETA = 0.4 / 5
 
+# Solver limits: the step floor, the max-norm that counts as blow-up, and
+# the accepted-step budget.  Read once per solve_rk45 call.
+H_MIN = 1e-13
+BLOWUP_THRESHOLD = 1e8
+MAX_STEPS = 2_000_000
+
 COMPLETED = "completed"
 BLOWUP = "blowup"
 STEP_UNDERFLOW = "step_underflow"
@@ -61,7 +67,7 @@ class SolverInputError(ValueError):
 
 
 class StepBudgetExhausted(RuntimeError):
-    """max_steps accepted steps did not reach the end of the span."""
+    """MAX_STEPS accepted steps did not reach the end of the span."""
 
 
 @dataclass
@@ -106,13 +112,13 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol):
     return min(100 * h0, h1)
 
 
-def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12, h_min=1e-13,
-               blowup_threshold=1e8, max_steps=2_000_000) -> IntegrationResult:
+def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12) -> IntegrationResult:
     """Integrate y' = f(t, y) over t_span, recording every accepted step.
 
     Steps stop only at the end of the span or at a blow-up or underflow
     verdict.  Backward integration (t1 < t0) is supported.
     """
+    h_min, blowup_threshold, max_steps = H_MIN, BLOWUP_THRESHOLD, MAX_STEPS
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).copy()
     _check_inputs(t0, t1, y, rtol, atol, blowup_threshold)

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -272,8 +271,7 @@ class TestStepBudget:
         ["completeness-probe", "--samples", "1", "--t-max", "1e300"],
     ])
     def test_exhausted_budget_exits_2_with_one_line(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(ode, "solve_rk45",
-                            functools.partial(ode.solve_rk45, max_steps=50))
+        monkeypatch.setattr(ode, "MAX_STEPS", 50)
         code, out, err = run(capsys, argv[0], "--lambda", "1", "--metric", self._METRIC,
                              *argv[1:])
         assert_one_line_input_error(code, out, err, "step budget 50 exhausted at t=")
@@ -611,6 +609,17 @@ def test_version_flag(capsys):
 def test_import_does_not_load_scipy():
     # numpy is the only runtime dependency; a fresh interpreter shows it.
     code = "import sys, osclab, osclab.cli; assert 'scipy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_submodule():
+    # The package holds its docstring and version; callers import submodules.
+    code = ("import sys, osclab; "
+            "loaded = [m for m in sys.modules if m.startswith('osclab.')]; "
+            "assert not loaded, loaded")
     env = dict(os.environ, PYTHONPATH=str(_SRC))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)

@@ -12,8 +12,9 @@ from osclab.flows import (BODY, EULER, LAX, FlowProblem, analytic_gamma1,
                           first_integrals, gamma1_residual, integrate,
                           random_initial_state, scalar_blowup_probe,
                           scalar_blowup_time, trajectory_csv)
-from osclab.metrics import (SymIso, k_lambda, metric_from_iso, named_family,
-                            random_k_symmetric)
+from osclab.metrics import (COMPLETE_CARTAN, SymIso, completeness_criteria, k_lambda,
+                            metric_from_iso, named_family, random_k_symmetric,
+                            stabilizes_cartan)
 
 
 def metric(spec, name, **params):
@@ -279,6 +280,33 @@ class TestFirstIntegrals:
     def test_adapted_frame_requires_cartan_stability(self, u1_metric):
         with pytest.raises(ValueError, match="Cartan"):
             cartan_adapted_frame(u1_metric)
+
+    def test_frame_exists_exactly_where_the_cartan_predicate_holds(self, spec1, spec12, rng):
+        isos = [named_family(spec1, name) for name in ("u1_dim4", "u2_dim4", "lattice_dim4")]
+        isos += [named_family(spec12, "diagonal_sym", eta=[0.3, 1.7], eta_check=[0.7, 1.7],
+                              rho=0.4)]
+        isos += [named_family(spec12, "direct_sum", core=core, blocks=[[[1.0, 0.2], [0.2, 0.5]]])
+                 for core in ("u1", "u2")]
+        for k in range(102):  # every (n, fix_center_line) with n = 1..3, 17 times
+            spec = LambdaSpec(tuple(float(j) for j in range(1, 2 + k % 3)))
+            isos.append(random_k_symmetric(spec, rng, fix_center_line=bool(k % 2)))
+            # A k-symmetric u with u(e_0) = a e_-1 + p e_0 and u(e_-1) = p e_-1 + b e_0.
+            u = np.diag(rng.uniform(0.5, 2.0, spec.dim))
+            u[1, 1] = u[0, 0]
+            u[0, 1], u[1, 0] = rng.uniform(-0.4, 0.4, 2)
+            isos.append(SymIso(spec, u))
+        held, verdicts = [], []
+        for iso in isos:
+            try:
+                cartan_adapted_frame(metric_from_iso(k_lambda(iso.spec), iso))
+                framed = True
+            except ValueError:
+                framed = False
+            held.append(stabilizes_cartan(iso.matrix))
+            verdicts.append(completeness_criteria(iso.spec, iso))
+            assert framed == held[-1]
+            assert framed or verdicts[-1] != COMPLETE_CARTAN
+        assert any(held) and not all(held) and COMPLETE_CARTAN in verdicts
 
 
 class TestAnalyticCurve:

@@ -34,7 +34,7 @@ class TestBiInvariantForm:
                                       (1.0, np.sqrt(2.0), 3.0)])
     def test_ad_invariance(self, lams):
         form = k_lambda(LambdaSpec(lams))
-        assert ad_invariance_residual(form, n_samples=200) <= 1e-12
+        assert ad_invariance_residual(form) <= 1e-12
 
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
@@ -47,10 +47,7 @@ class TestBiInvariantForm:
             x, y, z = rng.standard_normal((3, spec.dim))
             r = form.value(bracket(spec, x, y), z) + form.value(y, bracket(spec, x, z))
             worst = max(worst, abs(r))
-        assert ad_invariance_residual(form, n_samples=200, seed=seed) == worst
-
-    def test_ad_invariance_over_no_samples_is_zero(self, spec1):
-        assert ad_invariance_residual(k_lambda(spec1), n_samples=0) == 0.0
+        assert ad_invariance_residual(form, seed=seed) == worst
 
 
 class TestSingleElementInputs:

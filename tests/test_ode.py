@@ -44,33 +44,36 @@ class TestStopping:
         assert res.ts.tolist() == [2.0] and res.ys.tolist() == [[1.0, -3.0]]
         assert (res.n_steps, res.n_rejected, f.calls) == (0, 0, 0)
 
-    def test_step_budget_raises(self):
+    def test_step_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(ode, "MAX_STEPS", 5)
         with pytest.raises(RuntimeError, match="step budget 5 exhausted"):
-            ode.solve_rk45(decay, (0.0, 100.0), np.array([1.0]), max_steps=5)
+            ode.solve_rk45(decay, (0.0, 100.0), np.array([1.0]))
 
-    def test_non_finite_growth_is_a_blowup(self):
+    def test_non_finite_growth_is_a_blowup(self, monkeypatch):
         # Without a threshold or a step floor, y' = y^2 runs until the state
         # overflows next to its pole at t = 1.
+        monkeypatch.setattr(ode, "H_MIN", 0.0)
+        monkeypatch.setattr(ode, "BLOWUP_THRESHOLD", math.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             res = ode.solve_rk45(lambda t, y: y * y, (0.0, 2.0), np.array([1.0]),
-                                 rtol=1e-6, atol=1e-8, h_min=0.0,
-                                 blowup_threshold=math.inf)
+                                 rtol=1e-6, atol=1e-8)
         assert res.status == ode.BLOWUP
         assert "left the finite range" in res.message
         assert abs(res.t_detected - 1.0) < 1e-6
         assert np.all(np.isfinite(res.ys))
 
-    def test_underflow_with_growing_norm_is_reported(self):
-        res = ode.solve_rk45(lambda t, y: y ** 3, (0.0, 2.0), np.array([1.0]),
-                             blowup_threshold=math.inf)
+    def test_underflow_with_growing_norm_is_reported(self, monkeypatch):
+        monkeypatch.setattr(ode, "BLOWUP_THRESHOLD", math.inf)
+        res = ode.solve_rk45(lambda t, y: y ** 3, (0.0, 2.0), np.array([1.0]))
         assert res.status == ode.STEP_UNDERFLOW
         assert abs(res.t_detected - 0.5) < 1e-6
 
-    def test_underflow_without_norm_growth_raises(self):
-        def kicked(t, y):  # smooth decay, then a forcing no step above h_min resolves
+    def test_underflow_without_norm_growth_raises(self, monkeypatch):
+        def kicked(t, y):  # smooth decay, then a forcing no step above H_MIN resolves
             return -y if t < 1.0 else -y + 1e8 * np.cos(1e9 * t)
+        monkeypatch.setattr(ode, "H_MIN", 1e-6)
         with pytest.raises(RuntimeError, match="without norm growth"):
-            ode.solve_rk45(kicked, (0.0, 2.0), np.array([1.0]), h_min=1e-6)
+            ode.solve_rk45(kicked, (0.0, 2.0), np.array([1.0]))
 
 
 class TestWork:
@@ -111,15 +114,15 @@ class TestInputGuards:
         with pytest.raises(ode.SolverInputError, match="initial state"):
             ode.solve_rk45(decay, (0.0, 1.0), np.array(y0))
 
-    def test_initial_state_beyond_the_blowup_threshold(self):
+    def test_initial_state_beyond_the_blowup_threshold(self, monkeypatch):
         # (f0 / scale) ** 2 would overflow in the first-step guess and make
         # it zero; the state is refused before any right-hand side call.
         f = Counted(decay)
         with pytest.raises(ode.SolverInputError, match="already exceeds the blow-up"):
             ode.solve_rk45(f, (0.0, 1.0), np.array([1e100, 1.0]))
         assert f.calls == 0
-        res = ode.solve_rk45(decay, (0.0, 1.0), np.array([1e100, 1.0]),
-                             blowup_threshold=math.inf)
+        monkeypatch.setattr(ode, "BLOWUP_THRESHOLD", math.inf)
+        res = ode.solve_rk45(decay, (0.0, 1.0), np.array([1e100, 1.0]))
         assert res.status == ode.COMPLETED
 
     def test_input_errors_are_value_errors(self):
