@@ -332,6 +332,20 @@ class TestAnalyticCurve:
         close = analytic_gamma1(1.0, 1.0, math.pi / 2 - 1e-6)
         assert np.max(np.abs(close)) > 1e10
 
+    @pytest.mark.parametrize("c, rho", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.7)])
+    def test_integrated_run_follows_the_curve(self, u1_metric, c, rho):
+        # Every accepted state up to 90% of the blow-up time, not only the
+        # time the blow-up is detected at.
+        pole = math.pi / (2 * rho)
+        traj = integrate(FlowProblem(u1_metric, analytic_gamma1(c, rho, 0.0),
+                                     (0.0, 2 * pole)))
+        assert traj.status == ode.BLOWUP
+        keep = traj.ts <= 0.9 * pole
+        assert keep.sum() > 10
+        for t, x in zip(traj.ts[keep], traj.states[keep]):
+            ref = analytic_gamma1(c, rho, t)
+            assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
+
 
 class TestScalarOracle:
     def test_analytic_time(self):

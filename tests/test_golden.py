@@ -27,6 +27,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from osclab import cli, flows
 from osclab.algebra import LambdaSpec
@@ -84,6 +85,9 @@ def cases():
 
 
 CASES = cases()
+# The twelve short runs, which complete their span.
+COMPLETING = sorted(f"{form}_n{n}" for n in _SHORT
+                    for form in (flows.BODY, flows.EULER, flows.LAX))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -92,6 +96,19 @@ def test_trajectory_matches_golden(name):
     traj = flows.integrate(CASES[name])
     assert flows.trajectory_csv(traj) == (GOLDEN / f"{name}.csv").read_text()
     assert [traj.n_steps, traj.n_rejected] == counts[name]
+
+
+@pytest.mark.parametrize("name", COMPLETING)
+def test_completing_case_matches_a_tight_reference(name):
+    # An independent integrator at a thousandfold tighter tolerance: the
+    # end state of a run is checked against the flow, not only its golden.
+    problem = CASES[name]
+    traj = flows.integrate(problem)
+    assert traj.completed and traj.ts[-1] == problem.t_span[1] == 5.0
+    ref = solve_ivp(problem.rhs, problem.t_span, problem.x0, method="DOP853",
+                    rtol=1e-13, atol=1e-15).y[:, -1]
+    err = np.max(np.abs(traj.states[-1] - ref))
+    assert err <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_blowup_goldens_stop_near_the_pole():
