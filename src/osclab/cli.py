@@ -218,7 +218,7 @@ def task_metric_info(args, spec, metric):
         "signature": [pos, neg],
         "lorentzian": metric.lorentzian,
         "condition_number": metric.iso.cond,
-        "completeness_verdict": completeness_criteria(spec, metric.iso),
+        "completeness_verdict": completeness_criteria(metric.iso),
     }
     if metric.iso.kind == "diagonal_sym":
         info["symmetry_conditions"] = list(locsym_conditions(metric.iso))
@@ -434,7 +434,7 @@ def task_full_report(args, spec, metric):
         _check("local_symmetry", "local symmetry identity over basis triples",
                rep["locsym_residual"], _locsym_tolerance(metric)),
     ]
-    verdict = completeness_criteria(spec, metric.iso)
+    verdict = completeness_criteria(metric.iso)
     fields = {"metric_kind": metric.iso.kind, "seed": args.seed,
               "metric": {"index": metric.index, "completeness_verdict": verdict},
               "connection": rep}

@@ -365,7 +365,7 @@ def completeness_probe(metric: Metric, sample_count: int, t_max: float,
     under = [s for s in results if s.status == ode.STEP_UNDERFLOW]
     times = [abs(s.t_detected) for s in blow + under if s.t_detected is not None]
     return ProbeReport(
-        verdict=completeness_criteria(spec, metric.iso),
+        verdict=completeness_criteria(metric.iso),
         samples=tuple(results),
         n_blowup=len(blow),
         n_underflow=len(under),

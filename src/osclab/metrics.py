@@ -308,7 +308,7 @@ def stabilizes_cartan(m: np.ndarray) -> bool:
     return _stable_column(m[:, 0], (0, 1)) and _stable_column(m[:, 1], (0, 1))
 
 
-def completeness_criteria(spec: LambdaSpec, iso: SymIso | np.ndarray) -> str:
+def completeness_criteria(iso: SymIso | np.ndarray) -> str:
     """Sufficient-condition verdict for geodesic completeness of k_u.
 
     complete_center when u maps span{e_0} into itself, complete_cartan when

@@ -303,7 +303,7 @@ class TestFirstIntegrals:
             except ValueError:
                 framed = False
             held.append(stabilizes_cartan(iso.matrix))
-            verdicts.append(completeness_criteria(iso.spec, iso))
+            verdicts.append(completeness_criteria(iso))
             assert framed == held[-1]
             assert framed or verdicts[-1] != COMPLETE_CARTAN
         assert any(held) and not all(held) and COMPLETE_CARTAN in verdicts
