@@ -1,6 +1,8 @@
-"""Adaptive embedded Runge-Kutta 5(4) integrator with blow-up detection.
+"""Adaptive embedded Runge-Kutta 8(5,3) integrator with blow-up detection.
 
-Dormand-Prince pair, FSAL, PI step-size control. Termination is explicit
+Hairer's DOP853: 12 stages plus FSAL, so 12 right-hand-side calls per
+attempted step, an error estimate that combines the embedded 5th- and
+3rd-order estimates, and PI step-size control.  Termination is explicit
 about why integration stopped:
 
     completed       reached the end of the time span
@@ -10,7 +12,7 @@ about why integration stopped:
 
 A step underflow with non-increasing norm raises instead, since that is
 stiffness or a bug, not incompleteness evidence, and so does a span that
-``MAX_STEPS`` accepted steps do not cover (``StepBudgetExhausted``).
+``MAX_STEPS`` (300,000) accepted steps do not cover (``StepBudgetExhausted``).
 Inputs that could only produce a meaningless status (negative or all-zero
 tolerances, a non-finite time span or initial state, an initial state
 already beyond the blow-up threshold) raise
@@ -28,34 +30,68 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Dormand-Prince coefficients.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Hairer's dop853.f.  Row 12 holds the order-8 weights at node 1: stage 12's
+# input is the new state and its output the next step's first stage (FSAL).
+_C = (0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+      0.118350341907227396726757197510, 0.281649658092772603273242802490,
+      0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+      0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0)
 _A = [
     np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    np.array([5.26001519587677318785587544488e-2]),
+    np.array([1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]),
+    np.array([2.95875854768068491816892993775e-2, 0, 8.87627564304205475450678981324e-2]),
+    np.array([2.41365134159266685502369798665e-1, 0, -8.84549479328286085344864962717e-1,
+              9.24834003261792003115737966543e-1]),
+    np.array([3.7037037037037037037037037037e-2, 0, 0, 1.70828608729473871279604482173e-1,
+              1.25467687566822425016691814123e-1]),
+    np.array([3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1,
+              6.02165389804559606850219397283e-2, -1.7578125e-2]),
+    np.array([3.70920001185047927108779319836e-2, 0, 0, 1.70383925712239993810214054705e-1,
+              1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+              8.27378916381402288758473766002e-3]),
+    np.array([6.24110958716075717114429577812e-1, 0, 0, -3.36089262944694129406857109825,
+              -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+              2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1]),
+    np.array([4.77662536438264365890433908527e-1, 0, 0, -2.48811461997166764192642586468,
+              -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+              1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+              -2.03312017085086261358222928593e-2]),
+    np.array([-9.3714243008598732571704021658e-1, 0, 0, 5.18637242884406370830023853209,
+              1.09143734899672957818500254654, -8.14978701074692612513997267357,
+              -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+              2.49360555267965238987089396762, -3.0467644718982195003823669022]),
+    np.array([2.27331014751653820792359768449, 0, 0, -1.05344954667372501984066689879e1,
+              -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+              2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+              -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+              6.43392746015763530355970484046e-1]),
+    np.array([5.42937341165687622380535766363e-2, 0, 0, 0, 0, 4.45031289275240888144113950566,
+              1.89151789931450038304281599044, -5.8012039600105847814672114227,
+              3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+              2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2]),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_E = _B5 - _B4
+_E5 = np.array([0.1312004499419488073250102996e-1, 0, 0, 0, 0,
+                -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+                0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+                0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+                -0.2235530786388629525884427845e-1, 0])
+_E3 = np.append(_A[12], 0.0) - np.array(
+    [0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0,
+     0.733846688281611857341361741547, 0, 0, 0.220588235294117647058823529412e-1, 0])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-# PI controller exponents for an order-5 propagator.
-_ALPHA = 0.7 / 5
-_BETA = 0.4 / 5
+# PI controller exponents for an order-8 propagator.
+_ALPHA = 0.7 / 8
+_BETA = 0.4 / 8
 
 # Solver limits: the step floor, the max-norm that counts as blow-up, and
 # the accepted-step budget.  Read once per solve_rk45 call.
 H_MIN = 1e-13
 BLOWUP_THRESHOLD = 1e8
-MAX_STEPS = 2_000_000
+MAX_STEPS = 300_000
 
 COMPLETED = "completed"
 BLOWUP = "blowup"
@@ -108,7 +144,7 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125
     return min(100 * h0, h1)
 
 
@@ -135,9 +171,9 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12) -> IntegrationResult:
     # Stage arrays are fresh from each step, so samples are stored uncopied.
     ts, ys = [t0], [y]
     t = t0
-    k = np.empty((7, y.size))
-    k[6] = f0  # FSAL slot holds f(t, y)
-    stages = [(i, _C[i], _A[i].dot, k[:i]) for i in range(1, 7)]
+    k = np.empty((13, y.size))
+    k[12] = f0  # FSAL slot holds f(t, y)
+    stages = [(i, _C[i], _A[i].dot, k[:i]) for i in range(1, 13)]
     err_prev = 1.0
     n_steps = n_rejected = 0
     abs_y = np.abs(y)
@@ -149,7 +185,7 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12) -> IntegrationResult:
             raise StepBudgetExhausted(f"step budget {max_steps} exhausted at t={t}")
         # Floor first: an end closer than h_min is landed on, not stepped over.
         h = min(max(h, h_min), abs(t1 - t))
-        k[0] = k[6]
+        k[0] = k[12]
         failed_before = False
         while True:
             hd = h * direction
@@ -160,7 +196,7 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12) -> IntegrationResult:
             for i, c, a_dot, k_prev in stages:
                 yi = y + a_dot(k_prev) * hd
                 k[i] = f(t + c * hd, yi)
-            y_new = yi  # stage 7 input equals the order-5 solution
+            y_new = yi  # stage 12's input is the order-8 solution
             abs_new = np.abs(y_new)
             norm_new = float(np.maximum.reduce(abs_new))  # NaN or inf unless finite
             if not math.isfinite(norm_new):
@@ -169,8 +205,11 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12) -> IntegrationResult:
                         f"non-finite state near t={t + hd} with non-growing norm")
                 status, message = BLOWUP, "state left the finite range while growing"
                 break
-            q = _E.dot(k) * hd / (np.maximum(abs_y, abs_new) * rtol + atol)
-            err = math.sqrt(float(np.add.reduce(q * q)) / q.size)  # RMS error
+            # Hairer's error: the RMS of e5 times |e5| / sqrt(|e5|^2 + 0.01 |e3|^2).
+            scale = np.maximum(abs_y, abs_new) * rtol + atol
+            e5, e3 = _E5.dot(k) / scale, _E3.dot(k) / scale
+            n5, n3 = float(np.add.reduce(e5 * e5)), float(np.add.reduce(e3 * e3))
+            err = h * n5 / math.sqrt(e5.size * (n5 + 0.01 * n3)) if n5 or n3 else 0.0
             if err <= 1.0:
                 break
             n_rejected += 1

@@ -1,4 +1,4 @@
-"""Contract of the Dormand-Prince solver, independent of the geodesic flows."""
+"""Contract of the DOP853 solver, independent of the geodesic flows."""
 
 import math
 
@@ -21,6 +21,25 @@ class Counted:
     def __call__(self, t, y):
         self.calls += 1
         return self.f(t, y)
+
+
+class TestTableau:
+    def test_coefficients_equal_hairers_dop853(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+        assert np.array_equal(ode._C, ref.C[:13])
+        for i, row in enumerate(ode._A):
+            assert np.array_equal(row, ref.A[i, :i])
+        for ours, theirs in ((ode._A[12], ref.B), (ode._E5, ref.E5), (ode._E3, ref.E3)):
+            assert np.array_equal(ours, theirs)
+
+    def test_order_conditions_of_the_weights(self):
+        # Rows 9 and 10 hold entries up to 43, whose rounded doubles sum
+        # to c_i only within 1.8e-15: the bound scales with sum_j |a_ij|.
+        for c, row in zip(ode._C, ode._A):
+            assert abs(math.fsum(row) - c) <= 1e-15 * max(1.0, math.fsum(abs(row)))
+        assert abs(math.fsum(ode._A[12]) - 1.0) <= 1e-15
+        # Differences of two consistent weight vectors: each sums to zero.
+        assert abs(math.fsum(ode._E5)) <= 1e-15 and abs(math.fsum(ode._E3)) <= 1e-15
 
 
 class TestStopping:
@@ -77,13 +96,13 @@ class TestStopping:
 
 
 class TestWork:
-    def test_six_rhs_calls_per_attempted_step(self):
+    def test_twelve_rhs_calls_per_attempted_step(self):
         # Two calls choose the first step; every attempt, accepted or
-        # rejected, then costs six (the seventh stage is reused, FSAL).
+        # rejected, then costs twelve (the thirteenth stage is reused, FSAL).
         f = Counted(lambda t, y: y * y)
         res = ode.solve_rk45(f, (0.0, 0.99), np.array([1.0]), rtol=1e-6, atol=1e-8)
         assert res.status == ode.COMPLETED and res.n_rejected > 0
-        assert f.calls == 2 + 6 * (res.n_steps + res.n_rejected)
+        assert f.calls == 2 + 12 * (res.n_steps + res.n_rejected)
 
     def test_samples_are_one_per_accepted_step(self):
         res = ode.solve_rk45(decay, (0.0, 3.0), np.array([1.0, 2.0]))
