@@ -205,7 +205,7 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12) -> IntegrationResult:
                         f"non-finite state near t={t + hd} with non-growing norm")
                 status, message = BLOWUP, "state left the finite range while growing"
                 break
-            # Hairer's error: the RMS of e5 times |e5| / sqrt(|e5|^2 + 0.01 |e3|^2).
+            # Hairer's error: the RMS of h*e5 times |e5| / sqrt(|e5|^2 + 0.01 |e3|^2).
             scale = np.maximum(abs_y, abs_new) * rtol + atol
             e5, e3 = _E5.dot(k) / scale, _E3.dot(k) / scale
             n5, n3 = float(np.add.reduce(e5 * e5)), float(np.add.reduce(e3 * e3))
