@@ -196,6 +196,27 @@ CLI_CASES = {
         '[1.2,0.2,0.8,-3.2,0.6,-0.6,0.2,0.0],[0.0,3.2,2.4,1.2,11.2,1.6,1.2,0.8],'
         '[0.2,-0.7,0.1,-0.3,0.4,2.9,-0.4,-0.4],[0.4,-0.8,-1.0,0.2,0.6,-0.8,6.0,0.6],'
         '[0.0,1.6,-0.8,0.0,0.8,-1.6,1.2,-8.8]]}'],
+    # The heaviest connection shapes of the report workload: a full-report at
+    # n = 6 with a repeated frequency on a locally symmetric metric with
+    # rho = 0.9, and a connection-report at n = 5 on a dense literal matrix.
+    "full_report_n6": [
+        "full-report", "--lambda", "1,1.5,1.5,2,3,4", "--seed", "11", "--metric",
+        '{"kind":"diagonal_sym","eta":[0.4,1.3,-0.7,2.5,0.8,1.6],'
+        '"eta_check":[0.6,1.3,-0.7,-1.5,0.2,1.6],"rho":0.9}'],
+    "connection_report_matrix_n5": [
+        "connection-report", "--lambda", "1,1,2,3,4", "--metric",
+        '{"kind":"matrix","rows":[[-0.6,-1.1,0.5,1.4,1.0,-0.6,0.4,-0.6,1.2,-0.4,-0.6,-0.4],'
+        '[-2.3,-0.6,-1.2,0.3,-0.4,-1.2,0.0,1.3,0.1,0.6,0.2,0.3],'
+        '[-1.2,0.5,3.2,0.5,0.6,0.2,-0.8,0.6,0.2,0.4,-0.4,1.4],'
+        '[0.3,1.4,0.5,3.0,-0.2,-0.6,-0.3,0.4,0.6,-0.4,0.6,-0.2],'
+        '[-0.8,2.0,1.2,-0.4,-3.0,1.6,1.8,-0.2,-1.2,0.8,-0.6,-1.2],'
+        '[-3.6,-1.8,0.6,-1.8,2.4,10.8,-3.0,-3.6,0.6,1.8,2.7,-1.2],'
+        '[0.0,1.6,-3.2,-1.2,3.6,-4.0,0.8,2.0,0.0,-3.2,-1.6,-1.2],'
+        '[1.3,-0.6,0.6,0.4,-0.1,-1.2,0.5,-2.3,-0.2,0.7,0.8,-1.0],'
+        '[0.1,1.2,0.2,0.6,-0.6,0.2,0.0,-0.2,-3.2,0.8,0.7,-1.0],'
+        '[1.2,-0.8,0.8,-0.8,0.8,1.2,-1.6,1.4,1.6,-5.4,-0.8,0.4],'
+        '[0.6,-1.8,-1.2,1.8,-0.9,2.7,-1.2,2.4,2.1,-1.2,-4.2,1.8],'
+        '[1.2,-1.6,5.6,-0.8,-2.4,-1.6,-1.2,-4.0,-4.0,0.8,2.4,13.6]]}'],
 }
 
 
