@@ -121,13 +121,17 @@ def curvature(table: ConnTable, x, y) -> np.ndarray:
 
 
 def curvature_basis(table: ConnTable) -> np.ndarray:
-    """R[a, b] over all basis pairs."""
+    """R[a, b] over all basis pairs.
+
+    [e_a, e_b] has one nonzero coefficient B[a, b, c] at most, so L_{[e_a, e_b]}
+    is a scatter of B[a, b, c] M[c]: einsum's sum up to the sign of a zero."""
     B = basis_brackets(table.spec)
     M = table.coeffs.transpose(0, 2, 1)
-    l_br = np.einsum("abc,cxy->abxy", B, M)
     comm = np.einsum("aij,bjk->abik", M, M)
-    comm = comm - comm.transpose(1, 0, 2, 3)
-    return l_br - comm
+    R = comm.transpose(1, 0, 2, 3) - comm
+    a, b, c = np.nonzero(B)
+    R[a, b] += B[a, b, c, None, None] * M[c]
+    return R
 
 
 def flatness_residual(table: ConnTable) -> float:
@@ -137,14 +141,10 @@ def flatness_residual(table: ConnTable) -> float:
 
 def curvature_norms(table: ConnTable) -> dict[str, float]:
     """Per basis pair a < b, the max-entry norm of R(e_a, e_b)."""
-    spec = table.spec
-    R = table.curvature
-    names = spec.basis_names
-    out = {}
-    for a in range(spec.dim):
-        for b in range(a + 1, spec.dim):
-            out[f"R({names[a]},{names[b]})"] = float(np.max(np.abs(R[a, b])))
-    return out
+    names = table.spec.basis_names
+    a, b = np.triu_indices(table.spec.dim, 1)
+    norms = np.max(np.abs(table.curvature[a, b]), axis=(1, 2))
+    return {f"R({names[i]},{names[j]})": v for i, j, v in zip(a, b, norms.tolist())}
 
 
 def local_symmetry_residual(table: ConnTable) -> float:
@@ -158,24 +158,35 @@ def local_symmetry_residual(table: ConnTable) -> float:
     at less cost.  R(e_y, e_x) = -R(e_x, e_y) bit for bit, so the entry at
     (z, y, x) is minus the one at (z, x, y) and zero at x = y: only x < y is
     evaluated, and R(x, L_z y) is -R(L_z y, x).  A zero slice on an axis that
-    is not summed gives exact zeros, so lhs is taken only where
-    R(e_x, e_y) != 0 and R(L_z e_w, .) only where L_z e_w != 0.  No summed
-    axis is cut, so einsum sums each computed entry in the same order.
+    is not summed gives exact zeros, so only the (z, x < y) blocks where L_z e_x,
+    L_z e_y or R(e_x, e_y) != 0 are evaluated, R(L_z e_w, .) only where L_z e_w
+    != 0 and lhs only where R(e_x, e_y) != 0.  No summed axis is cut, so
+    einsum sums each computed entry in the same order.
     """
     d = table.spec.dim
     L, M, R = table.coeffs, table.left_mult, table.curvature
-    x, y = np.triu_indices(d, 1)
     # t3[row[z, w]] = R(L_z e_w, .), with a last zero row where L_z e_w = 0.
-    z, w = np.nonzero(L.any(axis=2))
+    lnz = L.any(axis=2)
+    z, w = np.nonzero(lnz)
     row = np.full((d, d), len(z))
     row[z, w] = np.arange(len(z))
     t3 = np.zeros((len(z) + 1, d, d, d))
     t3[:-1] = np.einsum("pc,cyik->pyik", L[z, w], R)
-    res = t3[row[:, x], y] - t3[row[:, y], x]
-    nz = np.flatnonzero(R[x, y].any(axis=(1, 2)))
-    rp = R[x[nz], y[nz]]
-    res[:, nz] -= np.einsum("zij,pjk->zpik", M, rp) - np.einsum("pij,zjk->zpik", rp, M)
-    return float(np.max(np.abs(res), initial=0.0))
+    # The k pairs with R(e_x, e_y) != 0, live for every z, fill res[:k d].
+    x, y = np.triu_indices(d, 1)
+    rnz = R[x, y].any(axis=(1, 2))
+    k = np.count_nonzero(rnz)
+    order = np.argsort(~rnz, kind="stable")
+    x, y = x[order], y[order]
+    live = lnz[:, x] | lnz[:, y]
+    live[:, :k] = True
+    p, z = np.nonzero(live.T)
+    res = t3[row[z, x[p]], y[p]]
+    res -= t3[row[z, y[p]], x[p]]
+    rp = R[x[:k], y[:k]]
+    lhs = np.einsum("zij,pjk->zpik", M, rp) - np.einsum("pij,zjk->zpik", rp, M)
+    res[:k * d].reshape(k, d, d, d)[...] -= lhs.transpose(1, 0, 2, 3)
+    return float(np.max(np.abs(res, out=res), initial=0.0))
 
 
 def affine_product(spec: LambdaSpec) -> ConnTable:

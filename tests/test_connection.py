@@ -1,11 +1,15 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from osclab.algebra import LambdaSpec, ad, basis_vector, bracket
+from osclab.algebra import LambdaSpec, ad, basis_brackets, basis_vector, bracket
 from osclab.connection import (ConnTable, affine_product, associator_symmetry_residual,
                                closed_form_L, compatibility_residual,
                                connection_report, curvature, curvature_basis,
-                               flatness_residual, levi_civita, local_symmetry_residual,
+                               curvature_norms, flatness_residual, levi_civita,
+                               local_symmetry_residual,
                                right_mult_nilpotency_residual, torsion_residual)
 from osclab.metrics import (k_lambda, metric_from_iso, named_family,
                             random_k_symmetric)
@@ -166,10 +170,19 @@ class TestLocalSymmetry:
         assert local_symmetry_residual(levi_civita(metric)) > 1e-3
 
 
+def dense_curvature_reference(table):
+    """R[a, b] = L_{[e_a, e_b]} - [L_{e_a}, L_{e_b}] as two dense einsums;
+    ``curvature_basis`` must give its values (zeros may differ in sign)."""
+    B = basis_brackets(table.spec)
+    M = table.coeffs.transpose(0, 2, 1)
+    comm = np.einsum("aij,bjk->abik", M, M)
+    return np.einsum("abc,cxy->abxy", B, M) - (comm - comm.transpose(1, 0, 2, 3))
+
+
 def dense_locsym_reference(table):
     """The dense four-einsum form of the local-symmetry residual, over all
     basis triples; ``local_symmetry_residual`` must give its bits."""
-    L, M, R = table.coeffs, table.left_mult, curvature_basis(table)
+    L, M, R = table.coeffs, table.left_mult, dense_curvature_reference(table)
     lhs = np.einsum("zij,xyjk->zxyik", M, R) - np.einsum("xyij,zjk->zxyik", R, M)
     rhs = np.einsum("zxc,cyik->zxyik", L, R) + np.einsum("zyc,xcik->zxyik", L, R)
     return float(np.max(np.abs(lhs - rhs)))
@@ -209,9 +222,16 @@ def sample_table(n, kind, rng):
 _KINDS = ("locsym", "locsym_rho", "generic", "matrix", "matrix_center", "u1", "u2")
 
 
+def pairwise_norms_reference(table):
+    """``curvature_norms`` as a loop over the basis pairs a < b."""
+    names, R = table.spec.basis_names, table.curvature
+    return {f"R({names[a]},{names[b]})": float(np.max(np.abs(R[a, b])))
+            for a in range(table.spec.dim) for b in range(a + 1, table.spec.dim)}
+
+
 class TestLocalSymmetryResidualBits:
-    """The residual is taken on pairs x < y and on the nonzero slices of its
-    tensors only; these tests pin that it equals the dense formula exactly."""
+    """The curvature and the residual are taken on the nonzeros of their
+    tensors only; these tests pin that they equal the dense formulas exactly."""
 
     @pytest.mark.parametrize("kind", _KINDS)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -219,7 +239,10 @@ class TestLocalSymmetryResidualBits:
         rng = np.random.default_rng([n, _KINDS.index(kind)])
         for _ in range(3):
             table = sample_table(n, kind, rng)
+            assert np.array_equal(curvature_basis(table), dense_curvature_reference(table))
             assert local_symmetry_residual(table) == dense_locsym_reference(table)
+            norms = list(curvature_norms(table).items())
+            assert norms == list(pairwise_norms_reference(table).items())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_curvature_is_exactly_antisymmetric(self, n):
@@ -237,6 +260,37 @@ class TestLocalSymmetryResidualBits:
         for table in (flat, zero):
             assert local_symmetry_residual(table) == dense_locsym_reference(table)
         assert local_symmetry_residual(zero) == 0.0
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_non_finite_coefficient_gives_nan(self, n, value):
+        # At every position, as the dense formulas do.
+        base = sample_table(n, "generic", np.random.default_rng(n))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for pos in np.ndindex(base.coeffs.shape):
+                coeffs = base.coeffs.copy()
+                coeffs[pos] = value
+                table = ConnTable(base.spec, coeffs)
+                assert math.isnan(flatness_residual(table))
+                assert math.isnan(local_symmetry_residual(table))
+                assert math.isnan(dense_locsym_reference(table))
+
+    def test_transient_memory_at_n6(self):
+        # The connection_report_n6 metric: 399 of its 1,274 (z, x < y)
+        # blocks can be nonzero.  The full block took 4.85 MB.
+        spec = LambdaSpec((1.0, 1.5, 2.0, 2.5, 3.0, 4.0))
+        table = levi_civita(metric_from_iso(k_lambda(spec), named_family(
+            spec, "diagonal_sym", eta=[0.4, 1.3, 0.7, 2.1, 0.9, 1.6],
+            eta_check=[0.6, 0.5, 1.9, 0.8, -1.2, 0.3])))
+        table.curvature
+        tracemalloc.start()
+        try:
+            local_symmetry_residual(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
 
 class TestCurvatureCache:
