@@ -13,9 +13,9 @@ about why integration stopped:
 A step underflow with non-increasing norm raises instead, since that is
 stiffness or a bug, not incompleteness evidence, and so does a span that
 ``MAX_STEPS`` (300,000) accepted steps do not cover (``StepBudgetExhausted``).
-Inputs that could only produce a meaningless status (negative or all-zero
-tolerances, a non-finite time span or initial state, an initial state
-already beyond the blow-up threshold) raise
+Inputs that could only produce a meaningless status (negative, non-finite
+or all-zero tolerances, a non-finite time span or initial state, an
+initial state already beyond the blow-up threshold) raise
 ``SolverInputError``, a ``ValueError``, up front.
 
 A right-hand side returns a fresh array on every call, never a shared
@@ -118,8 +118,9 @@ class IntegrationResult:
 
 
 def _check_inputs(t0, t1, y0, rtol, atol, blowup_threshold):
-    if not (rtol >= 0.0 and atol >= 0.0):
-        raise SolverInputError(f"tolerances must be non-negative, got rtol={rtol!r}, atol={atol!r}")
+    if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
+        raise SolverInputError(f"tolerances must be finite and non-negative, "
+                               f"got rtol={rtol!r}, atol={atol!r}")
     if rtol == 0.0 and atol == 0.0:
         raise SolverInputError("rtol and atol are both zero; no step can meet that tolerance")
     if not (math.isfinite(t0) and math.isfinite(t1)):

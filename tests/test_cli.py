@@ -131,6 +131,11 @@ class TestIntegrateInputs:
         (["--rtol", "-1e-10"], "non-negative"),
         (["--atol", "-1E-3"], "non-negative"),
         (["--t-min", "-inf"], "time span"),
+        # A non-finite tolerance gave a blowup verdict (and, with both
+        # infinite, a RuntimeWarning from the first-step guess).
+        (["--atol", "inf"], "finite"),
+        (["--rtol", "inf", "--atol", "inf"], "finite"),
+        (["--rtol", "nan"], "finite"),
     ])
     def test_solver_inputs_exit_2_with_one_line(self, capsys, extra, message):
         code, out, err = run(capsys, "geodesic-integrate", "--lambda", "1",

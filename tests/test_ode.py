@@ -113,7 +113,9 @@ class TestWork:
 
 class TestInputGuards:
     @pytest.mark.parametrize("rtol, atol", [(-1e-10, 1e-12), (1e-10, -1e-12),
-                                            (0.0, 0.0), (math.nan, 1e-12)])
+                                            (0.0, 0.0), (math.nan, 1e-12),
+                                            (1e-10, math.inf), (math.inf, math.inf),
+                                            (1e-10, math.nan)])
     def test_bad_tolerances(self, rtol, atol):
         f = Counted(decay)
         with pytest.raises(ode.SolverInputError, match="tolerance|rtol"):
