@@ -137,6 +137,11 @@ class LambdaSpec:
         return tuple(names)
 
     @cached_property
+    def basis_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only index arrays (a, b) of the basis pairs a < b, row by row."""
+        return tuple(map(_read_only, np.triu_indices(self.dim, 1)))
+
+    @cached_property
     def basis_brackets(self) -> np.ndarray:
         """Dense read-only table B with B[a, b, :] = [e_a, e_b], from the
         closed-form ``bracket``; ``+ 0.0`` turns its -0.0 entries into 0.0."""

@@ -124,7 +124,8 @@ def curvature_basis(table: ConnTable) -> np.ndarray:
     """R[a, b] over all basis pairs.
 
     [e_a, e_b] has one nonzero coefficient B[a, b, c] at most, so L_{[e_a, e_b]}
-    is a scatter of B[a, b, c] M[c]: einsum's sum up to the sign of a zero."""
+    is a scatter of B[a, b, c] M[c], equal to the dense einsum over c except
+    for the sign of exact zeros."""
     B = basis_brackets(table.spec)
     M = table.coeffs.transpose(0, 2, 1)
     comm = np.einsum("aij,bjk->abik", M, M)
@@ -142,7 +143,7 @@ def flatness_residual(table: ConnTable) -> float:
 def curvature_norms(table: ConnTable) -> dict[str, float]:
     """Per basis pair a < b, the max-entry norm of R(e_a, e_b)."""
     names = table.spec.basis_names
-    a, b = np.triu_indices(table.spec.dim, 1)
+    a, b = table.spec.basis_pairs
     norms = np.max(np.abs(table.curvature[a, b]), axis=(1, 2))
     return {f"R({names[i]},{names[j]})": v for i, j, v in zip(a, b, norms.tolist())}
 
@@ -172,17 +173,17 @@ def local_symmetry_residual(table: ConnTable) -> float:
     row[z, w] = np.arange(len(z))
     t3 = np.zeros((len(z) + 1, d, d, d))
     t3[:-1] = np.einsum("pc,cyik->pyik", L[z, w], R)
-    # The k pairs with R(e_x, e_y) != 0, live for every z, fill res[:k d].
-    x, y = np.triu_indices(d, 1)
+    # The k pairs with R(e_x, e_y) != 0 go first; live at every z, they fill res[:k d].
+    x, y = table.spec.basis_pairs
     rnz = R[x, y].any(axis=(1, 2))
     k = np.count_nonzero(rnz)
     order = np.argsort(~rnz, kind="stable")
     x, y = x[order], y[order]
     live = lnz[:, x] | lnz[:, y]
     live[:, :k] = True
-    p, z = np.nonzero(live.T)
-    res = t3[row[z, x[p]], y[p]]
-    res -= t3[row[z, y[p]], x[p]]
+    bp, bz = np.nonzero(live.T)
+    res = t3[row[bz, x[bp]], y[bp]]
+    res -= t3[row[bz, y[bp]], x[bp]]
     rp = R[x[:k], y[:k]]
     lhs = np.einsum("zij,pjk->zpik", M, rp) - np.einsum("pij,zjk->zpik", rp, M)
     res[:k * d].reshape(k, d, d, d)[...] -= lhs.transpose(1, 0, 2, 3)
