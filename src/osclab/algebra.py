@@ -149,6 +149,13 @@ class LambdaSpec:
         return _read_only(bracket(self, eye[:, None], eye) + 0.0)
 
     @cached_property
+    def bracket_support(self) -> tuple[np.ndarray, ...]:
+        """Read-only (a, b, c, value) over the nonzeros B[a, b, c] = value, one at
+        most per (a, b): a bracket of basis vectors is a multiple of one."""
+        B = self.basis_brackets
+        return tuple(map(_read_only, (*np.nonzero(B), B[B != 0])))
+
+    @cached_property
     def triple_brackets(self) -> np.ndarray:
         """Read-only T with T[a, b, c, :] = [e_a, [e_b, e_c]]."""
         B = self.basis_brackets

@@ -126,12 +126,11 @@ def curvature_basis(table: ConnTable) -> np.ndarray:
     [e_a, e_b] has one nonzero coefficient B[a, b, c] at most, so L_{[e_a, e_b]}
     is a scatter of B[a, b, c] M[c], equal to the dense einsum over c except
     for the sign of exact zeros."""
-    B = basis_brackets(table.spec)
     M = table.coeffs.transpose(0, 2, 1)
     comm = np.einsum("aij,bjk->abik", M, M)
     R = comm.transpose(1, 0, 2, 3) - comm
-    a, b, c = np.nonzero(B)
-    R[a, b] += B[a, b, c, None, None] * M[c]
+    a, b, c, value = table.spec.bracket_support
+    R[a, b] += value[:, None, None] * M[c]
     return R
 
 
