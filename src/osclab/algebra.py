@@ -151,7 +151,7 @@ class LambdaSpec:
     @cached_property
     def bracket_support(self) -> tuple[np.ndarray, ...]:
         """Read-only (a, b, c, value) over the nonzeros B[a, b, c] = value, one at
-        most per (a, b): a bracket of basis vectors is a multiple of one."""
+        most per (a, b): [e_a, e_b] is a multiple of one basis vector."""
         B = self.basis_brackets
         return tuple(map(_read_only, (*np.nonzero(B), B[B != 0])))
 

@@ -278,7 +278,7 @@ class TestLocalSymmetryResidualBits:
 
     def test_transient_memory_at_n6(self):
         # The connection_report_n6 metric: 399 of its 1,274 (z, x < y)
-        # blocks can be nonzero.  The full block took 4.85 MB.
+        # blocks can be nonzero; gathering all of them took 4.85 MB.
         spec = LambdaSpec((1.0, 1.5, 2.0, 2.5, 3.0, 4.0))
         table = levi_civita(metric_from_iso(k_lambda(spec), named_family(
             spec, "diagonal_sym", eta=[0.4, 1.3, 0.7, 2.1, 0.9, 1.6],
