@@ -270,17 +270,13 @@ def task_geodesic_integrate(args, spec, metric):
         args.out_csv, args.out = args.out, None
     problem = flows.FlowProblem(metric, x0, (args.t_min, args.t_max), form=args.form,
                                 rtol=args.rtol, atol=args.atol)
-    with np.errstate(over="ignore", invalid="ignore"):  # a finite x0 can overflow f(x0)
-        f0 = problem.rhs(args.t_min, problem.x0)
-    if np.isfinite(problem.x0).all() and not np.isfinite(f0).all():
-        raise InputError(f"bad --x0 {args.x0!r}: the right-hand side overflows the float range")
     traj = flows.integrate(problem)
     drifts = traj.invariant_drift()
     checks = []
     if traj.completed and drifts:
         checks.append(_check("integral_drift",
                              "registered conserved quantities drift within budget",
-                             max(drifts.values()), 1e-8))
+                             np.max(list(drifts.values())), 1e-8))  # keeps a NaN
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write(flows.trajectory_csv(traj))
@@ -557,7 +553,7 @@ def main(argv=None) -> int:
         if args.task == "run":
             return _run_scenario(args.scenario)
         return _run_task(args)
-    except (InputError, ode.SolverInputError, ode.StepBudgetExhausted) as err:
+    except (InputError, ode.SolverInputError, ode.SolverRefusal) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

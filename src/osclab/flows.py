@@ -231,10 +231,10 @@ class Trajectory:
 
 def integrate(problem: FlowProblem, integrals: FirstIntegralSet | None = None) -> Trajectory:
     """Run the adaptive integrator and log registered conserved quantities."""
-    if integrals is None:
-        integrals = first_integrals(problem.metric)
     res = ode.solve_rk45(problem.rhs, problem.t_span, problem.x0,
                          rtol=problem.rtol, atol=problem.atol)
+    if integrals is None:  # built after the solver, which may refuse the run
+        integrals = first_integrals(problem.metric)
     xs = problem.to_euler_states(res.ys)
     log = {i.name: i.fn(xs) for i in integrals.integrals}
     return Trajectory(problem, res.ts, res.ys, res.status, res.t_detected, log,

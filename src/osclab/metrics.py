@@ -141,12 +141,9 @@ def metric_from_iso(form: BiInvariantForm, iso: SymIso) -> Metric:
 
 
 def signature(metric: Metric) -> tuple[int, int]:
-    """Eigenvalue sign counts (positive, negative) of the Gram matrix of k_u."""
-    w = np.linalg.eigvalsh(metric.gram_u)
-    scale = float(np.max(np.abs(w)))
-    if float(np.min(np.abs(w))) <= 1e-10 * scale:
-        raise DegenerateMetric("eigenvalue within tolerance of zero; signature undefined")
-    return int(np.sum(w > 0.0)), int(np.sum(w < 0.0))
+    """Eigenvalue sign counts (positive, negative) of the Gram matrix of k_u,
+    read off the index that ``metric_from_iso`` counted when it accepted it."""
+    return metric.spec.dim - metric.index, metric.index
 
 
 # -- named families -----------------------------------------------------------

@@ -6,17 +6,20 @@ attempted step, an error estimate that combines the embedded 5th- and
 about why integration stopped:
 
     completed       reached the end of the time span
-    blowup          solution max-norm exceeded the blow-up threshold
+    blowup          an accepted step's max-norm exceeded the blow-up threshold
     step_underflow  controller pushed the step below H_MIN while the norm
                     was increasing
 
-A step underflow with non-increasing norm raises instead, since that is
-stiffness or a bug, not incompleteness evidence, and so does a span that
-``MAX_STEPS`` (300,000) accepted steps do not cover (``StepBudgetExhausted``).
-Inputs that could only produce a meaningless status (negative, non-finite
-or all-zero tolerances, a non-finite time span or initial state, an
-initial state already beyond the blow-up threshold) raise
-``SolverInputError``, a ``ValueError``, up front.
+A trial step whose state is not finite has an infinite error estimate and
+is rejected like any step that misses the tolerance.  Two classes are
+raised.  ``SolverInputError``, a ``ValueError``, refuses up front inputs
+that could only produce a meaningless status: negative, non-finite or
+all-zero tolerances, a non-finite time span or initial state, an initial
+state beyond the blow-up threshold, or a non-finite f(t0, y0).
+``SolverRefusal``, a ``RuntimeError``, stops a run with no status to
+report: a step underflow with non-increasing norm (stiffness or a bug, not
+incompleteness evidence), or a span that ``MAX_STEPS`` (300,000) accepted
+steps do not cover.
 
 A right-hand side returns a fresh array on every call, never a shared
 buffer, and leaves its input alone: the solver keeps references to its
@@ -99,11 +102,12 @@ STEP_UNDERFLOW = "step_underflow"
 
 
 class SolverInputError(ValueError):
-    """Tolerances, time span or initial state that no integration can honour."""
+    """Tolerances, time span, initial state or f(t0, y0) that no integration can honour."""
 
 
-class StepBudgetExhausted(RuntimeError):
-    """MAX_STEPS accepted steps did not reach the end of the span."""
+class SolverRefusal(RuntimeError):
+    """A run that stopped without a status: the step budget ran out, or the
+    step underflowed while the norm was not growing."""
 
 
 @dataclass
@@ -164,9 +168,11 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12) -> IntegrationResult:
     if span == 0.0:
         return IntegrationResult(np.array([t0]), y[None, :].copy(), COMPLETED)
 
-    f0 = f(t0, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        f0 = f(t0, y)
     if not np.all(np.isfinite(f0)):
-        raise FloatingPointError(f"right-hand side not finite at t={t0}")
+        raise SolverInputError(f"right-hand side not finite at t={t0}: "
+                               "f(t0, y0) overflows the float range")
     h = min(_initial_step(f, t0, y, f0, direction, rtol, atol), span)
 
     # Stage arrays are fresh from each step, so samples are stored uncopied.
@@ -183,7 +189,7 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12) -> IntegrationResult:
 
     while (t1 - t) * direction > 0:
         if n_steps >= max_steps:
-            raise StepBudgetExhausted(f"step budget {max_steps} exhausted at t={t}")
+            raise SolverRefusal(f"step budget {max_steps} exhausted at t={t}")
         # Floor first: an end closer than h_min is landed on, not stepped over.
         h = min(max(h, h_min), abs(t1 - t))
         k[0] = k[12]
@@ -200,17 +206,14 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12) -> IntegrationResult:
             y_new = yi  # stage 12's input is the order-8 solution
             abs_new = np.abs(y_new)
             norm_new = float(np.maximum.reduce(abs_new))  # NaN or inf unless finite
-            if not math.isfinite(norm_new):
-                if norm < norm_prev:
-                    raise FloatingPointError(
-                        f"non-finite state near t={t + hd} with non-growing norm")
-                status, message = BLOWUP, "state left the finite range while growing"
-                break
-            # Hairer's error: the RMS of h*e5 times |e5| / sqrt(|e5|^2 + 0.01 |e3|^2).
-            scale = np.maximum(abs_y, abs_new) * rtol + atol
-            e5, e3 = _E5.dot(k) / scale, _E3.dot(k) / scale
-            n5, n3 = float(np.add.reduce(e5 * e5)), float(np.add.reduce(e3 * e3))
-            err = h * n5 / math.sqrt(e5.size * (n5 + 0.01 * n3)) if n5 or n3 else 0.0
+            if math.isfinite(norm_new):
+                # Hairer's error: the RMS of h*e5 times |e5| / sqrt(|e5|^2 + 0.01 |e3|^2).
+                scale = np.maximum(abs_y, abs_new) * rtol + atol
+                e5, e3 = _E5.dot(k) / scale, _E3.dot(k) / scale
+                n5, n3 = float(np.add.reduce(e5 * e5)), float(np.add.reduce(e3 * e3))
+                err = h * n5 / math.sqrt(e5.size * (n5 + 0.01 * n3)) if n5 else 0.0
+            else:
+                err = math.inf  # a non-finite trial is a rejected step
             if err <= 1.0:
                 break
             n_rejected += 1
@@ -219,7 +222,7 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12) -> IntegrationResult:
             h *= factor
             if h < h_min:
                 if norm < norm_prev:
-                    raise RuntimeError(
+                    raise SolverRefusal(
                         f"step size underflow at t={t} without norm growth; "
                         "refusing to report incompleteness")
                 status = STEP_UNDERFLOW

@@ -23,6 +23,11 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out.strip().startswith("{") else None, err
 
 
+# Under tolerances of 1e158 a trial's error terms underflow to 0 on this flow.
+_DIAG_RHO = '{"kind":"diagonal_sym","eta":[-0.3],"eta_check":[2.7],"rho":0.5}'
+_X0_RHO = "--x0=0.10669348670051791,0.00476727312116796,0.09166547888245957,0.03709468350944103"
+
+
 class TestReportTasks:
     def test_algebra_check_passes(self, capsys):
         code, rep, _ = run_json(capsys, "algebra-check", "--lambda", "1,2",
@@ -46,6 +51,14 @@ class TestReportTasks:
         assert rep["metric"]["index"] == 2
         assert rep["metric"]["signature"] == [2, 2]
         assert rep["metric"]["completeness_verdict"] == "undetermined"
+
+    def test_metric_info_signature_of_a_nearly_degenerate_metric(self, capsys):
+        # metric_from_iso accepts an eigenvalue ratio of 2e-11; the signature
+        # is the sign count of that same accepted metric.
+        code, rep, _ = run_json(capsys, "metric-info", "--lambda", "1", "--metric",
+                                '{"kind":"diagonal_sym","eta":[2e-11],"eta_check":[1]}')
+        assert code == 0
+        assert rep["metric"]["signature"] == [3, 1]
 
     def test_connection_report(self, capsys):
         code, rep, _ = run_json(capsys, "connection-report", "--lambda", "1,2",
@@ -117,6 +130,13 @@ class TestGeodesicTask:
         assert code == 0
         assert rep["status"] == "completed"
         assert max(rep["integral_drift"].values()) <= 1e-8
+
+    def test_tolerances_whose_error_terms_underflow(self, capsys):
+        code, rep, _ = run_json(capsys, "geodesic-integrate", "--lambda", "1",
+                                "--metric", _DIAG_RHO, _X0_RHO, "--t-max=1e6",
+                                "--rtol", "1e158", "--atol", "1e158")
+        assert code in (0, 1)
+        assert rep["status"] in (ode.COMPLETED, ode.BLOWUP, ode.STEP_UNDERFLOW)
 
 
 class TestIntegrateInputs:
@@ -542,19 +562,58 @@ def test_initial_state_beyond_the_blowup_threshold_exits_2_with_one_line():
                            "the blow-up threshold 1e+08\n")
 
 
-class TestOutOfRangeInitialState:
-    """A finite initial state whose first right-hand side overflows exits 2
-    with one stderr line, before the solver sees it.  Child processes, as
-    above."""
+_DIAG_1E300 = json.dumps({"kind": "matrix", "rows": (1e300 * np.eye(4)).tolist()})
 
-    @pytest.mark.parametrize("x0", ["gamma1:c=1e200", "1e200,1e200,1e200,1e200"])
-    def test_exits_2_with_one_stderr_line(self, x0):
-        proc = run_child("geodesic-integrate", "--lambda", "1", "--metric", "u1_dim4",
+
+class TestOutOfRangeInitialState:
+    """A finite initial state beyond the blow-up threshold, or whose first
+    right-hand side overflows, exits 2 with the solver's one stderr line.
+    Child processes, as above."""
+
+    @pytest.mark.parametrize("metric, x0, needle", [
+        ("u1_dim4", "gamma1:c=1e200", "already exceeds the blow-up threshold"),
+        ("u1_dim4", "1e200,1e200,1e200,1e200", "already exceeds the blow-up threshold"),
+        (_DIAG_1E300, "1e7,1e7,1e7,1e7", "overflows the float range"),
+    ], ids=["gamma1", "coordinates", "rhs_overflow"])
+    def test_exits_2_with_one_stderr_line(self, metric, x0, needle):
+        proc = run_child("geodesic-integrate", "--lambda", "1", "--metric", metric,
                          "--x0", x0, "--t-max", "3")
         assert proc.returncode == 2 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith(f"error: bad --x0 {x0!r}")
-        assert "overflows the float range" in proc.stderr
+        assert proc.stderr.startswith("error: ") and needle in proc.stderr
+
+
+_DIAG_1E160 = json.dumps({"kind": "matrix", "rows": (1e160 * np.eye(4)).tolist()})
+
+
+@pytest.mark.parametrize("form", ["body", "euler_u", "lax"])
+def test_nan_integral_drift_fails_its_check(form):
+    # k(ux, ux) overflows for a 1e160-scaled u, so the drift of A is NaN.
+    proc = run_child("geodesic-integrate", "--lambda", "1", "--metric", _DIAG_1E160,
+                     "--form", form, "--x0", "0.5,0.1,0.6,-0.4", "--t-max", "1")
+    rep = json.loads(proc.stdout)
+    assert proc.returncode == 1 and rep["status"] == ode.COMPLETED
+    assert math.isnan(rep["integral_drift"]["A"])
+    check = [c for c in rep["checks"] if c["name"] == "integral_drift"][0]
+    assert check["pass"] is False and math.isnan(check["residual"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["geodesic-integrate", "--metric", _DIAG_RHO, _X0_RHO, "--t-max=1e6",
+     "--rtol", "1e158", "--atol", "1e158"],
+    ["geodesic-integrate", "--metric", _DIAG_RHO, _X0_RHO, "--t-max=1e6",
+     "--rtol", "1e300", "--atol", "1e300"],
+    ["geodesic-integrate", "--metric", "u2_dim4", "--rtol", "1e52", "--atol", "1e52",
+     "--x0=4.13259793472436,-232.50307746388344,-21.87916639325457,-124.59109472530652",
+     "--t-max", "10"],
+    ["metric-info", "--metric", '{"kind":"diagonal_sym","eta":[2e-11],"eta_check":[1]}'],
+], ids=["error_norm_underflow", "tolerance_1e300", "u2_non_finite_trial", "near_degenerate"])
+def test_no_traceback(argv):
+    proc = run_child(argv[0], "--lambda", "1", *argv[1:])
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode in (0, 1):
+        json.loads(proc.stdout)
 
 
 def test_isometry_verify_takes_one_triple_bracket_residual_per_sample(capsys, monkeypatch):

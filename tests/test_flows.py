@@ -163,7 +163,7 @@ class TestIntegrate:
     def test_nan_in_rhs_aborts_with_diagnostic(self, spec1):
         def bad(t, y):
             return np.full(1, np.nan)
-        with pytest.raises(FloatingPointError, match="not finite"):
+        with pytest.raises(ode.SolverInputError, match="not finite"):
             ode.solve_rk45(bad, (0.0, 1.0), np.array([1.0]))
 
 

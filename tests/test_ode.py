@@ -6,10 +6,20 @@ import numpy as np
 import pytest
 
 from osclab import ode
+from osclab.algebra import LambdaSpec
+from osclab.flows import FlowProblem
+from osclab.metrics import k_lambda, metric_from_iso, parse_sym_iso
 
 
 def decay(t, y):
     return -y
+
+
+def geodesic_rhs(descriptor):
+    """The euler-form geodesic right-hand side of a metric on lambda = (1,)."""
+    spec = LambdaSpec((1.0,))
+    metric = metric_from_iso(k_lambda(spec), parse_sym_iso(spec, descriptor))
+    return FlowProblem(metric, np.zeros(4), (0.0, 1.0)).rhs
 
 
 class Counted:
@@ -68,18 +78,36 @@ class TestStopping:
         with pytest.raises(RuntimeError, match="step budget 5 exhausted"):
             ode.solve_rk45(decay, (0.0, 100.0), np.array([1.0]))
 
-    def test_non_finite_growth_is_a_blowup(self, monkeypatch):
-        # Without a threshold or a step floor, y' = y^2 runs until the state
-        # overflows next to its pole at t = 1.
-        monkeypatch.setattr(ode, "H_MIN", 0.0)
-        monkeypatch.setattr(ode, "BLOWUP_THRESHOLD", math.inf)
+    def test_non_finite_trial_is_a_rejected_step(self):
+        # The dim-4 index-2 geodesic flow under tolerances of 1e52: trial
+        # steps overflow, are rejected, and the smaller steps that follow
+        # cross the threshold at an accepted step.
+        rhs = geodesic_rhs({"kind": "u2_dim4"})
+        x0 = [4.13259793472436, -232.50307746388344, -21.87916639325457, -124.59109472530652]
+        non_finite_inputs = []
+
+        def f(t, y):
+            if not np.all(np.isfinite(y)):
+                non_finite_inputs.append(t)
+            return rhs(t, y)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = ode.solve_rk45(lambda t, y: y * y, (0.0, 2.0), np.array([1.0]),
-                                 rtol=1e-6, atol=1e-8)
+            res = ode.solve_rk45(f, (0.0, 10.0), np.array(x0), rtol=1e52, atol=1e52)
+        assert len(non_finite_inputs) > 0 and res.n_rejected > 0
         assert res.status == ode.BLOWUP
-        assert "left the finite range" in res.message
-        assert abs(res.t_detected - 1.0) < 1e-6
+        assert np.max(np.abs(res.ys[-1])) > ode.BLOWUP_THRESHOLD
         assert np.all(np.isfinite(res.ys))
+
+    def test_error_norm_whose_terms_underflow_to_zero(self):
+        # Under tolerances of 1e158 a trial's scaled 5th-order error squares
+        # to 0 and 0.01 times the 3rd-order one underflows to 0 as well: the
+        # error is 0, not a ZeroDivisionError.
+        rhs = geodesic_rhs({"kind": "diagonal_sym", "eta": [-0.3], "eta_check": [2.7],
+                            "rho": 0.5})
+        x0 = np.array([0.10669348670051791, 0.00476727312116796,
+                       0.09166547888245957, 0.03709468350944103])
+        res = ode.solve_rk45(rhs, (0.0, 1e6), x0, rtol=1e158, atol=1e158)
+        assert res.status in (ode.COMPLETED, ode.BLOWUP, ode.STEP_UNDERFLOW)
+        assert res.n_steps > 0 and np.all(np.isfinite(res.ys))
 
     def test_underflow_with_growing_norm_is_reported(self, monkeypatch):
         monkeypatch.setattr(ode, "BLOWUP_THRESHOLD", math.inf)
@@ -91,8 +119,9 @@ class TestStopping:
         def kicked(t, y):  # smooth decay, then a forcing no step above H_MIN resolves
             return -y if t < 1.0 else -y + 1e8 * np.cos(1e9 * t)
         monkeypatch.setattr(ode, "H_MIN", 1e-6)
-        with pytest.raises(RuntimeError, match="without norm growth"):
+        with pytest.raises(RuntimeError, match="without norm growth") as caught:
             ode.solve_rk45(kicked, (0.0, 2.0), np.array([1.0]))
+        assert isinstance(caught.value, ode.SolverRefusal)  # the class cli.main catches
 
 
 class TestWork:
