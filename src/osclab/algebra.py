@@ -295,25 +295,22 @@ def _svd_rank(s: np.ndarray) -> int:
 
 
 def _null_space(m: np.ndarray) -> Subspace:
-    _, s, vt = np.linalg.svd(m)
+    _, s, vt = np.linalg.svd(m, full_matrices=False)
     return Subspace(vt[_svd_rank(s):].T.copy())
 
 
-def _column_space(m: np.ndarray) -> Subspace:
-    u, s, _ = np.linalg.svd(m)
-    return Subspace(u[:, :_svd_rank(s)].copy())
-
-
 def center(spec: LambdaSpec) -> Subspace:
-    """Common kernel of all adjoint maps; equals span{e_0}."""
-    stacked = np.vstack([ad(spec, basis_vector(spec, a)) for a in range(spec.dim)])
-    return _null_space(stacked)
+    """Common kernel of all adjoint maps ad(e_a) = basis_brackets[a].T, stacked
+    as rows; equals span{e_0}."""
+    return _null_space(spec.basis_brackets.transpose(0, 2, 1).reshape(-1, spec.dim))
 
 
 def derived_ideal(spec: LambdaSpec) -> Subspace:
-    """Column space of all adjoint maps; equals span{e_0, e_j, ec_j}."""
-    stacked = np.hstack([ad(spec, basis_vector(spec, a)) for a in range(spec.dim)])
-    return _column_space(stacked)
+    """Column space of all adjoint maps ad(e_a) = basis_brackets[a].T, side by
+    side; equals span{e_0, e_j, ec_j}."""
+    u, s, _ = np.linalg.svd(spec.basis_brackets.reshape(-1, spec.dim).T,
+                            full_matrices=False)
+    return Subspace(u[:, :_svd_rank(s)].copy())
 
 
 def ker_ad(spec: LambdaSpec, x) -> Subspace:
@@ -322,5 +319,6 @@ def ker_ad(spec: LambdaSpec, x) -> Subspace:
 
 
 def cartan(spec: LambdaSpec) -> Subspace:
-    """The canonical Cartan subalgebra Ker ad(e_-1) = span{e_-1, e_0}."""
-    return ker_ad(spec, basis_vector(spec, 0))
+    """The canonical Cartan subalgebra Ker ad(e_-1) = span{e_-1, e_0}, with
+    ad(e_-1) read from the bracket table."""
+    return _null_space(spec.basis_brackets[0].T)

@@ -5,7 +5,7 @@ emits JSON reports (plus CSV for trajectories).  Exit codes: 0 when every
 asserted check passes, 1 on verification failure, 2 on input errors.
 
 Reports are deterministic: identical scenario and seed give byte-identical
-JSON (keys sorted, shortest round-trip float formatting).
+JSON (sorted keys, shortest round-trip floats, non-finite ones as null).
 
 Each task is declared once with ``@_task``: its body, its extra flags and
 whether it takes ``--metric``.  The parser, the input checks and the report
@@ -18,14 +18,16 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 
 import numpy as np
 
 from . import __version__
-from .algebra import (LambdaSpec, basis_vector, bracket, cartan, center,
-                      derived_ideal, is_json_number, jacobi_residual)
+from .algebra import (LambdaSpec, bracket, cartan, center, derived_ideal,
+                      is_json_number, jacobi_residual)
 from .metrics import (DegenerateMetric, NotKSymmetric, SymIso, ad_invariance_residual,
                       completeness_criteria, k_lambda,
                       k_symmetry_residual, locsym_conditions, metric_from_iso,
@@ -148,12 +150,28 @@ def _no_blowups(verdict, probe):
         probe.n_blowup + probe.n_underflow, 0)]
 
 
+def _write(path: str, text: str, what: str) -> None:
+    """Overwrite ``path`` in place: opening without O_TRUNC skips ext4's slow
+    truncation of a non-empty file.  Only a regular file is cut to length
+    afterwards, so pipes and devices such as /dev/null work too."""
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            size = fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(size)
+    except OSError as err:
+        raise InputError(f"cannot write {what} file {path!r}: {err}") from err
+
+
 def _finish(report: dict, args) -> int:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # JSON has no NaN or Infinity: write each as null
+        nulled = json.loads(json.dumps(report), parse_constant=lambda _: None)
+        text = json.dumps(nulled, indent=2, sort_keys=True)
     failed = [c["name"] for c in report.get("checks", []) if c.get("pass") is False]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n", "report")
     if args.json or not args.out:
         print(text)
     else:
@@ -278,8 +296,7 @@ def task_geodesic_integrate(args, spec, metric):
                              "registered conserved quantities drift within budget",
                              np.max(list(drifts.values())), 1e-8))  # keeps a NaN
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(flows.trajectory_csv(traj))
+        _write(args.out_csv, flows.trajectory_csv(traj), "CSV")
     return {"metric_kind": metric.iso.kind, "form": args.form,
             "x0": [float(v) for v in x0], "t_span": [args.t_min, args.t_max],
             "status": traj.status, "t_detected": traj.t_detected,

@@ -198,6 +198,12 @@ class TestAdjoint:
         np.testing.assert_array_equal(m @ e(spec1, 2), e(spec1, 3))
         np.testing.assert_array_equal(m @ e(spec1, 3), -e(spec1, 2))
 
+    @pytest.mark.parametrize("lams", [(1.0,), (1.0, 2.0, 3.0), (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)])
+    def test_ad_of_a_basis_vector_is_a_slice_of_the_table(self, lams):
+        spec = LambdaSpec(lams)
+        for a in range(spec.dim):
+            assert np.all(ad(spec, e(spec, a)) == spec.basis_brackets[a].T)
+
     def test_ad_annihilates_its_argument(self, spec112, rng):
         x = rng.standard_normal(spec112.dim)
         assert np.max(np.abs(ad(spec112, x) @ x)) <= 1e-13
@@ -232,3 +238,24 @@ class TestSubspaces:
             x = d.project(rng.standard_normal(spec112.dim))
             y = d.project(rng.standard_normal(spec112.dim))
             assert c.contains(bracket(spec112, x, y), tol=1e-10)
+
+    @pytest.mark.parametrize("lams", [(1.0,), (1.0, 2.0), (1.0, 1.0, 2.0), (1.0, 2.0, 2.0, 3.0),
+                                      (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)])
+    def test_table_subspaces_match_the_stacked_ad_construction(self, lams):
+        # Reference: every ad(e_a) stacked, with a full SVD of each stack.
+        spec = LambdaSpec(lams)
+        ads = [ad(spec, e(spec, a)) for a in range(spec.dim)]
+
+        def null_space(m):
+            _, s, vt = np.linalg.svd(m)
+            return vt[int(np.sum(s > 1e-10 * s[0])):].T
+
+        def column_space(m):
+            u, s, _ = np.linalg.svd(m)
+            return u[:, :int(np.sum(s > 1e-10 * s[0]))]
+
+        refs = (null_space(np.vstack(ads)), column_space(np.hstack(ads)), null_space(ads[0]))
+        got = (center(spec), derived_ideal(spec), cartan(spec))
+        assert [g.dim for g in got] == [r.shape[1] for r in refs] == [1, 2 * spec.n + 1, 2]
+        for g, r in zip(got, refs):
+            np.testing.assert_allclose(g.basis @ g.basis.T, r @ r.T, rtol=0, atol=1e-12)

@@ -591,11 +591,24 @@ def test_nan_integral_drift_fails_its_check(form):
     # k(ux, ux) overflows for a 1e160-scaled u, so the drift of A is NaN.
     proc = run_child("geodesic-integrate", "--lambda", "1", "--metric", _DIAG_1E160,
                      "--form", form, "--x0", "0.5,0.1,0.6,-0.4", "--t-max", "1")
-    rep = json.loads(proc.stdout)
+    rep = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert proc.returncode == 1 and rep["status"] == ode.COMPLETED
-    assert math.isnan(rep["integral_drift"]["A"])
+    assert rep["integral_drift"]["A"] is None  # JSON has no NaN: written as null
     check = [c for c in rep["checks"] if c["name"] == "integral_drift"][0]
-    assert check["pass"] is False and math.isnan(check["residual"])
+    assert check["pass"] is False and check["residual"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# Output paths that cannot be written: each must exit 2 with one stderr line.
+_UNWRITABLE = {
+    "out_missing_dir": ["algebra-check", "--samples", "10", "--out", "/nonexistent/x.json"],
+    "out_directory": ["algebra-check", "--samples", "10", "--out", str(_SRC)],
+    "csv_missing_dir": ["geodesic-integrate", "--metric", "u1_dim4", "--x0", "gamma1:c=1,rho=1",
+                        "--t-max", "0.1", "--out-csv", "/nonexistent/t.csv"],
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -607,13 +620,38 @@ def test_nan_integral_drift_fails_its_check(form):
      "--x0=4.13259793472436,-232.50307746388344,-21.87916639325457,-124.59109472530652",
      "--t-max", "10"],
     ["metric-info", "--metric", '{"kind":"diagonal_sym","eta":[2e-11],"eta_check":[1]}'],
-], ids=["error_norm_underflow", "tolerance_1e300", "u2_non_finite_trial", "near_degenerate"])
+    *_UNWRITABLE.values(),
+], ids=["error_norm_underflow", "tolerance_1e300", "u2_non_finite_trial", "near_degenerate",
+        *_UNWRITABLE])
 def test_no_traceback(argv):
     proc = run_child(argv[0], "--lambda", "1", *argv[1:])
     assert proc.returncode in (0, 1, 2)
     assert "Traceback" not in proc.stderr
+    if argv in _UNWRITABLE.values():
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: cannot write ")
     if proc.returncode in (0, 1):
-        json.loads(proc.stdout)
+        json.loads(proc.stdout, parse_constant=_reject_constant)
+
+
+def test_out_dev_null_exits_0(capsys):
+    # Not a regular file: written, never cut to length.
+    assert main(["isometry-dim", "--lambda", "1", "--out", os.devnull]) == 0
+    assert main(["geodesic-integrate", "--lambda", "1", "--metric", "u1_dim4",
+                 "--x0", "gamma1:c=1,rho=1", "--t-max", "0.1", "--out-csv", os.devnull]) == 0
+    capsys.readouterr()
+
+
+def test_algebra_check_makes_no_ad_call(capsys, monkeypatch):
+    # center, derived_ideal and cartan read ad(e_a) from the cached bracket table.
+    import osclab.algebra as alg
+    calls = []
+    ad = alg.ad
+    monkeypatch.setattr(alg, "ad", lambda spec, x: calls.append(x) or ad(spec, x))
+    code, rep, _ = run_json(capsys, "algebra-check", "--lambda", "1,2,2,3", "--samples", "10")
+    dims = [c for c in rep["checks"] if c["name"] == "subspace_dims"][0]
+    assert code == 0 and dims["value"] == [1, 9, 2] and calls == []
 
 
 def test_isometry_verify_takes_one_triple_bracket_residual_per_sample(capsys, monkeypatch):

@@ -236,6 +236,20 @@ def test_cli_report_matches_golden(name, tmp_path, capsys, monkeypatch):
             (CLI_GOLDEN / f"{name}.csv").read_bytes()
 
 
+def test_outputs_overwrite_longer_files_exactly(tmp_path, capsys, monkeypatch):
+    # Both files are written in place and then cut to length: a longer file
+    # left at either path keeps no tail.
+    monkeypatch.chdir(tmp_path)
+    name = "geodesic_integrate"
+    out, csv = tmp_path / "report.json", tmp_path / CLI_CSV[name]
+    for path, golden in ((out, f"{name}.json"), (csv, f"{name}.csv")):
+        path.write_bytes(b"x" * (2 * len((CLI_GOLDEN / golden).read_bytes())))
+    assert cli.main(CLI_CASES[name] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (CLI_GOLDEN / f"{name}.json").read_bytes()
+    assert csv.read_bytes() == (CLI_GOLDEN / f"{name}.csv").read_bytes()
+
+
 def write_goldens():
     GOLDEN.mkdir(exist_ok=True)
     counts = {}
