@@ -7,15 +7,17 @@ Three equivalent right-hand sides are provided:
     lax       ydot = [y, u^-1(y)]  with y = u(x)
 
 Solutions of the three forms are related by y = u(x).  Trajectories carry
-a log of registered conserved quantities so integrator drift is auditable,
-and blow-up detection distinguishes norm explosion from step underflow.
+a log of registered conserved quantities so integrator drift is auditable.
+Each form is a homogeneous quadratic field x' = B(x, x), and a run is
+reported as a blow-up only where a Taylor series of that field locates a
+finite-time singularity ahead (``locate_singularity``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -48,31 +50,43 @@ class FlowProblem:
         object.__setattr__(self, "x0", _as_elem(self.metric.spec, self.x0).copy())
 
     @cached_property
-    def rhs(self):
-        """The selected vector field as f(t, state).
-
-        Each form is reduced to one flattened bilinear contraction against a
-        precomputed (dim^2, dim) table, a few bound ``.dot`` calls (the gemv
-        of ``@`` at less dispatch cost), each call returning a fresh array.
-        """
+    def bilinear(self):
+        """The field as x' = B(x, x) with B(x, y) = ((P x) outer (Q y)).ravel()
+        @ table: the triple (P, Q, table), None standing for the identity."""
         spec = self.metric.spec
         d = spec.dim
-        u = self.metric.iso.matrix
         if self.form == BODY:
-            lflat = -levi_civita(self.metric).coeffs.reshape(d * d, d)
-            def f(t, x):
-                return (x[:, None] * x).ravel().dot(lflat)
-            return f
+            return None, None, -levi_civita(self.metric).coeffs.reshape(d * d, d)
         bflat = basis_brackets(spec).reshape(d * d, d)
         uinv = self.metric.iso.inv  # u factored once, reused every call
         if self.form == EULER:
-            table = np.ascontiguousarray(bflat @ uinv.T)
+            return self.metric.iso.matrix, None, np.ascontiguousarray(bflat @ uinv.T)
+        return None, uinv, bflat
+
+    @cached_property
+    def rhs(self):
+        """The selected vector field as f(t, state).
+
+        Each form is reduced to one flattened bilinear contraction against the
+        precomputed (dim^2, dim) table of ``bilinear``, a few bound ``.dot``
+        calls (the gemv of ``@`` at less dispatch cost), each call returning a
+        fresh array.
+        """
+        p, q, table = self.bilinear
+        if self.form == BODY:
             def f(t, x):
-                return (u.dot(x)[:, None] * x).ravel().dot(table)
-            return f
-        def f(t, y):
-            return (y[:, None] * uinv.dot(y)).ravel().dot(bflat)
+                return (x[:, None] * x).ravel().dot(table)
+        elif self.form == EULER:
+            def f(t, x):
+                return (p.dot(x)[:, None] * x).ravel().dot(table)
+        else:
+            def f(t, y):
+                return (y[:, None] * q.dot(y)).ravel().dot(table)
         return f
+
+    def singularity(self, t, x, direction):
+        """``locate_singularity`` for this field: the solver's blow-up test."""
+        return locate_singularity(self.bilinear, t, x, direction)
 
     def to_euler_states(self, states: np.ndarray) -> np.ndarray:
         """Map a stack of raw samples of this problem to euler (x) coordinates."""
@@ -232,13 +246,70 @@ class Trajectory:
 def integrate(problem: FlowProblem, integrals: FirstIntegralSet | None = None) -> Trajectory:
     """Run the adaptive integrator and log registered conserved quantities."""
     res = ode.solve_rk45(problem.rhs, problem.t_span, problem.x0,
-                         rtol=problem.rtol, atol=problem.atol)
+                         rtol=problem.rtol, atol=problem.atol,
+                         singularity=problem.singularity)
     if integrals is None:  # built after the solver, which may refuse the run
         integrals = first_integrals(problem.metric)
     xs = problem.to_euler_states(res.ys)
     log = {i.name: i.fn(xs) for i in integrals.integrals}
     return Trajectory(problem, res.ts, res.ys, res.status, res.t_detected, log,
                       res.n_steps, res.n_rejected)
+
+
+# -- blow-up test ---------------------------------------------------------------
+
+# Taylor orders of the series, ratios per fit window, and the relative
+# agreement the two windows' intercepts need for a confirmed singularity.
+_ORDERS = 30
+_WINDOW = 9
+_AGREE = 1e-9
+
+
+def locate_singularity(bilinear, t: float, x: np.ndarray, direction: float) -> float | None:
+    """The time of a finite-time singularity ahead of the state x of
+    x' = B(x, x) at time t, or None when none is confirmed.
+
+    ``bilinear`` is (P, Q, table) as in ``FlowProblem.bilinear``.  The Taylor
+    coefficients follow from a_{k+1} = (1/(k+1)) sum_i B(a_i, a_{k-i}), B's
+    sign following the time direction, with the state and time rescaled so
+    that a_0 and a_1 have unit max-norm (homogeneity undoes both at the end).
+    The ratios a_k / a_{k-1} of the component largest at the last order are
+    fitted as alpha + beta / k (Domb and Sykes) over two windows of orders.
+    A singularity at distance R ahead gives alpha = 1/R in both; an entire
+    solution, such as exponential growth, gives alpha -> 0 with windows that
+    disagree, and a nearest singularity behind or off the real axis gives
+    alternating or oscillating ratios.  A confirmed singularity needs a
+    positive intercept on which the two windows agree to ``_AGREE``.
+    """
+    p, q, table = bilinear
+    m = float(np.max(np.abs(x)))
+    a = np.zeros((_ORDERS + 1, x.size))
+    a[0] = x / m
+    pa = a if p is None else np.zeros_like(a)
+    qa = a if q is None else np.zeros_like(a)
+    scale = direction
+    with np.errstate(all="ignore"):  # a runaway series fails the tests below
+        for k in range(_ORDERS):
+            if p is not None:
+                pa[k] = p.dot(a[k])
+            if q is not None:
+                qa[k] = q.dot(a[k])
+            a[k + 1] = (pa[:k + 1].T @ qa[k::-1]).ravel().dot(table) * (scale / (k + 1))
+            if k == 0:
+                sigma = float(np.max(np.abs(a[1])))
+                if not 0.0 < sigma < math.inf:
+                    return None
+                a[1] /= sigma
+                scale = direction / sigma
+        c = a[:, int(np.argmax(np.abs(a[-1])))]
+        r = (c[1:] / c[:-1])[-2 * _WINDOW:].reshape(2, _WINDOW)
+        inv_k = 1.0 / np.arange(_ORDERS - 2 * _WINDOW + 1, _ORDERS + 1).reshape(2, _WINDOW)
+        du = inv_k - inv_k.mean(axis=1, keepdims=True)
+        beta = (du * r).sum(axis=1) / (du * du).sum(axis=1)
+        alpha = r.mean(axis=1) - beta * inv_k.mean(axis=1)
+    if not (alpha[1] > 0.0 and abs(alpha[0] - alpha[1]) <= _AGREE * alpha[1]):
+        return None
+    return t + direction / (float(alpha[1]) * sigma * m)
 
 
 # -- analytic references -------------------------------------------------------
@@ -286,7 +357,9 @@ def scalar_blowup_probe(x0: float, rtol: float = 1e-10,
     """Numeric integration of the scalar comparison equation, for calibrating
     the blow-up detector against the known time 2/x0."""
     return ode.solve_rk45(lambda t, y: 0.5 * y * y, (0.0, 4.0 * scalar_blowup_time(x0)),
-                          np.array([float(x0)]), rtol=rtol, atol=atol)
+                          np.array([float(x0)]), rtol=rtol, atol=atol,
+                          singularity=partial(locate_singularity,
+                                              (None, None, np.array([[0.5]]))))
 
 
 def euler_coadjoint_residual(metric: Metric, x) -> float:
@@ -353,12 +426,13 @@ def completeness_probe(metric: Metric, sample_count: int, t_max: float,
     spec = metric.spec
     children = np.random.SeedSequence(seed).spawn(sample_count)
     states = [random_initial_state(spec, np.random.default_rng(s)) for s in children]
-    rhs = FlowProblem(metric, np.zeros(spec.dim), (0.0, t_max), form=EULER).rhs
+    problem = FlowProblem(metric, np.zeros(spec.dim), (0.0, t_max), form=EULER)
 
     results = []
     for i, st in enumerate(states):
         for ori in (+1, -1):
-            res = ode.solve_rk45(rhs, (0.0, ori * t_max), st, rtol=rtol, atol=atol)
+            res = ode.solve_rk45(problem.rhs, (0.0, ori * t_max), st, rtol=rtol, atol=atol,
+                                 singularity=problem.singularity)
             results.append(ProbeSample(i, ori, res.status, res.t_detected))
 
     blow = [s for s in results if s.status == ode.BLOWUP]

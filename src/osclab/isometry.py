@@ -210,7 +210,8 @@ def geodesic_exponential(metric: Metric, x0, rtol: float = 1e-10,
         return out
 
     state0 = np.concatenate([problem.x0, np.zeros(d)])
-    res = ode.solve_rk45(f, (0.0, 1.0), state0, rtol=rtol, atol=atol)
+    res = ode.solve_rk45(f, (0.0, 1.0), state0, rtol=rtol, atol=atol,
+                         singularity=lambda t, y, sign: problem.singularity(t, y[:d], sign))
     if res.status != ode.COMPLETED:
         raise RuntimeError(f"geodesic did not reach t=1: {res.status}")
     end = res.ys[-1]

@@ -5,21 +5,27 @@ attempted step, an error estimate that combines the embedded 5th- and
 3rd-order estimates, and PI step-size control.  Termination is explicit
 about why integration stopped:
 
-    completed       reached the end of the time span
-    blowup          an accepted step's max-norm exceeded the blow-up threshold
-    step_underflow  controller pushed the step below H_MIN while the norm
-                    was increasing
+    completed         reached the end of the time span
+    blowup            the caller's singularity test located a finite-time
+                      singularity ahead of an accepted state
+    unbounded_growth  an accepted step's max-norm exceeded the blow-up
+                      threshold with no singularity located on the way
+    step_underflow    controller pushed the step below H_MIN while the norm
+                      was increasing
 
-A trial step whose state is not finite has an infinite error estimate and
-is rejected like any step that misses the tolerance.  Two classes are
-raised.  ``SolverInputError``, a ``ValueError``, refuses up front inputs
-that could only produce a meaningless status: negative, non-finite or
-all-zero tolerances, a non-finite time span or initial state, an initial
-state beyond the blow-up threshold, or a non-finite f(t0, y0).
-``SolverRefusal``, a ``RuntimeError``, stops a run with no status to
-report: a step underflow with non-increasing norm (stiffness or a bug, not
-incompleteness evidence), or a span that ``MAX_STEPS`` (300,000) accepted
-steps do not cover.
+The singularity test is called when an accepted state's max-norm first
+passes each decade from DECIDE_FROM to DECIDE_UNTIL; it reads the state and
+nothing else, so a run it does not stop keeps its step sequence.  A trial
+step whose state is not finite has an infinite error estimate and is
+rejected like any step that misses the tolerance (its overflow warnings are
+silenced).  Two classes are raised.  ``SolverInputError``, a ``ValueError``,
+refuses up front inputs that could only produce a meaningless status:
+negative, non-finite or all-zero tolerances, a non-finite time span or
+initial state, an initial state beyond the blow-up threshold, or a
+non-finite f(t0, y0).  ``SolverRefusal``, a ``RuntimeError``, stops a run
+with no status to report: a step underflow with non-increasing norm
+(stiffness or a bug, not incompleteness evidence), or a span that
+``MAX_STEPS`` (300,000) accepted steps do not cover.
 
 A right-hand side returns a fresh array on every call, never a shared
 buffer, and leaves its input alone: the solver keeps references to its
@@ -90,14 +96,20 @@ _MAX_FACTOR = 10.0
 _ALPHA = 0.7 / 8
 _BETA = 0.4 / 8
 
-# Solver limits: the step floor, the max-norm that counts as blow-up, and
-# the accepted-step budget.  Read once per solve_rk45 call.
+# Solver limits: the step floor, the max-norm at which an unconfirmed run
+# stops as unbounded growth, and the accepted-step budget.  Read once per
+# solve_rk45 call.
 H_MIN = 1e-13
 BLOWUP_THRESHOLD = 1e8
 MAX_STEPS = 300_000
+# The singularity test runs at the first accepted state past each decade
+# DECIDE_FROM, 10 DECIDE_FROM, ..., DECIDE_UNTIL of the max-norm.
+DECIDE_FROM = 1e2
+DECIDE_UNTIL = 1e7
 
 COMPLETED = "completed"
 BLOWUP = "blowup"
+UNBOUNDED_GROWTH = "unbounded_growth"
 STEP_UNDERFLOW = "step_underflow"
 
 
@@ -153,11 +165,17 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol):
     return min(100 * h0, h1)
 
 
-def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12) -> IntegrationResult:
+def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12,
+               singularity=None) -> IntegrationResult:
     """Integrate y' = f(t, y) over t_span, recording every accepted step.
 
-    Steps stop only at the end of the span or at a blow-up or underflow
-    verdict.  Backward integration (t1 < t0) is supported.
+    Steps stop only at the end of the span or at a blow-up, unbounded-growth
+    or underflow verdict.  Backward integration (t1 < t0) is supported.
+    ``singularity(t, y, direction)`` returns the time of a finite-time
+    singularity it locates ahead of the accepted state (t, y), direction
+    being +1 or -1 for the run's time orientation, or None; a located one
+    stops the run as ``blowup`` with ``t_detected`` that time.  Without it
+    no run can stop as ``blowup``.
     """
     h_min, blowup_threshold, max_steps = H_MIN, BLOWUP_THRESHOLD, MAX_STEPS
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -185,67 +203,80 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12) -> IntegrationResult:
     n_steps = n_rejected = 0
     abs_y = np.abs(y)
     norm = norm_prev = float(abs_y.max())  # max-norms of y and its predecessor
-    status, message = COMPLETED, ""
+    status, message, t_detected = COMPLETED, "", None
+    next_decision = DECIDE_FROM if singularity is not None else math.inf
 
-    while (t1 - t) * direction > 0:
-        if n_steps >= max_steps:
-            raise SolverRefusal(f"step budget {max_steps} exhausted at t={t}")
-        # Floor first: an end closer than h_min is landed on, not stepped over.
-        h = min(max(h, h_min), abs(t1 - t))
-        k[0] = k[12]
-        failed_before = False
-        while True:
-            hd = h * direction
-            # Bound .dot, the array first in a product and ufunc.reduce run
-            # the kernels of @, hd * v and .sum() / .max() on the same operands
-            # (same bits) at less dispatch cost: reverting them is a slowdown,
-            # not a style fix.
-            for i, c, a_dot, k_prev in stages:
-                yi = y + a_dot(k_prev) * hd
-                k[i] = f(t + c * hd, yi)
-            y_new = yi  # stage 12's input is the order-8 solution
-            abs_new = np.abs(y_new)
-            norm_new = float(np.maximum.reduce(abs_new))  # NaN or inf unless finite
-            if math.isfinite(norm_new):
-                # Hairer's error: the RMS of h*e5 times |e5| / sqrt(|e5|^2 + 0.01 |e3|^2).
-                scale = np.maximum(abs_y, abs_new) * rtol + atol
-                e5, e3 = _E5.dot(k) / scale, _E3.dot(k) / scale
-                n5, n3 = float(np.add.reduce(e5 * e5)), float(np.add.reduce(e3 * e3))
-                err = h * n5 / math.sqrt(e5.size * (n5 + 0.01 * n3)) if n5 else 0.0
-            else:
-                err = math.inf  # a non-finite trial is a rejected step
-            if err <= 1.0:
+    # A non-finite trial is a rejected step: its overflow warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (t1 - t) * direction > 0:
+            if n_steps >= max_steps:
+                raise SolverRefusal(f"step budget {max_steps} exhausted at t={t}")
+            # Floor first: an end closer than h_min is landed on, not stepped over.
+            h = min(max(h, h_min), abs(t1 - t))
+            k[0] = k[12]
+            failed_before = False
+            while True:
+                hd = h * direction
+                # Bound .dot, the array first in a product and ufunc.reduce run
+                # the kernels of @, hd * v and .sum() / .max() on the same operands
+                # (same bits) at less dispatch cost: reverting them is a slowdown,
+                # not a style fix.
+                for i, c, a_dot, k_prev in stages:
+                    yi = y + a_dot(k_prev) * hd
+                    k[i] = f(t + c * hd, yi)
+                y_new = yi  # stage 12's input is the order-8 solution
+                abs_new = np.abs(y_new)
+                norm_new = float(np.maximum.reduce(abs_new))  # NaN or inf unless finite
+                if math.isfinite(norm_new):
+                    # Hairer's error: the RMS of h*e5 times |e5| / sqrt(|e5|^2 + 0.01 |e3|^2).
+                    scale = np.maximum(abs_y, abs_new) * rtol + atol
+                    e5, e3 = _E5.dot(k) / scale, _E3.dot(k) / scale
+                    n5, n3 = float(np.add.reduce(e5 * e5)), float(np.add.reduce(e3 * e3))
+                    err = h * n5 / math.sqrt(e5.size * (n5 + 0.01 * n3)) if n5 else 0.0
+                else:
+                    err = math.inf  # a non-finite trial is a rejected step
+                if err <= 1.0:
+                    break
+                n_rejected += 1
+                failed_before = True
+                factor = max(_MIN_FACTOR, _SAFETY * err ** (-_ALPHA))
+                h *= factor
+                if h < h_min:
+                    if norm < norm_prev:
+                        raise SolverRefusal(
+                            f"step size underflow at t={t} without norm growth; "
+                            "refusing to report incompleteness")
+                    status, t_detected = STEP_UNDERFLOW, t
+                    message = f"step underflow below h_min={h_min:g} with growing norm"
+                    break
+            if status != COMPLETED:
                 break
-            n_rejected += 1
-            failed_before = True
-            factor = max(_MIN_FACTOR, _SAFETY * err ** (-_ALPHA))
-            h *= factor
-            if h < h_min:
-                if norm < norm_prev:
-                    raise SolverRefusal(
-                        f"step size underflow at t={t} without norm growth; "
-                        "refusing to report incompleteness")
-                status = STEP_UNDERFLOW
-                message = f"step underflow below h_min={h_min:g} with growing norm"
+
+            # Accepted.
+            n_steps += 1
+            t, y, abs_y = t + h * direction, y_new, abs_new
+            norm_prev, norm = norm, norm_new
+            ts.append(t)
+            ys.append(y)
+            if norm > next_decision:
+                t_hat = singularity(t, y, direction)
+                if t_hat is not None:
+                    status, t_detected = BLOWUP, t_hat
+                    message = f"singularity located at t={t_hat!r} from max-norm {norm:.3e}"
+                    break
+                while next_decision < norm:
+                    next_decision *= 10.0
+                if next_decision > DECIDE_UNTIL:
+                    next_decision = math.inf
+            if norm > blowup_threshold:
+                status = UNBOUNDED_GROWTH
+                message = f"max-norm {norm:.3e} exceeded threshold with no singularity located"
                 break
-        if status != COMPLETED:
-            break
+            factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA if err > 0 else _MAX_FACTOR
+            if failed_before:
+                factor = min(1.0, factor)
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            err_prev = max(err, 1e-10)
 
-        # Accepted.
-        n_steps += 1
-        t, y, abs_y = t + h * direction, y_new, abs_new
-        norm_prev, norm = norm, norm_new
-        ts.append(t)
-        ys.append(y)
-        if norm > blowup_threshold:
-            status, message = BLOWUP, f"max-norm {norm:.3e} exceeded threshold"
-            break
-        factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA if err > 0 else _MAX_FACTOR
-        if failed_before:
-            factor = min(1.0, factor)
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        err_prev = max(err, 1e-10)
-
-    t_detected = None if status == COMPLETED else t
     return IntegrationResult(np.array(ts), np.array(ys), status, t_detected,
                              n_steps, n_rejected, message)

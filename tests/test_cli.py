@@ -107,10 +107,12 @@ class TestGeodesicTask:
                                 "--t-max", "3", "--out-csv", str(csv))
         assert code == 0
         assert rep["status"] == "blowup"
-        assert 1.56 < rep["t_detected"] < math.pi / 2
+        assert abs(rep["t_detected"] - math.pi / 2) <= 1e-9 * math.pi / 2
         text = csv.read_text()
         assert text.splitlines()[0].startswith("t,x_-1,")
         assert "# status=blowup" in text
+        # The last row is the stop, short of the located pole.
+        assert float(text.splitlines()[-2].split(",")[0]) < rep["t_detected"]
 
     def test_out_flag_with_csv_suffix_writes_the_trajectory(self, capsys, tmp_path):
         csv = tmp_path / "traj.csv"
@@ -136,7 +138,8 @@ class TestGeodesicTask:
                                 "--metric", _DIAG_RHO, _X0_RHO, "--t-max=1e6",
                                 "--rtol", "1e158", "--atol", "1e158")
         assert code in (0, 1)
-        assert rep["status"] in (ode.COMPLETED, ode.BLOWUP, ode.STEP_UNDERFLOW)
+        # A complete_center metric: no singularity can be located.
+        assert rep["status"] in (ode.COMPLETED, ode.UNBOUNDED_GROWTH, ode.STEP_UNDERFLOW)
 
 
 class TestIntegrateInputs:
@@ -499,6 +502,32 @@ def run_child(*argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+class TestSolverStops:
+    def test_huge_tolerances_on_a_complete_metric_are_no_blowup(self):
+        # In a child process, so that a numpy RuntimeWarning would reach stderr.
+        proc = run_child("geodesic-integrate", "--lambda", "1", "--metric",
+                         '{"kind":"diagonal_sym","eta":[0.3],"eta_check":[0.7]}',
+                         "--x0", "0.5,0.1,0.6,-0.4", "--t-max", "100",
+                         "--rtol", "1e300", "--atol", "1e300")
+        assert proc.returncode == 0 and proc.stderr == ""
+        rep = json.loads(proc.stdout)
+        assert rep["status"] == ode.UNBOUNDED_GROWTH and rep["t_detected"] is None
+
+    def test_exponential_growth_is_not_counted_as_blowup(self, capsys):
+        # A complete_center metric whose linear flow grows past 1e8 in six of
+        # the eight runs: the series locates no singularity in any of them.
+        code, rep, _ = run_json(
+            capsys, "completeness-probe", "--lambda", "1", "--metric",
+            '{"kind":"diagonal_sym","eta":[0.5],"eta_check":[2.0]}', "--samples", "4")
+        assert code == 0
+        assert rep["verdict"] == "complete_center"
+        statuses = [s["status"] for s in rep["per_sample"]]
+        assert statuses.count(ode.UNBOUNDED_GROWTH) == 6
+        assert statuses.count(ode.COMPLETED) == 2
+        assert (rep["n_blowup"], rep["earliest_blowup"]) == (0, None)
+        assert [(c["name"], c["pass"]) for c in rep["checks"]] == [("no_blowups", True)]
+
+
 class TestOutOfRangeMetricEntries:
     """Descriptors whose Gram matrix overflows, whose entries are not finite
     or whose parameters are not numbers exit 2 with one stderr line: no
@@ -632,6 +661,8 @@ def test_no_traceback(argv):
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: cannot write ")
     if proc.returncode in (0, 1):
+        # Nothing on stderr: rejected overflowing trials warn no more.
+        assert proc.stderr == ""
         json.loads(proc.stdout, parse_constant=_reject_constant)
 
 

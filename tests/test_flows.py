@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from osclab import ode
+from osclab import flows, ode
 from osclab.algebra import LambdaSpec, basis_brackets, basis_vector
 from osclab.connection import levi_civita
 from osclab.flows import (BODY, EULER, LAX, FlowProblem, analytic_gamma1,
@@ -130,11 +130,16 @@ class TestIntegrate:
         assert np.max(np.abs(traj.states - traj.states[0])) == 0.0
         assert traj.invariant_drift()["E"] == 0.0
 
-    def test_gamma1_seeded_problem_blows_up_before_pi_half(self, u1_metric):
-        x0 = analytic_gamma1(1.0, 1.0, 0.0)
-        traj = integrate(FlowProblem(u1_metric, x0, (0.0, 3.0)))
+    @pytest.mark.parametrize("c, rho", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.7)])
+    def test_gamma1_seeded_problem_locates_the_pole(self, u1_metric, c, rho):
+        pole = math.pi / (2 * rho)
+        traj = integrate(FlowProblem(u1_metric, analytic_gamma1(c, rho, 0.0),
+                                     (0.0, 2 * pole)))
         assert traj.status == ode.BLOWUP
-        assert math.pi / 2 - 0.01 < traj.t_detected < math.pi / 2
+        assert abs(traj.t_detected - pole) <= 1e-9 * pole
+        # The run stops at the first decade the series confirms, |x| ~ 1e2.
+        assert traj.ts[-1] < traj.t_detected
+        assert 1e2 < np.max(np.abs(traj.states[-1])) < 1e3
 
     def test_diagonal_family_completes(self, spec12, rng):
         m = metric(spec12, "diagonal_sym", eta=[0.3, 1.1], eta_check=[0.7, 1.1])
@@ -167,13 +172,54 @@ class TestIntegrate:
             ode.solve_rk45(bad, (0.0, 1.0), np.array([1.0]))
 
 
+class TestSingularityTest:
+    def test_completing_run_makes_no_decision(self, spec1, monkeypatch):
+        calls = []
+        real = flows.locate_singularity
+        monkeypatch.setattr(flows, "locate_singularity",
+                            lambda *a: calls.append(a) or real(*a))
+        m = metric(spec1, "diagonal_sym", eta=[0.3], eta_check=[0.7], rho=0.9)
+        traj = integrate(FlowProblem(m, [0.5, 0.1, 0.6, -0.4], (0.0, 5.0)))
+        assert traj.completed and calls == []
+        traj = integrate(FlowProblem(metric(spec1, "u1_dim4"),
+                                     analytic_gamma1(1.0, 1.0, 0.0), (0.0, 3.0)))
+        assert traj.status == ode.BLOWUP and len(calls) == 1
+
+    @pytest.mark.parametrize("form", [BODY, EULER, LAX])
+    def test_exponential_growth_has_no_singularity(self, spec1, form):
+        # A complete_center metric whose linear flow grows exponentially: entire in t.
+        m = metric(spec1, "diagonal_sym", eta=[0.5], eta_check=[2.0])
+        x = np.array([30.0, 0.4, 80.0, -120.0])
+        prob = FlowProblem(m, x, (0.0, 1.0), form=form)
+        for direction in (1.0, -1.0):
+            assert prob.singularity(0.0, x, direction) is None
+
+    def test_scalar_pole_ahead_and_none_behind(self):
+        table = (None, None, np.array([[0.5]]))
+        # x' = x^2 / 2 from x(t) = 200 has its pole at t + 2/200.
+        got = flows.locate_singularity(table, 3.0, np.array([200.0]), 1.0)
+        assert abs(got - 3.01) <= 1e-15 * 3.01
+        assert flows.locate_singularity(table, 3.0, np.array([200.0]), -1.0) is None
+        assert flows.locate_singularity(table, 3.0, np.array([-200.0]), -1.0) == \
+            pytest.approx(2.99, rel=1e-15)
+
+    def test_time_direction_flips_the_located_pole(self, u1_metric):
+        prob = FlowProblem(u1_metric, analytic_gamma1(1.0, 1.0, 0.0), (0.0, 3.0))
+        t = 1.5
+        x = analytic_gamma1(1.0, 1.0, t)
+        assert abs(prob.singularity(t, x, 1.0) - math.pi / 2) <= 1e-12
+        back = integrate(FlowProblem(u1_metric, analytic_gamma1(1.0, 1.0, 0.0), (0.0, -3.0)))
+        assert back.status == ode.BLOWUP
+        assert abs(back.t_detected + math.pi / 2) <= 1e-9 * math.pi / 2
+
+
 class TestTrajectoryRecord:
     def test_counters_equal_the_solvers_own(self, u1_metric):
         prob = FlowProblem(u1_metric, analytic_gamma1(1.0, 1.0, 0.0), (0.0, 3.0),
                            rtol=1e-6, atol=1e-8)
         traj = integrate(prob)
         res = ode.solve_rk45(prob.rhs, prob.t_span, prob.x0, rtol=prob.rtol,
-                             atol=prob.atol)
+                             atol=prob.atol, singularity=prob.singularity)
         assert (traj.n_steps, traj.n_rejected) == (res.n_steps, res.n_rejected)
         assert traj.n_rejected > 0 and traj.ts.size == traj.n_steps + 1
 
@@ -353,10 +399,12 @@ class TestScalarOracle:
         assert scalar_blowup_time(1.0) == 2.0
         assert scalar_blowup_time(-1.0) == math.inf
 
-    def test_numeric_detection_brackets_the_time(self):
-        res = scalar_blowup_probe(2.0)
+    @pytest.mark.parametrize("x0", [2.0, 0.5, 3.7])
+    def test_numeric_detection_locates_the_time(self, x0):
+        res = scalar_blowup_probe(x0)
         assert res.status == ode.BLOWUP
-        assert 0.99 < res.t_detected < 1.0
+        assert abs(res.t_detected - 2.0 / x0) <= 1e-9 * (2.0 / x0)
+        assert res.ts[-1] < res.t_detected
 
 
 class TestProbe:

@@ -111,12 +111,34 @@ def test_completing_case_matches_a_tight_reference(name):
     assert err <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_blowup_goldens_stop_near_the_pole():
-    text = (GOLDEN / "gamma1_blowup.csv").read_text()
-    status = text.splitlines()[-1]
-    assert status.startswith("# status=blowup t_detected=")
-    t_detected = float(status.split("t_detected=")[1])
-    assert abs(t_detected - math.pi / 2) / (math.pi / 2) < 0.01
+@pytest.mark.parametrize("path", ["gamma1_blowup.csv", "cli/geodesic_integrate.csv"])
+def test_blowup_goldens_locate_the_pole(path):
+    lines = (GOLDEN / path).read_text().splitlines()
+    assert lines[-1].startswith("# status=blowup t_detected=")
+    t_detected = float(lines[-1].split("t_detected=")[1])
+    assert abs(t_detected - math.pi / 2) <= 1e-9 * math.pi / 2
+    # The last row is the stop, the first state past |x| = 1e2.
+    stop = [float(v) for v in lines[-2].split(",")]
+    assert stop[0] < t_detected and 1e2 < max(map(abs, stop[1:5])) < 1e3
+
+
+# The goldens a blow-up run writes: the only ones whose bytes depend on the
+# blow-up rule.  Every other golden records no blow-up, and so keeps its
+# bytes when that rule changes.
+BLOWUP_GOLDENS = {"gamma1_blowup.csv", "gamma1_loose.csv", "u2_blowup.csv",
+                  "cli/geodesic_integrate.json", "cli/geodesic_integrate.csv"}
+
+
+def test_only_the_blowup_goldens_record_a_blowup():
+    found = set()
+    for path in sorted(GOLDEN.rglob("*")):
+        text = path.read_text() if path.is_file() else ""
+        if "# status=blowup" in text or '"status": "blowup"' in text:
+            found.add(path.relative_to(GOLDEN).as_posix())
+    assert found == BLOWUP_GOLDENS
+    counts = json.loads((GOLDEN / "counts.json").read_text())
+    stopped = {f"{name}.csv" for name in counts if name not in COMPLETING}
+    assert stopped == {p for p in BLOWUP_GOLDENS if "/" not in p}
 
 
 # The README examples as written (default seed 0), a larger algebra-check,

@@ -80,8 +80,10 @@ class TestStopping:
 
     def test_non_finite_trial_is_a_rejected_step(self):
         # The dim-4 index-2 geodesic flow under tolerances of 1e52: trial
-        # steps overflow, are rejected, and the smaller steps that follow
-        # cross the threshold at an accepted step.
+        # steps overflow, are rejected without a warning (RuntimeWarnings
+        # are errors in this suite), and the smaller steps that follow cross
+        # the threshold at an accepted step.  No singularity test is given,
+        # so the crossing is unbounded growth.
         rhs = geodesic_rhs({"kind": "u2_dim4"})
         x0 = [4.13259793472436, -232.50307746388344, -21.87916639325457, -124.59109472530652]
         non_finite_inputs = []
@@ -90,10 +92,9 @@ class TestStopping:
             if not np.all(np.isfinite(y)):
                 non_finite_inputs.append(t)
             return rhs(t, y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = ode.solve_rk45(f, (0.0, 10.0), np.array(x0), rtol=1e52, atol=1e52)
+        res = ode.solve_rk45(f, (0.0, 10.0), np.array(x0), rtol=1e52, atol=1e52)
         assert len(non_finite_inputs) > 0 and res.n_rejected > 0
-        assert res.status == ode.BLOWUP
+        assert res.status == ode.UNBOUNDED_GROWTH and res.t_detected is None
         assert np.max(np.abs(res.ys[-1])) > ode.BLOWUP_THRESHOLD
         assert np.all(np.isfinite(res.ys))
 
@@ -106,7 +107,7 @@ class TestStopping:
         x0 = np.array([0.10669348670051791, 0.00476727312116796,
                        0.09166547888245957, 0.03709468350944103])
         res = ode.solve_rk45(rhs, (0.0, 1e6), x0, rtol=1e158, atol=1e158)
-        assert res.status in (ode.COMPLETED, ode.BLOWUP, ode.STEP_UNDERFLOW)
+        assert res.status in (ode.COMPLETED, ode.UNBOUNDED_GROWTH, ode.STEP_UNDERFLOW)
         assert res.n_steps > 0 and np.all(np.isfinite(res.ys))
 
     def test_underflow_with_growing_norm_is_reported(self, monkeypatch):
@@ -122,6 +123,49 @@ class TestStopping:
         with pytest.raises(RuntimeError, match="without norm growth") as caught:
             ode.solve_rk45(kicked, (0.0, 2.0), np.array([1.0]))
         assert isinstance(caught.value, ode.SolverRefusal)  # the class cli.main catches
+
+
+def half_square(t, y):
+    return 0.5 * y * y  # y(t) = 2 / (2/y0 - t): a pole at t = 2/y0
+
+
+class TestSingularityTest:
+    def test_called_at_the_first_state_past_each_decade(self):
+        calls = []
+
+        def never(t, y, direction):
+            calls.append((t, direction))
+            return None
+        plain = ode.solve_rk45(half_square, (0.0, 8.0), np.array([2.0]))
+        res = ode.solve_rk45(half_square, (0.0, 8.0), np.array([2.0]), singularity=never)
+        # Without a located singularity the run crosses the threshold as
+        # before, step for step: a decision only reads the state.
+        assert res.status == plain.status == ode.UNBOUNDED_GROWTH
+        assert res.t_detected is None
+        assert np.array_equal(res.ts, plain.ts) and np.array_equal(res.ys, plain.ys)
+        norms = np.abs(plain.ys[:, 0])
+        first = sorted({int(np.argmax(norms > 10.0 ** j)) for j in range(2, 8)})
+        assert calls == [(t, 1.0) for t in plain.ts[first].tolist()]
+        assert len(calls) == 6
+
+    def test_a_located_singularity_stops_the_run(self):
+        calls = []
+
+        def located(t, y, direction):
+            calls.append(direction)
+            return t + direction * 0.25
+        # Backward from y(0) = -2: y(t) = -2 / (1 + t), a pole at t = -1.
+        res = ode.solve_rk45(half_square, (0.0, -8.0), np.array([-2.0]),
+                             singularity=located)
+        assert calls == [-1.0]
+        assert res.status == ode.BLOWUP and res.t_detected == res.ts[-1] - 0.25
+        assert abs(res.ys[-1, 0]) > 1e2 and abs(res.ys[-2, 0]) <= 1e2
+
+    def test_completing_run_makes_no_call(self):
+        calls = []
+        res = ode.solve_rk45(decay, (0.0, 3.0), np.array([50.0]),
+                             singularity=lambda *a: calls.append(a))
+        assert res.status == ode.COMPLETED and calls == []
 
 
 class TestWork:
