@@ -356,10 +356,11 @@ def scalar_blowup_probe(x0: float, rtol: float = 1e-10,
                         atol: float = 1e-12) -> ode.IntegrationResult:
     """Numeric integration of the scalar comparison equation, for calibrating
     the blow-up detector against the known time 2/x0."""
-    return ode.solve_rk45(lambda t, y: 0.5 * y * y, (0.0, 4.0 * scalar_blowup_time(x0)),
+    coeff = 0.5  # x' = coeff x^2: the one statement of the field for rhs and series
+    return ode.solve_rk45(lambda t, y: coeff * y * y, (0.0, 4.0 * scalar_blowup_time(x0)),
                           np.array([float(x0)]), rtol=rtol, atol=atol,
                           singularity=partial(locate_singularity,
-                                              (None, None, np.array([[0.5]]))))
+                                              (None, None, np.array([[coeff]]))))
 
 
 def euler_coadjoint_residual(metric: Metric, x) -> float:

@@ -7,7 +7,8 @@ about why integration stopped:
 
     completed         reached the end of the time span
     blowup            the caller's singularity test located a finite-time
-                      singularity ahead of an accepted state
+                      singularity between an accepted state and the end
+                      of the span
     unbounded_growth  an accepted step's max-norm exceeded the blow-up
                       threshold with no singularity located on the way
     step_underflow    controller pushed the step below H_MIN while the norm
@@ -174,8 +175,8 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12,
     ``singularity(t, y, direction)`` returns the time of a finite-time
     singularity it locates ahead of the accepted state (t, y), direction
     being +1 or -1 for the run's time orientation, or None; a located one
-    stops the run as ``blowup`` with ``t_detected`` that time.  Without it
-    no run can stop as ``blowup``.
+    no later than the end of the span stops the run as ``blowup`` with
+    ``t_detected`` that time.  Without it no run can stop as ``blowup``.
     """
     h_min, blowup_threshold, max_steps = H_MIN, BLOWUP_THRESHOLD, MAX_STEPS
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -260,7 +261,9 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12,
             ys.append(y)
             if norm > next_decision:
                 t_hat = singularity(t, y, direction)
-                if t_hat is not None:
+                # A singularity past the end of the span is no stop: the run
+                # keeps stepping and may still complete.
+                if t_hat is not None and (t_hat - t1) * direction <= 0:
                     status, t_detected = BLOWUP, t_hat
                     message = f"singularity located at t={t_hat!r} from max-norm {norm:.3e}"
                     break

@@ -124,6 +124,17 @@ class TestGeodesicTask:
         assert rep["status"] == "blowup"  # report still lands on stdout
         assert "# status=blowup" in csv.read_text()
 
+    def test_pole_past_t_max_completes_and_checks_drift(self, capsys, tmp_path):
+        # |x| passes 1e2 before t = 1.5; the located pole pi/2 lies past the span.
+        csv = tmp_path / "traj.csv"
+        code, rep, _ = run_json(capsys, "geodesic-integrate", "--lambda", "1",
+                                "--metric", "u1_dim4", "--x0", "gamma1:c=1,rho=1",
+                                "--t-max", "1.5", "--out-csv", str(csv))
+        assert code == 0
+        assert (rep["status"], rep["t_detected"]) == ("completed", None)
+        assert [(c["name"], c["pass"]) for c in rep["checks"]] == [("integral_drift", True)]
+        assert float(csv.read_text().splitlines()[-2].split(",")[0]) == 1.5
+
     def test_completed_run_checks_drift(self, capsys):
         code, rep, _ = run_json(
             capsys, "geodesic-integrate", "--lambda", "1,2", "--metric",

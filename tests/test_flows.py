@@ -194,6 +194,23 @@ class TestSingularityTest:
         for direction in (1.0, -1.0):
             assert prob.singularity(0.0, x, direction) is None
 
+    @pytest.mark.parametrize("t_max", [1.5, -1.5])
+    def test_pole_past_the_span_end_completes(self, u1_metric, monkeypatch, t_max):
+        # gamma1 at (c, rho) = (1, 1) passes |x| = 1e2 before |t| = 1.5 and has
+        # its pole at +-pi/2: located, but no stop, so the run keeps the bits
+        # of a run that makes no decision.
+        located = []
+        real = flows.locate_singularity
+        monkeypatch.setattr(flows, "locate_singularity",
+                            lambda *a: located.append(real(*a)) or located[-1])
+        prob = FlowProblem(u1_metric, analytic_gamma1(1.0, 1.0, 0.0), (0.0, t_max))
+        traj = integrate(prob)
+        plain = ode.solve_rk45(prob.rhs, prob.t_span, prob.x0, rtol=prob.rtol, atol=prob.atol)
+        assert traj.completed and traj.t_detected is None
+        assert np.array_equal(traj.ts, plain.ts) and np.array_equal(traj.states, plain.ys)
+        pole = math.copysign(math.pi / 2, t_max)
+        assert located and all(abs(t - pole) <= 1e-9 * math.pi / 2 for t in located)
+
     def test_scalar_pole_ahead_and_none_behind(self):
         table = (None, None, np.array([[0.5]]))
         # x' = x^2 / 2 from x(t) = 200 has its pole at t + 2/200.
@@ -436,6 +453,38 @@ class TestProbe:
         for ori in (+1, -1):
             traj = integrate(FlowProblem(m, gamma, (0.0, ori * 5.0)))
             assert traj.status == ode.BLOWUP
+
+    def test_no_blowup_is_counted_past_t_max(self, u1_metric):
+        # Sample 0's forward run passes |x| = 1e2 before t = 2.1 and has its
+        # pole at t = 2.1243: it completes, and only sample 6 blows up.
+        rep = completeness_probe(u1_metric, 8, 2.1, seed=0)
+        blown = [s for s in rep.samples if s.status == ode.BLOWUP]
+        assert [(s.index, s.orientation) for s in blown] == [(6, 1), (6, -1)]
+        assert rep.n_blowup == 2 and all(abs(s.t_detected) <= 2.1 for s in blown)
+        assert rep.samples[0].status == ode.COMPLETED
+
+    @pytest.mark.parametrize("core, lams, blocks, crossed", [
+        ("u1", (1.0, 2.0), [[[1.1, 0.2], [0.2, 0.8]]],
+         [None, None, 2.564615, -6.698694, 7.722079, -5.021869, 4.035020, -3.118787]),
+        ("u2", (1.0, 2.0, 3.0), [[[1.1, 0.2], [0.2, 0.8]], [[-0.6, 0.5], [0.5, 1.3]]],
+         [1.565055, -2.132451, 2.458265, -3.562919, 2.524260, -5.962721, 2.085523, -4.074393]),
+    ])
+    def test_every_threshold_blowup_is_confirmed(self, core, lams, blocks, crossed):
+        # Undetermined direct sums at n = 2 and 3.  `crossed` holds, per
+        # sample, the time at which the run crossed |x| = 1e8 when that
+        # crossing alone was reported as a blow-up.  The series confirms each
+        # one, a little past its crossing, and no other run.
+        spec = LambdaSpec(lams)
+        m = metric(spec, "direct_sum", core=core, blocks=blocks)
+        rep = completeness_probe(m, 4, 10.0, seed=0)
+        assert rep.verdict == "undetermined"
+        assert rep.n_blowup == sum(t is not None for t in crossed)
+        for s, t_cross in zip(rep.samples, crossed):
+            if t_cross is None:
+                assert s.status == ode.COMPLETED
+            else:
+                assert s.status == ode.BLOWUP
+                assert 0 < (s.t_detected - t_cross) * s.orientation < 1e-3 * abs(t_cross)
 
     def test_same_seed_probes_give_equal_samples(self, spec1):
         m = metric(spec1, "diagonal_sym", eta=[0.4], eta_check=[0.6])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import group_dist, isom_dist, paper_basis_brackets
+from osclab import flows
 from osclab.algebra import LambdaSpec, basis_brackets, basis_vector
 from osclab.isometry import (CurvIsometry, GroupElem, GroupRows, IsomElem, IsometryRows,
                              act_sigma_on_u, commensurability_oracle, compose,
@@ -126,6 +127,21 @@ class TestExpLog:
             got = geodesic_exponential(metric, x)
             want = g_exp(spec12, x)
             assert group_dist(got, want) <= 1e-6
+
+    def test_pole_after_time_one_is_no_failure(self, spec1, monkeypatch):
+        # gamma1 at (c, rho) = (1, 1.5): |x| passes 1e2 before t = 1, pole at
+        # pi/3 > 1.  The located pole stops nothing, so the endpoint is that
+        # of a run that makes no decision.
+        metric = metric_from_iso(k_lambda(spec1), named_family(spec1, "u1_dim4"))
+        x = flows.analytic_gamma1(1.0, 1.5, 0.0)
+        located = []
+        real = flows.locate_singularity
+        monkeypatch.setattr(flows, "locate_singularity",
+                            lambda *a: located.append(real(*a)) or located[-1])
+        got = geodesic_exponential(metric, x)
+        assert located and all(abs(t - math.pi / 3) <= 1e-9 for t in located)
+        monkeypatch.setattr(flows, "locate_singularity", lambda *a: None)
+        assert got == geodesic_exponential(metric, x)
 
 
 class TestCurvIsometry:

@@ -161,6 +161,23 @@ class TestSingularityTest:
         assert res.status == ode.BLOWUP and res.t_detected == res.ts[-1] - 0.25
         assert abs(res.ys[-1, 0]) > 1e2 and abs(res.ys[-2, 0]) <= 1e2
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_singularity_past_the_span_end_is_no_stop(self, sign):
+        # y(t) = 2 / (1 - t) passes 1e2 and 1e3 before t = 0.999; pole at t = 1.
+        y0, span = np.array([2.0 * sign]), (0.0, 0.999 * sign)
+        calls = []
+
+        def past_end(t, y, direction):
+            calls.append(t)
+            return span[1] + direction * 1e-3
+        plain = ode.solve_rk45(half_square, span, y0)
+        res = ode.solve_rk45(half_square, span, y0, singularity=past_end)
+        assert res.status == plain.status == ode.COMPLETED and res.t_detected is None
+        assert np.array_equal(res.ts, plain.ts) and np.array_equal(res.ys, plain.ys)
+        assert len(calls) == 2
+        at_end = ode.solve_rk45(half_square, span, y0, singularity=lambda t, y, d: span[1])
+        assert at_end.status == ode.BLOWUP and at_end.t_detected == span[1]
+
     def test_completing_run_makes_no_call(self):
         calls = []
         res = ode.solve_rk45(decay, (0.0, 3.0), np.array([50.0]),
