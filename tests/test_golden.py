@@ -188,6 +188,15 @@ CLI_CASES = {
     "isometry_verify_stack50": ["isometry-verify", "--lambda", "1,1,2,2,2,3",
                                 "--samples", "50", "--seed", "7"],
     "isometry_verify_one": ["isometry-verify", "--lambda", "2", "--samples", "1"],
+    # One 12x12 frequency block, the largest set of residual rows a map's
+    # zero pattern reaches; and a map with exact zeros inside the support of
+    # the parametrization (a zero translation and a sparse rotation).
+    "isometry_verify_one_block_n6": ["isometry-verify", "--lambda", "1,1,1,1,1,1",
+                                     "--seed", "2"],
+    "isometry_verify_sparse_u": [
+        "isometry-verify", "--lambda", "1,1,2", "--u",
+        '{"rho":1,"blocks":[{"v":[[0,0],[0,0]],"u":[[1,0,0,0],[0,1,0,0],[0,0,1,0],'
+        '[0,0,0,1]]},{"v":[[0.7,-0.4]],"u":[[0.6,-0.8],[0.8,0.6]]}]}'],
     "isometry_polar_n6": [
         "isometry-polar", "--lambda", "0.5,1,1,2,3,4", "--u",
         '{"rho":1,"blocks":[{"v":[[0.4,-0.7]],"u":[[0.6,-0.8],[0.8,0.6]]},'
