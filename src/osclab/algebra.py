@@ -157,9 +157,12 @@ class LambdaSpec:
 
     @cached_property
     def triple_brackets(self) -> np.ndarray:
-        """Read-only T with T[a, b, c, :] = [e_a, [e_b, e_c]]."""
-        B = self.basis_brackets
-        return _read_only(np.einsum("bcp,apq->abcq", B, B))
+        """Read-only T with T[a, b, c, :] = [e_a, [e_b, e_c]], one product per nonzero."""
+        b, c, p, v = self.bracket_support
+        i, j = np.nonzero(p[:, None] == c)  # [e_b, e_c] = v_i e_p, [e_a, e_p] = v_j e_q
+        T = np.zeros((self.dim,) * 4)
+        T[b[j], b[i], c[i], p[j]] = v[i] * v[j]
+        return _read_only(T)
 
     @cached_property
     def triple_support(self) -> tuple[np.ndarray, ...]:
