@@ -170,7 +170,8 @@ def first_integrals(metric: Metric) -> FirstIntegralSet:
     u = metric.iso.matrix
     gu = gram @ u
     ue0 = gram @ (u @ basis_vector(spec, 1))
-    uT_g_u = u.T @ gram @ u
+    with np.errstate(over="ignore"):  # a huge u overflows k(ux, ux); its drift reads NaN
+        uT_g_u = u.T @ gram @ u
 
     out = [
         FirstIntegral("E", lambda X, m=gu: _row_bilinear(X, m, X)),      # k_u(x, x)
@@ -239,7 +240,8 @@ class Trajectory:
         out = {}
         for name, vals in self.invariant_log.items():
             denom = max(abs(float(vals[0])), 1.0)
-            out[name] = float(np.max(np.abs(vals - vals[0]))) / denom
+            with np.errstate(invalid="ignore"):  # inf - inf: a NaN drift fails its check
+                out[name] = float(np.max(np.abs(vals - vals[0]))) / denom
         return out
 
 

@@ -638,6 +638,18 @@ def test_nan_integral_drift_fails_its_check(form):
     assert check["pass"] is False and check["residual"] is None
 
 
+@pytest.mark.parametrize("form", ["body", "euler_u", "lax"])
+def test_overflowing_integral_warns_nothing(capsys, form):
+    # k(ux, ux) overflows for a 1e300-scaled u.  In process, so that a numpy
+    # RuntimeWarning fails the test.
+    code, rep, err = run_json(capsys, "geodesic-integrate", "--lambda", "1", "--metric",
+                              _DIAG_1E300, "--form", form, "--x0", "1e-7,1e-7,1e-7,1e-7",
+                              "--t-max", "1")
+    assert code == 1 and rep["integral_drift"]["A"] is None
+    check = [c for c in rep["checks"] if c["name"] == "integral_drift"][0]
+    assert check["pass"] is False and check["residual"] is None
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
