@@ -477,22 +477,47 @@ def orthogonality_residual(form: BiInvariantForm, m) -> float:
     return float(np.max(np.abs(np.swapaxes(m, -1, -2) @ form.gram @ m - form.gram)))
 
 
+def _residual_plan(spec: LambdaSpec, nz: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cached per nonzero pattern nz of U: the residual rows (a, b, m) that y or U T reach,
+    as y indices per row and column k (y.size - 1 reads 0), and U T as (row, c, m, q, value)."""
+    plans, key = spec.__dict__.setdefault("_residual_plans", {}), nz.tobytes()
+    if key not in plans:
+        (a, b, c, q, val, x_cols, z_cols), d = spec.triple_support, spec.dim
+        ut_n, ut_m = np.nonzero(nz[:, q].T)  # (U T)[a, b, c, m] = value U[m, q]
+        ut_rows = (a[ut_n] * d + b[ut_n]) * d + ut_m
+        xs = np.zeros((d, z_cols.size * d))  # > 0 where U's nonzeros reach x, y, then z
+        xs[:, x_cols] = nz[a].T
+        ys = np.matmul(xs.reshape(d, -1, d), nz.astype(float)).transpose(0, 2, 1)
+        zs = np.matmul(ys, np.eye(d)[z_cols // d]).ravel() + np.bincount(ut_rows, minlength=d**3)
+        rows = np.flatnonzero((zs > 0) | nz.all())  # every row for a dense U
+        rows = rows if rows.size > 1 else np.union1d(rows, (0, 1))  # a gemm, not a gemv
+        zi = np.full((d, d, d * d), xs.size)  # z as indices into y
+        zi[:, :, z_cols] = np.arange(xs.size).reshape(d, -1, d).transpose(0, 2, 1)
+        plans[key] = tuple(map(_read_only, (zi.reshape(-1, d)[rows], np.searchsorted(
+            rows, ut_rows), c[ut_n], ut_m, q[ut_n], val[ut_n])))
+    return plans[key]
+
+
 def triple_bracket_residual(spec: LambdaSpec, m) -> float:
     """max over basis triples of |U[x,[y,z]] - [Ux,[Uy,Uz]]|.
 
     Together with orthogonality this is the membership test for the
     curvature-preserving group.  It has the bits of the dense einsums over T,
     ``mq,abcq->abcm`` and the optimized ``ia,jb,kc,ijkm->abcm``: their sums
-    with one nonzero term are single products, the others the same matmuls."""
+    with one nonzero term are single products, the others the same matmuls.
+    Only the rows (a, b, m) that the zero pattern of U reaches are multiplied:
+    while y is finite, so is U, and every other row reads 0 (else all are
+    kept).  A gemm entry is an FMA chain over k on any set of rows, but one
+    row goes to gemv, which sums in another order: so two rows at least."""
     m, d = np.asarray(m, dtype=float), spec.dim
     a, b, c, q, val, x_cols, z_cols = spec.triple_support
     x = np.zeros((d, z_cols.size * d))  # ijkm,ia->ajkm as rows (a, live km), cols j
     x[:, x_cols] = m[a].T * val
-    y = np.matmul(x.reshape(-1, d), m)  # ajkm,jb->abkm
-    z = np.zeros((d, d, d * d))  # rows (a, b, m), cols k
-    z[:, :, z_cols] = y.reshape(d, -1, d).transpose(0, 2, 1)
-    r = np.matmul(z.reshape(-1, d), m).reshape(d, d, d, d)  # abkm,kc->abcm as r[a,b,m,c]
-    r[a, b, :, c] -= m[:, q].T * val[:, None]  # U[e_a,[e_b,e_c]] = value U e_q
+    y = np.zeros(x.size + 1)  # ajkm,jb->abkm, and a zero for the (k, m) pairs T misses
+    np.matmul(x.reshape(-1, d), m, out=y[:-1].reshape(-1, d))
+    gather, at, col, um, uq, uval = _residual_plan(spec, (m != 0) | ~np.isfinite(y).all())
+    r = np.matmul(y[gather], m)  # abkm,kc->abcm on the plan's rows (a, b, m), cols c
+    r[at, col] -= m[um, uq] * uval  # U[e_a,[e_b,e_c]] = value U e_q
     return float(np.max(np.abs(r, out=r)))
 
 

@@ -566,6 +566,7 @@ class TestStackedRows:
         spec = LambdaSpec(lams)
         B = paper_basis_brackets(spec)
         T = np.einsum("bcp,apq->abcq", B, B)
+        np.testing.assert_array_equal(spec.triple_brackets, T)
         for u in mixed_isometries(spec, rng, 8) + mixed_isometries(spec, rng, 4, rho=-1):
             m = u.matrix
             lhs = np.einsum("mq,abcq->abcm", m, T)
@@ -710,16 +711,53 @@ class TestTripleBracketResidual:
         assert all(not v.flags.writeable for v in spec.triple_support)
 
     def test_residual_equals_the_dense_einsums_bit_for_bit(self, lams, rng):
-        # 100 maps per spec, 1,200 in all: isometries, rho = -1 maps and
-        # reflected blocks, and random matrices scaled 1e-3 to 1e3.
-        spec = LambdaSpec(lams)
+        # 165 maps per spec: isometries, rho = -1 maps and reflected blocks,
+        # random matrices scaled 1e-3 to 1e3, and maps whose zero pattern,
+        # overflow or non-finite entries decide which residual rows are
+        # contracted; NaN must meet NaN.
+        spec, d = LambdaSpec(lams), LambdaSpec(lams).dim
         ms = [u.matrix for u in mixed_isometries(spec, rng, 40)]
         ms += [u.matrix for u in mixed_isometries(spec, rng, 15, rho=-1)]
         ms += [random_curv_isometry(spec, rng).matrix for _ in range(15)]
-        ms += [rng.standard_normal((spec.dim, spec.dim)) * scale
+        ms += [rng.standard_normal((d, d)) * scale
                for scale in (1e-3, 1e-1, 1.0, 1e1, 1e2, 1e3) for _ in range(5)]
+        isos = mixed_rows(spec, rng, 12)
+        ms += [identity_isometry(spec).matrix, np.zeros((d, d))]
+        for at in [(1, 2), (2, 1), (2, 3)]:  # U T alone reaches rows (a, b, e_0)
+            ms.append(np.zeros((d, d)))
+            ms[-1][at] = 0.5
+        ms += list(IsometryRows(spec, isos.rho, tuple(np.zeros_like(v) for v in isos.vs),
+                                isos.us).matrix)
+        ms += [np.where(m != 0, rng.standard_normal((d, d)), 0.0) for m in isos.matrix]
+        ms += [np.where(rng.random((d, d)) < p, 2 * rng.standard_normal((d, d)), 0.0)
+               for p in (0.1, 0.2, 0.3, 0.5) for _ in range(3)]
+        for scale in (1e3, 1e150, 1e300, 1e307):
+            for m in isos.matrix[:3]:
+                m = m.copy()
+                m[2:, 0] *= scale  # the translation column, and the e_0 row with alpha
+                m[1] *= scale
+                ms.append(m)
+        for bad in (np.inf, -np.inf, np.nan):
+            for at in [(0, 0), (1, 1), (d - 1, 2), tuple(rng.integers(d, size=2))]:
+                m = isos.matrix[int(rng.integers(12))].copy()
+                m[at] = bad
+                ms.append(m)
         for m in ms:
-            assert triple_bracket_residual(spec, m) == dense_triple_bracket_residual(spec, m)
+            with np.errstate(all="ignore"):
+                got = triple_bracket_residual(spec, m)
+                want = dense_triple_bracket_residual(spec, m)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_random_maps_are_not_contracted_over_every_row(self, lams, rng, monkeypatch):
+        # The dense kernel multiplies all d^3 rows (a, b, m) of the residual by U.
+        spec = LambdaSpec(lams)
+        ms = random_curv_isometries(spec, rng, 4).matrix
+        rows, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul",
+                            lambda x, *args, **kw: rows.append(len(x)) or matmul(x, *args, **kw))
+        for m in ms:
+            triple_bracket_residual(spec, m)
+        assert rows and max(rows) < spec.dim ** 3
 
 
 @pytest.mark.parametrize("axis", [0, 3], ids=["column", "row"])
