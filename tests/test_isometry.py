@@ -715,7 +715,8 @@ class TestTripleBracketResidual:
         # random matrices scaled 1e-3 to 1e3, and maps whose zero pattern,
         # overflow or non-finite entries decide which residual rows are
         # contracted; NaN must meet NaN.
-        spec, d = LambdaSpec(lams), LambdaSpec(lams).dim
+        spec = LambdaSpec(lams)
+        d = spec.dim
         ms = [u.matrix for u in mixed_isometries(spec, rng, 40)]
         ms += [u.matrix for u in mixed_isometries(spec, rng, 15, rho=-1)]
         ms += [random_curv_isometry(spec, rng).matrix for _ in range(15)]
