@@ -248,6 +248,18 @@ CLI_CASES = {
         '[1.2,-0.8,0.8,-0.8,0.8,1.2,-1.6,1.4,1.6,-5.4,-0.8,0.4],'
         '[0.6,-1.8,-1.2,1.8,-0.9,2.7,-1.2,2.4,2.1,-1.2,-4.2,1.8],'
         '[1.2,-1.6,5.6,-0.8,-2.4,-1.6,-1.2,-4.0,-4.0,0.8,2.4,13.6]]}'],
+    # direct_sum metrics at n = 3 (a u1 or u2 core and two 2x2 blocks),
+    # written as literal matrices: their L is neither diagonal nor dense.
+    "locsym_check_direct_sum_u1": [
+        "locsym-check", "--lambda", "1,2,3", "--metric",
+        '{"kind":"matrix","rows":[[0,1,0,0,0,0,0,0],[0,0,1,0,0,0,0,0],[1,0,0,0,0,0,0,0],'
+        '[0,0,0,1.3,0,0,0.4,0],[0,0,0,0,0.7,0,0,-0.2],[0,0,0,0,0,1,0,0],'
+        '[0,0,0,0.4,0,0,0.8,0],[0,0,0,0,-0.2,0,0,1.6]]}'],
+    "connection_report_direct_sum_u2": [
+        "connection-report", "--lambda", "1,1.5,3", "--metric",
+        '{"kind":"matrix","rows":[[0,0,1,0,0,0,0,0],[0,0,0,0,0,1,0,0],[0,1,0,0,0,0,0,0],'
+        '[0,0,0,1.3,0,0,0.4,0],[0,0,0,0,0.7,0,0,-0.2],[1,0,0,0,0,0,0,0],'
+        '[0,0,0,0.4,0,0,0.8,0],[0,0,0,0,-0.2,0,0,1.6]]}'],
 }
 
 
