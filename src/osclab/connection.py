@@ -155,37 +155,61 @@ def local_symmetry_residual(table: ConnTable) -> float:
         lhs = einsum("zij,xyjk->zxyik", M, R) - einsum("xyij,zjk->zxyik", R, M)
         rhs = einsum("zxc,cyik->zxyik", L, R) + einsum("zyc,xcik->zxyik", L, R)
 
-    at less cost.  R(e_y, e_x) = -R(e_x, e_y) bit for bit, so the entry at
-    (z, y, x) is minus the one at (z, x, y) and zero at x = y: only x < y is
-    evaluated, and R(x, L_z y) is -R(L_z y, x).  A zero slice on an axis that
-    is not summed gives exact zeros, so only the (z, x < y) blocks where L_z e_x,
-    L_z e_y or R(e_x, e_y) != 0 are evaluated, R(L_z e_w, .) only where L_z e_w
-    != 0 and lhs only where R(e_x, e_y) != 0.  No summed axis is cut, so
-    einsum sums each computed entry in the same order.
+    at less cost.  R(e_y, e_x) = -R(e_x, e_y) bit for bit, so only x < y is
+    evaluated, and R(x, L_z y) is -R(L_z y, x).  An entry whose products are all
+    zero is zero: only the (z, x < y) blocks that can be nonzero are evaluated,
+    R(L_z e_w, .) only where L_z e_w != 0 and lhs only where R(e_x, e_y) != 0.  For
+    d > 6, finite L and R (0 * inf must give NaN) and few live slices, R(L_z e_w, e_y)
+    is taken only where some L_z e_w[c] R(e_c, e_y) != 0, and M_z R(e_x, e_y) and
+    R(e_x, e_y) M_z only on the rows and columns where M_z != 0, into one zero array
+    (lhs is still fl(t1 - t2)).  No summed axis is cut, so einsum sums each
+    computed entry in the same order.
     """
     d = table.spec.dim
     L, M, R = table.coeffs, table.left_mult, table.curvature
-    # t3[row[z, w]] = R(L_z e_w, .), with a last zero row where L_z e_w = 0.
-    lnz = L.any(axis=2)
+    # Below d = 8 the bookkeeping of the cuts costs more than they save, and a
+    # gathered slice costs up to 6 times a slice of a whole row.
+    cut = d > 6 and np.isfinite(L).all() and np.isfinite(R).all()
+    lnz, rnz = L.any(axis=2), R.any(axis=(2, 3))
     z, w = np.nonzero(lnz)
-    row = np.full((d, d), len(z))
-    row[z, w] = np.arange(len(z))
-    t3 = np.zeros((len(z) + 1, d, d, d))
-    t3[:-1] = np.einsum("pc,cyik->pyik", L[z, w], R)
+    some_c = (L[z, w] != 0).astype(float) @ rnz.astype(float) > 0 if cut else None
+    cut = cut and 6 * np.count_nonzero(some_c) <= some_c.size
     # The k pairs with R(e_x, e_y) != 0 go first; live at every z, they fill res[:k d].
     x, y = table.spec.basis_pairs
-    rnz = R[x, y].any(axis=(1, 2))
-    k = np.count_nonzero(rnz)
-    order = np.argsort(~rnz, kind="stable")
+    pnz = rnz[x, y]
+    order, k = np.argsort(~pnz, kind="stable"), np.count_nonzero(pnz)
     x, y = x[order], y[order]
-    live = lnz[:, x] | lnz[:, y]
+    if cut:
+        live3 = np.zeros((d, d, d), bool)
+        live3[z, w] = some_c
+        zs, ws, ys = np.nonzero(live3)
+        slot = np.full((d, d, d), len(zs))  # t3[slot[z, w, y]] = R(L_z e_w, e_y), or 0
+        slot[zs, ws, ys] = np.arange(len(zs))
+        t3 = np.zeros((len(zs) + 1, d, d))
+        t3[:-1] = np.einsum("sc,csik->sik", L[zs, ws], np.take(R, ys, axis=1))
+        live = live3[:, x, y] | live3[:, y, x]
+    else:
+        row = np.full((d, d), len(z))  # t3[row[z, w]] = R(L_z e_w, .), or 0
+        row[z, w] = np.arange(len(z))
+        t3 = np.zeros((len(z) + 1, d, d, d))
+        t3[:-1] = np.einsum("pc,cyik->pyik", L[z, w], R)
+        live = lnz[:, x] | lnz[:, y]
     live[:, :k] = True
     bp, bz = np.nonzero(live.T)
-    res = t3[row[bz, x[bp]], y[bp]]
-    res -= t3[row[bz, y[bp]], x[bp]]
+    xy, yx = (((slot[bz, x[bp], y[bp]],), (slot[bz, y[bp], x[bp]],)) if cut else
+              ((row[bz, x[bp]], y[bp]), (row[bz, y[bp]], x[bp])))
+    res = t3[xy]
+    res -= t3[yx]
     rp = R[x[:k], y[:k]]
-    lhs = np.einsum("zij,pjk->zpik", M, rp) - np.einsum("pij,zjk->zpik", rp, M)
-    res[:k * d].reshape(k, d, d, d)[...] -= lhs.transpose(1, 0, 2, 3)
+    if cut:
+        lhs = np.zeros((k, d, d, d))
+        zr, ir = np.nonzero(L.any(axis=1))
+        lhs[:, zr, ir] = np.einsum("rj,pjk->rpk", M[zr, ir], rp).transpose(1, 0, 2)
+        lhs[:, z, :, w] -= np.einsum("pij,jr->rpi", rp, np.ascontiguousarray(M[z, :, w].T))
+    else:
+        lhs = (np.einsum("zij,pjk->zpik", M, rp)
+               - np.einsum("pij,zjk->zpik", rp, M)).transpose(1, 0, 2, 3)
+    res[:k * d].reshape(k, d, d, d)[...] -= lhs
     return float(np.max(np.abs(res, out=res), initial=0.0))
 
 

@@ -179,10 +179,12 @@ def dense_curvature_reference(table):
     return np.einsum("abc,cxy->abxy", B, M) - (comm - comm.transpose(1, 0, 2, 3))
 
 
-def dense_locsym_reference(table):
+def dense_locsym_reference(table, R=None):
     """The dense four-einsum form of the local-symmetry residual, over all
-    basis triples; ``local_symmetry_residual`` must give its bits."""
-    L, M, R = table.coeffs, table.left_mult, dense_curvature_reference(table)
+    basis triples, on the dense curvature or the given R;
+    ``local_symmetry_residual`` must give its bits."""
+    L, M = table.coeffs, table.left_mult
+    R = dense_curvature_reference(table) if R is None else R
     lhs = np.einsum("zij,xyjk->zxyik", M, R) - np.einsum("xyij,zjk->zxyik", R, M)
     rhs = np.einsum("zxc,cyik->zxyik", L, R) + np.einsum("zyc,xcik->zxyik", L, R)
     return float(np.max(np.abs(lhs - rhs)))
@@ -275,6 +277,53 @@ class TestLocalSymmetryResidualBits:
                 assert math.isnan(flatness_residual(table))
                 assert math.isnan(local_symmetry_residual(table))
                 assert math.isnan(dense_locsym_reference(table))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_non_finite_curvature_entry_where_l_is_zero(self, n, value):
+        # No L_z e_w has an e_-1 component on these metrics, so every slice
+        # R(e_-1, e_y) meets only zeros of L: 0 * inf must still give NaN.
+        rng = np.random.default_rng([n, 11])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for kind in ("locsym", "locsym_rho", "generic"):
+                base = sample_table(n, kind, rng)
+                assert not base.coeffs[:, :, 0].any()
+                for y in range(1, base.spec.dim):
+                    i, k = rng.integers(base.spec.dim, size=2)
+                    R = base.curvature.copy()
+                    R[0, y, i, k], R[y, 0, i, k] = value, -value
+                    table = ConnTable(base.spec, base.coeffs, base.metric)
+                    table.__dict__["curvature"] = R  # what the cached property would hold
+                    got, want = local_symmetry_residual(table), dense_locsym_reference(table, R)
+                    assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_inf_where_l_is_zero_gives_nan_not_inf(self):
+        # L_{e_1} e_2 = ec_1 alone, and R(e_-1, e_0) = inf at (e_2, ec_1): every
+        # product a cut kernel keeps is inf, and the dense formula has 0 * inf.
+        spec = LambdaSpec((1.0, 2.0, 3.0))
+        L = np.zeros((spec.dim,) * 3)
+        L[2, 3, 5] = 1.0
+        R = np.zeros((spec.dim,) * 4)
+        R[0, 1, 3, 5], R[1, 0, 3, 5] = math.inf, -math.inf
+        table = ConnTable(spec, L)
+        table.__dict__["curvature"] = R
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(dense_locsym_reference(table, R))
+            assert math.isnan(local_symmetry_residual(table))
+
+    def test_no_dense_commutator_or_whole_t3_rows_at_n6(self, monkeypatch):
+        # The connection_report_n6 metric.  The dense kernel built the
+        # commutator as (d, k, d, d) and R(L_z e_w, .) as (rows, d, d, d).
+        spec = LambdaSpec((1.0, 1.5, 2.0, 2.5, 3.0, 4.0))
+        table = levi_civita(metric_from_iso(k_lambda(spec), named_family(
+            spec, "diagonal_sym", eta=[0.4, 1.3, 0.7, 2.1, 0.9, 1.6],
+            eta_check=[0.6, 0.5, 1.9, 0.8, -1.2, 0.3])))
+        table.curvature
+        shapes, einsum = [], np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args, **kw: shapes.append(
+            (out := einsum(*args, **kw)).shape) or out)
+        local_symmetry_residual(table)
+        assert shapes and max(map(len, shapes)) == 3
 
     def test_transient_memory_at_n6(self):
         # The connection_report_n6 metric: 399 of its 1,274 (z, x < y)
