@@ -156,28 +156,25 @@ class LambdaSpec:
         return tuple(map(_read_only, (*np.nonzero(B), B[B != 0])))
 
     @cached_property
-    def triple_brackets(self) -> np.ndarray:
-        """Read-only T with T[a, b, c, :] = [e_a, [e_b, e_c]], one product per nonzero."""
-        b, c, p, v = self.bracket_support
-        i, j = np.nonzero(p[:, None] == c)  # [e_b, e_c] = v_i e_p, [e_a, e_p] = v_j e_q
-        T = np.zeros((self.dim,) * 4)
-        T[b[j], b[i], c[i], p[j]] = v[i] * v[j]
-        return _read_only(T)
-
-    @cached_property
     def triple_support(self) -> tuple[np.ndarray, ...]:
-        """Read-only (a, b, c, q, value, x_cols, z_cols) over the nonzeros T[a, b, c, q]
-        = value, one at most per (a, b, c) and per (b, c, q): x_cols is l d + b when (c, q)
-        is the l-th live pair (T[:, :, c, q] != 0), and z_cols is q d + c per live pair."""
-        T, d = self.triple_brackets, self.dim
-        nz = T != 0
-        if nz.sum(axis=3).max() > 1 or nz.sum(axis=0).max() > 1:
+        """Read-only (a, b, c, q, value, x_cols, z_cols) over the nonzeros T[a, b, c, q] =
+        value of T = [e_a, [e_b, e_c]] in np.nonzero order, one at most per (a, b, c) and per
+        (b, c, q), each a product of two bracket_support values (one that underflows is no
+        nonzero); x_cols is l d + b for the l-th live pair (c, q), z_cols q d + c per pair."""
+        b, c, p, v = self.bracket_support
+        d = self.dim
+        i, j = np.nonzero(p[:, None] == c)  # [e_b, e_c] = v_i e_p, [e_a, e_p] = v_j e_q
+        val = v[i] * v[j]
+        flat = (((b[j] * d + b[i]) * d + c[i]) * d + p[j])[val != 0]
+        order = np.argsort(flat)
+        flat, val = flat[order], val[val != 0][order]
+        if max(np.bincount(flat // d).max(initial=0), np.bincount(flat % d**3).max(initial=0)) > 1:
             raise ArithmeticError("a row or column of T holds two nonzeros")
-        a, b, c, q = np.nonzero(nz)
-        live = nz.any(axis=(0, 1))
-        live_c, live_q = np.nonzero(live)
-        slot = (np.cumsum(live) - 1).reshape(d, d)[c, q]
-        return tuple(map(_read_only, (a, b, c, q, T[nz], slot * d + b, live_q * d + live_c)))
+        live = np.bincount(flat % d**2, minlength=d * d) > 0
+        live_c, live_q = np.divmod(np.flatnonzero(live), d)
+        slot = (np.cumsum(live) - 1)[flat % d**2]
+        a, b, c, q = np.unravel_index(flat, (d,) * 4)
+        return tuple(map(_read_only, (a, b, c, q, val, slot * d + b, live_q * d + live_c)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -564,9 +564,11 @@ class TestStackedRows:
 
     def test_cached_triple_tensor_equals_the_fresh_build(self, lams, rng):
         spec = LambdaSpec(lams)
-        B = paper_basis_brackets(spec)
-        T = np.einsum("bcp,apq->abcq", B, B)
-        np.testing.assert_array_equal(spec.triple_brackets, T)
+        T = dense_triple_brackets(spec)
+        a, b, c, q, val, _, _ = spec.triple_support
+        assert [v.tolist() for v in np.nonzero(T)] == [a.tolist(), b.tolist(), c.tolist(),
+                                                      q.tolist()]
+        np.testing.assert_array_equal(val, T[a, b, c, q])
         for u in mixed_isometries(spec, rng, 8) + mixed_isometries(spec, rng, 4, rho=-1):
             m = u.matrix
             lhs = np.einsum("mq,abcq->abcm", m, T)
@@ -688,11 +690,19 @@ SUPPORT_LAMBDAS = [(2.5,), (1.0, 2.0), (0.5, 1.0, 3.0), (1.0, 1.5, 2.0, 4.0),
                    (1.0, 1.5, 2.0, 3.0, 5.0), (1.0, 1.5, 2.0, 2.5, 3.0, 4.0),
                    (1.0,), (1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 1.0, 2.0),
                    (1.0, 1.5, 2.0, 3.0, 3.0), (0.5, 1.0, 1.0, 2.0, 3.0, 4.0)]
+# l_1^2 = 1e-400 underflows to 0: T has no nonzero where that product stands.
+UNDERFLOW_LAMBDAS = (1e-200, 1.0)
+
+
+def dense_triple_brackets(spec):
+    """T[a, b, c, :] = [e_a, [e_b, e_c]] as one dense einsum over the paper's brackets."""
+    B = paper_basis_brackets(spec)
+    return np.einsum("bcp,apq->abcq", B, B)
 
 
 def dense_triple_bracket_residual(spec, m):
     """The residual as the two dense einsums over T = [e_a, [e_b, e_c]]."""
-    T = np.einsum("bcp,apq->abcq", paper_basis_brackets(spec), paper_basis_brackets(spec))
+    T = dense_triple_brackets(spec)
     lhs = np.einsum("mq,abcq->abcm", m, T)
     rhs = np.einsum("ia,jb,kc,ijkm->abcm", m, m, m, T, optimize=True)
     return float(np.max(np.abs(lhs - rhs)))
@@ -701,14 +711,7 @@ def dense_triple_bracket_residual(spec, m):
 @pytest.mark.parametrize("lams", SUPPORT_LAMBDAS, ids=lambda lams: "_".join(map(str, lams)))
 class TestTripleBracketResidual:
     def test_t_has_one_nonzero_per_support_row_and_column(self, lams):
-        spec = LambdaSpec(lams)
-        nz = spec.triple_brackets != 0
-        assert nz.sum(axis=3).max() == 1 and nz.sum(axis=0).max() == 1
-        a, b, c, q, val, _, _ = spec.triple_support
-        rebuilt = np.zeros_like(spec.triple_brackets)
-        rebuilt[a, b, c, q] = val
-        np.testing.assert_array_equal(rebuilt, spec.triple_brackets)
-        assert all(not v.flags.writeable for v in spec.triple_support)
+        check_support_against_dense_t(LambdaSpec(lams))
 
     def test_residual_equals_the_dense_einsums_bit_for_bit(self, lams, rng):
         # 165 maps per spec: isometries, rho = -1 maps and reflected blocks,
@@ -761,14 +764,38 @@ class TestTripleBracketResidual:
         assert rows and max(rows) < spec.dim ** 3
 
 
-@pytest.mark.parametrize("axis", [0, 3], ids=["column", "row"])
-def test_triple_support_refuses_two_nonzeros_in_a_row_or_column(spec12, axis):
+def check_support_against_dense_t(spec):
+    """triple_support holds the nonzeros of the dense T, in np.nonzero order,
+    one per row (a, b, c) and per column (b, c, q), read-only."""
+    T = dense_triple_brackets(spec)
+    nz = T != 0
+    assert nz.sum(axis=3).max() == 1 and nz.sum(axis=0).max() == 1
+    a, b, c, q, val, _, _ = spec.triple_support
+    np.testing.assert_array_equal(np.ravel_multi_index((a, b, c, q), T.shape),
+                                  np.flatnonzero(nz))
+    rebuilt = np.zeros_like(T)
+    rebuilt[a, b, c, q] = val
+    np.testing.assert_array_equal(rebuilt, T)
+    assert all(not v.flags.writeable for v in spec.triple_support)
+
+
+def test_a_product_that_underflows_is_no_nonzero_of_t():
+    spec = LambdaSpec(UNDERFLOW_LAMBDAS)
+    check_support_against_dense_t(spec)
+    b, c, p, v = spec.bracket_support
+    products = int(np.count_nonzero(p[:, None] == c))
+    assert spec.triple_support[4].size < products
+
+
+# For spec12 (d = 6: e_-1, e_0, e_1, e_2, ec_1, ec_2), one extra bracket entry.
+# [e_2, e_1] = ec_1 puts T[e_2, e_-1, ec_1, ec_1] beside T[e_-1, e_-1, ec_1, ec_1]
+# in one column.  A second entry for (e_1, ec_1), [e_1, ec_1] = e_0 + e_-1, gives
+# the row T[e_1, e_-1, e_1] = l_1 (e_0 + e_-1) two nonzeros.
+@pytest.mark.parametrize("extra", [(3, 2, 4), (2, 4, 0)], ids=["column", "row"])
+def test_triple_support_refuses_two_nonzeros_in_a_row_or_column(spec12, extra):
     spec = LambdaSpec(spec12.lambdas)
-    T = spec12.triple_brackets.copy()
-    at = np.argwhere(T != 0)[0]
-    at[axis] = (at[axis] + 1) % spec.dim
-    T[tuple(at)] = 1.0
-    spec.__dict__["triple_brackets"] = T  # what the cached property would hold
+    spec.__dict__["bracket_support"] = tuple(  # what the cached property would hold
+        np.append(col, value) for col, value in zip(spec12.bracket_support, (*extra, 1.0)))
     with pytest.raises(ArithmeticError, match="two nonzeros"):
         spec.triple_support
 
@@ -812,7 +839,7 @@ class TestStackedRowsContract:
 
     def test_structure_tensors_are_cached_read_only(self, spec112):
         assert basis_brackets(spec112) is spec112.basis_brackets
-        assert spec112.triple_brackets is spec112.triple_brackets
-        for t in (spec112.basis_brackets, spec112.triple_brackets):
+        assert spec112.triple_support is spec112.triple_support
+        for t in (spec112.basis_brackets, *spec112.triple_support):
             assert not t.flags.writeable
         assert LambdaSpec((1.0, 1.0, 2.0)).basis_brackets is not spec112.basis_brackets
