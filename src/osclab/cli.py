@@ -32,8 +32,7 @@ from .metrics import (DegenerateMetric, NotKSymmetric, SymIso, ad_invariance_res
                       completeness_criteria, k_lambda,
                       k_symmetry_residual, locsym_conditions, metric_from_iso,
                       parse_sym_iso, signature)
-from .connection import (closed_form_L, compatibility_residual, connection_report,
-                         levi_civita, local_symmetry_residual, torsion_residual)
+from .connection import closed_form_L, connection_report, levi_civita, local_symmetry_residual
 from . import flows, ode
 from . import isometry as iso_mod
 
@@ -43,6 +42,7 @@ class InputError(Exception):
 
 
 MAX_SAMPLES = 10_000  # samples are drawn as one stack: more could exhaust memory
+ORTHOGONALITY_CHECK_TOL = 1e-12
 
 
 def _parse_lambda(text) -> LambdaSpec:
@@ -333,6 +333,12 @@ def task_isometry_verify(args, spec):
     isos = (_parse_isometry(spec, args.u).rows if args.u
             else iso_mod.random_curv_isometries(spec, rng, args.samples))
     m = isos.matrix
+    am = np.abs(m)  # eps |m|^T |K| |m|: the rounding unit of the sums orthogonality cancels
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = np.finfo(float).eps * np.max(am.swapaxes(1, 2) @ np.abs(form.gram) @ am)
+    if not floor <= ORTHOGONALITY_CHECK_TOL:  # also NaN or inf where that sum overflows
+        raise InputError(f"maps beyond the checks' float precision: eps |m|^T |K| |m| "
+                         f"is {floor:.1e}, above the orthogonality tolerance 1e-12")
     worst_triple = max(iso_mod.triple_bracket_residual(spec, mk) for mk in m)
     worst_round = float(np.max(np.abs(iso_mod.curv_isometry_from_matrix(spec, m).matrix - m)))
     # Five group elements per identity-component map, drawn in map order,
@@ -350,7 +356,7 @@ def task_isometry_verify(args, spec):
         worst_polar = float(np.max(iso_mod.polar_transport_residuals(spec, isos[keep], g)))
     checks = [
         _check("orthogonality", "induced maps preserve the bi-invariant form",
-               iso_mod.orthogonality_residual(form, m), 1e-12),
+               iso_mod.orthogonality_residual(form, m), ORTHOGONALITY_CHECK_TOL),
         _check("triple_bracket", "induced maps preserve triple brackets",
                worst_triple, 1e-10),
         _check("roundtrip", "parametrization round-trip is exact",

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from osclab import ode
+from osclab.algebra import LambdaSpec
 from osclab.cli import main
+from osclab.isometry import random_curv_isometries
 
 
 def run(capsys, *argv):
@@ -590,6 +592,33 @@ class TestOutOfRangeIsometryInputs:
         assert proc.returncode == 2 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and needle in proc.stderr
+
+
+class TestMapsBeyondTheChecksPrecision:
+    """A true isometry never fails isometry-verify: over |v| from 1 to 1e300
+    it exits 0 while the checks resolve the map, and 2 with one line beyond
+    (at 1e150 the orthogonality residual read 5.8e283 against 1e-12)."""
+
+    @pytest.mark.parametrize("lam", ["1,2", "0.05,1,1"])
+    def test_a_true_isometry_never_exits_1(self, capsys, lam):
+        spec = LambdaSpec(tuple(float(v) for v in lam.split(",")))
+        maps = random_curv_isometries(spec, np.random.default_rng(3), 1)
+        norm = math.sqrt(sum(float(v[0] @ v[0]) for v in maps.vs))
+        codes = {}
+        for scale in np.concatenate((np.geomspace(1, 1e4, 81), np.geomspace(1e4, 1e300, 75))):
+            if lam == "1,2":  # the finding's map, v_1 = (|v|, 1.2)
+                u = _u12([scale, 1.2])
+            else:  # a random direction
+                u = json.dumps({"rho": 1, "blocks": [
+                    {"v": (scale / norm * v[0]).reshape(-1, 2).tolist(), "u": w[0].tolist()}
+                    for v, w in zip(maps.vs, maps.us)]})
+            code, out, err = run(capsys, "isometry-verify", "--lambda", lam, "--u", u)
+            if code == 2:
+                needle = "float precision" if "alpha" not in err else "alpha is -inf"
+                assert_one_line_input_error(code, out, err, needle)
+            codes[float(scale)] = code
+        assert set(codes.values()) == {0, 2}
+        assert all(code == 0 for scale, code in codes.items() if scale <= 10)
 
 
 def test_initial_state_beyond_the_blowup_threshold_exits_2_with_one_line():
