@@ -20,6 +20,7 @@ Euclidean one divided by the block frequency.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -235,18 +236,10 @@ def _r2c(w: np.ndarray) -> np.ndarray:
 
 def _rot(theta: float, r: int) -> np.ndarray:
     """Multiplication by e^{i theta} on interleaved real coordinates."""
-    c, s = math.cos(theta), math.sin(theta)
+    c, s, i = math.cos(theta), math.sin(theta), np.arange(0, 2 * r, 2)
     m = np.zeros((2 * r, 2 * r))
-    for i in range(r):
-        m[2 * i, 2 * i] = c
-        m[2 * i, 2 * i + 1] = -s
-        m[2 * i + 1, 2 * i] = s
-        m[2 * i + 1, 2 * i + 1] = c
+    m[i, i], m[i, i + 1], m[i + 1, i], m[i + 1, i + 1] = c, -s, s, c
     return m
-
-
-def _jmat(r: int) -> np.ndarray:
-    return _rot(0.5 * math.pi, r)
 
 
 def _special_orthogonal(a: np.ndarray, flip: np.ndarray) -> np.ndarray:
@@ -360,19 +353,12 @@ class CurvIsometry:
         return float(self.rows.alpha[0])
 
     @property
-    def rotational(self) -> bool:
-        return all(np.linalg.det(u) > 0 for u in self.us)
-
-    @property
     def identity_component(self) -> bool:
-        return self.rho == 1 and self.rotational
+        return self.rho == 1 and all(np.linalg.det(u) > 0 for u in self.us)
 
     @property
     def matrix(self) -> np.ndarray:
         return self.rows.matrix[0]
-
-    def apply(self, x) -> np.ndarray:
-        return self.matrix @ _as_elem(self.spec, x)
 
     def inverse(self) -> "CurvIsometry":
         vs = tuple(-self.rho * (u.T @ v) for v, u in zip(self.vs, self.us))
@@ -475,6 +461,7 @@ def orthogonality_residual(form: BiInvariantForm, m) -> float:
     """max |m^T K m - K| over a matrix or a stack of them."""
     m = np.asarray(m, dtype=float)
     return float(np.max(np.abs(np.swapaxes(m, -1, -2) @ form.gram @ m - form.gram)))
+
 
 
 def _residual_plan(spec: LambdaSpec, nz: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -592,7 +579,7 @@ def act_sigma_on_u(spec: LambdaSpec, sigma: GroupElem,
         theta = 0.5 * sigma.t * lam
         rot_m, rot_p = _rot(-theta, r), _rot(theta, r)
         ui = rot_m @ u.us[i] @ rot_p
-        jm = _jmat(r)
+        jm = _rot(0.5 * math.pi, r)  # multiplication by i
         q_part = 0.5 * (u.us[i] + jm @ u.us[i] @ jm)
         zb = _c2r(z[[j - 1 for j in idx]])
         vs.append(u.vs[i] + lam * (jm @ (q_part @ zb)))
@@ -679,12 +666,9 @@ def _to_exact(values) -> list[Fraction] | None:
     for v in values:
         if isinstance(v, bool):
             return None
-        if isinstance(v, (int, Fraction)):
-            out.append(Fraction(v))
-        elif isinstance(v, str):
-            out.append(Fraction(v))
-        else:
+        if not isinstance(v, (int, Fraction, str)):
             return None  # floats and anything else are inexact: refuse to guess
+        out.append(Fraction(v))
     return out
 
 
@@ -706,9 +690,7 @@ def lattice_criterion(values) -> LatticeVerdict:
         raise ValueError("frequencies must be positive")
     # Exact rationals are pairwise commensurable, so the generated subgroup
     # is (gcd) Z and in particular discrete.
-    gen = exact[0]
-    for v in exact[1:]:
-        gen = _fraction_gcd(gen, v)
+    gen = functools.reduce(_fraction_gcd, exact)
     return LatticeVerdict(True, True, gen,
                           f"all frequencies are integer multiples of {gen}")
 
@@ -726,14 +708,10 @@ def commensurability_oracle(values) -> bool:
     exact = _to_exact(values)
     if exact is None:
         raise ValueError("oracle needs exact rational input")
-    lcm = 1
-    for v in exact:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    lcm = math.lcm(*(v.denominator for v in exact))
     ints = [v * lcm for v in exact]
     if any(i.denominator != 1 for i in ints):
         return False
-    g = 0
-    for i in ints:
-        g = math.gcd(g, i.numerator)
+    g = math.gcd(*(i.numerator for i in ints))
     step = Fraction(g, lcm)
     return g > 0 and all((v / step).denominator == 1 for v in exact)

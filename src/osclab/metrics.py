@@ -149,22 +149,14 @@ def signature(metric: Metric) -> tuple[int, int]:
 # -- named families -----------------------------------------------------------
 
 def _u1_dim4() -> np.ndarray:
-    # e_-1 -> e_1, e_0 -> e_-1, e_1 -> e_0, ec_1 -> ec_1
-    m = np.zeros((4, 4))
-    m[2, 0] = 1.0
-    m[0, 1] = 1.0
-    m[1, 2] = 1.0
-    m[3, 3] = 1.0
+    m = np.zeros((4, 4))  # e_-1 -> e_1, e_0 -> e_-1, e_1 -> e_0, ec_1 -> ec_1
+    m[[2, 0, 1, 3], range(4)] = 1.0
     return m
 
 
 def _u2_dim4() -> np.ndarray:
-    # e_-1 -> ec_1, e_0 -> e_1, e_1 -> e_-1, ec_1 -> e_0
-    m = np.zeros((4, 4))
-    m[3, 0] = 1.0
-    m[2, 1] = 1.0
-    m[0, 2] = 1.0
-    m[1, 3] = 1.0
+    m = np.zeros((4, 4))  # e_-1 -> ec_1, e_0 -> e_1, e_1 -> e_-1, ec_1 -> e_0
+    m[[3, 2, 0, 1], range(4)] = 1.0
     return m
 
 
