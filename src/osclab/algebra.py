@@ -159,15 +159,16 @@ class LambdaSpec:
     def triple_support(self) -> tuple[np.ndarray, ...]:
         """Read-only (a, b, c, q, value, x_cols, z_cols) over the nonzeros T[a, b, c, q] =
         value of T = [e_a, [e_b, e_c]] in np.nonzero order, one at most per (a, b, c) and per
-        (b, c, q), each a product of two bracket_support values (one that underflows is no
-        nonzero); x_cols is l d + b for the l-th live pair (c, q), z_cols q d + c per pair."""
+        (b, c, q), each a product of two bracket_support values; x_cols is l d + b for the
+        l-th live pair (c, q), with T[:, :, c, q] != 0, and z_cols is q d + c per pair."""
         b, c, p, v = self.bracket_support
         d = self.dim
         i, j = np.nonzero(p[:, None] == c)  # [e_b, e_c] = v_i e_p, [e_a, e_p] = v_j e_q
         val = v[i] * v[j]
-        flat = (((b[j] * d + b[i]) * d + c[i]) * d + p[j])[val != 0]
+        keep = np.flatnonzero(val)  # a product that underflows to 0 is no nonzero
+        flat = (((b[j] * d + b[i]) * d + c[i]) * d + p[j])[keep]
         order = np.argsort(flat)
-        flat, val = flat[order], val[val != 0][order]
+        flat, val = flat[order], val[keep[order]]
         if max(np.bincount(flat // d).max(initial=0), np.bincount(flat % d**3).max(initial=0)) > 1:
             raise ArithmeticError("a row or column of T holds two nonzeros")
         live = np.bincount(flat % d**2, minlength=d * d) > 0

@@ -338,7 +338,8 @@ def task_isometry_verify(args, spec):
         floor = np.finfo(float).eps * np.max(am.swapaxes(1, 2) @ np.abs(form.gram) @ am)
     if not floor <= ORTHOGONALITY_CHECK_TOL:  # also NaN or inf where that sum overflows
         raise InputError(f"maps beyond the checks' float precision: eps |m|^T |K| |m| "
-                         f"is {floor:.1e}, above the orthogonality tolerance 1e-12")
+                         f"is {floor:.1e}, above the orthogonality tolerance "
+                         f"{ORTHOGONALITY_CHECK_TOL:g}")
     worst_triple = max(iso_mod.triple_bracket_residual(spec, mk) for mk in m)
     worst_round = float(np.max(np.abs(iso_mod.curv_isometry_from_matrix(spec, m).matrix - m)))
     # Five group elements per identity-component map, drawn in map order,

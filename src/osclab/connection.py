@@ -196,17 +196,17 @@ def local_symmetry_residual(table: ConnTable) -> float:
         live = lnz[:, x] | lnz[:, y]
     live[:, :k] = True
     bp, bz = np.nonzero(live.T)
-    xy, yx = (((slot[bz, x[bp], y[bp]],), (slot[bz, y[bp], x[bp]],)) if cut else
-              ((row[bz, x[bp]], y[bp]), (row[bz, y[bp]], x[bp])))
-    res = t3[xy]
-    res -= t3[yx]
     rp = R[x[:k], y[:k]]
     if cut:
+        res = t3[slot[bz, x[bp], y[bp]]]
+        res -= t3[slot[bz, y[bp], x[bp]]]
         lhs = np.zeros((k, d, d, d))
         zr, ir = np.nonzero(L.any(axis=1))
         lhs[:, zr, ir] = np.einsum("rj,pjk->rpk", M[zr, ir], rp).transpose(1, 0, 2)
         lhs[:, z, :, w] -= np.einsum("pij,jr->rpi", rp, np.ascontiguousarray(M[z, :, w].T))
     else:
+        res = t3[row[bz, x[bp]], y[bp]]
+        res -= t3[row[bz, y[bp]], x[bp]]
         lhs = (np.einsum("zij,pjk->zpik", M, rp)
                - np.einsum("pij,zjk->zpik", rp, M)).transpose(1, 0, 2, 3)
     res[:k * d].reshape(k, d, d, d)[...] -= lhs
