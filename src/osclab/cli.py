@@ -330,7 +330,7 @@ def task_completeness_probe(args, spec, metric):
 def task_isometry_verify(args, spec):
     form = k_lambda(spec)
     rng = np.random.default_rng(args.seed)
-    isos = (_parse_isometry(spec, args.u).rows if args.u
+    isos = (_parse_isometry(spec, args.u)[None] if args.u
             else iso_mod.random_curv_isometries(spec, rng, args.samples))
     m = isos.matrix
     am = np.abs(m)  # eps |m|^T |K| |m|: the rounding unit of the sums orthogonality cancels
@@ -391,9 +391,7 @@ def task_isometry_polar(args, spec):
         raise InputError(f"--g needs {2 + 2 * spec.n} coordinates")
     if not all(math.isfinite(v) for v in vals):
         raise InputError(f"bad --g {args.g!r}: coordinates must be finite")
-    g = iso_mod.GroupElem(vals[0], vals[1],
-                          tuple(vals[2 + 2 * j] + 1j * vals[3 + 2 * j]
-                                for j in range(spec.n)))
+    g = iso_mod.GroupRows(vals[0], vals[1], np.array(vals[2::2]) + 1j * np.array(vals[3::2]))
     # Entries near the float range give a non-finite image: it is rejected
     # below instead of warned about.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import ode
 from .flows import BODY, FlowProblem
-from .algebra import (LambdaSpec, _as_elem, _as_stack, _read_only, _row_dot, _rowwise,
-                      check_json_numbers)
+from .algebra import LambdaSpec, _as_stack, _read_only, _row_dot, _rowwise, check_json_numbers
 from .metrics import BiInvariantForm, Metric
 
 # Series branches near theta = 0 (removable singularities).  Switch points
@@ -46,79 +45,54 @@ ORTHOGONALITY_TOL = 1e-10
 ROUNDTRIP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class GroupElem:
-    """A group element (t, s, z_1..z_n)."""
-
-    t: float
-    s: float
-    z: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "z", tuple(complex(w) for w in self.z))
-
-    @property
-    def zvec(self) -> np.ndarray:
-        return np.asarray(self.z, dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class GroupRows:
-    """A stack of N group elements: t and s of shape (N,), z of shape (N, n).
-
-    ``g_exp``, ``g_log`` and ``polar`` compute on stacks only; a single
-    element goes through them as a one-row stack."""
+    """Group elements over a leading shape S: t and s of shape S, z of shape
+    S + (n,).  S = (N,) is a stack of N elements and S = () one element, whose
+    t and s are float64 scalars."""
 
     t: np.ndarray
     s: np.ndarray
     z: np.ndarray
 
+    def __post_init__(self):
+        for name, dtype in (("t", float), ("s", float), ("z", complex)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype)[()])
 
-def identity_elem(spec: LambdaSpec) -> GroupElem:
-    return GroupElem(0.0, 0.0, (0.0,) * spec.n)
+    @property
+    def zvec(self) -> np.ndarray:
+        """z, under the name perfbench's geodesic-exponential check reads."""
+        return self.z
 
 
-def _check_elem(spec: LambdaSpec, g: GroupElem):
-    if len(g.z) != spec.n:
-        raise ValueError(f"group element has {len(g.z)} oscillator coordinates, "
-                         f"spec needs {spec.n}")
+def identity_elem(spec: LambdaSpec) -> GroupRows:
+    return GroupRows(0.0, 0.0, np.zeros(spec.n))
 
 
 def _check_rows(spec: LambdaSpec, g: GroupRows):
     shapes = np.shape(g.t), np.shape(g.s), np.shape(g.z)
-    if len(shapes[0]) != 1 or shapes[1:] != (shapes[0], shapes[0] + (spec.n,)):
-        raise ValueError(f"group rows need t and s of shape (N,) and z of shape "
-                         f"(N, {spec.n}); got {', '.join(map(str, shapes))}")
+    if len(shapes[0]) > 1 or shapes[1:] != (shapes[0], shapes[0] + (spec.n,)):
+        raise ValueError(f"group rows need t and s of shape S and z of shape S + ({spec.n},), "
+                         f"S = (N,) or (); got {', '.join(map(str, shapes))}")
 
 
-def _one_row(spec: LambdaSpec, g: GroupElem) -> GroupRows:
-    _check_elem(spec, g)
-    return GroupRows(np.array([g.t]), np.array([g.s]), g.zvec[None])
+def g_mul(spec: LambdaSpec, a: GroupRows, b: GroupRows) -> GroupRows:
+    """The group product a b, row by row on a stack."""
+    _check_rows(spec, a)
+    _check_rows(spec, b)
+    w = np.exp(1j * a.t[..., None] * spec.lam) * b.z
+    s = a.s + b.s + 0.5 * np.sum(np.imag(np.conj(a.z) * w), axis=-1)
+    return GroupRows(a.t + b.t, s, a.z + w)
 
 
-def _row0(g: GroupRows) -> GroupElem:
-    return GroupElem(g.t[0], g.s[0], tuple(g.z[0]))
+def g_inv(spec: LambdaSpec, a: GroupRows) -> GroupRows:
+    _check_rows(spec, a)
+    return GroupRows(-a.t, -a.s, -np.exp(-1j * a.t[..., None] * spec.lam) * a.z)
 
 
-def g_mul(spec: LambdaSpec, a: GroupElem, b: GroupElem) -> GroupElem:
-    _check_elem(spec, a)
-    _check_elem(spec, b)
-    w = np.exp(1j * a.t * spec.lam) * b.zvec
-    s = a.s + b.s + 0.5 * float(np.sum(np.imag(np.conj(a.zvec) * w)))
-    return GroupElem(a.t + b.t, s, tuple(a.zvec + w))
-
-
-def g_inv(spec: LambdaSpec, a: GroupElem) -> GroupElem:
-    _check_elem(spec, a)
-    return GroupElem(-a.t, -a.s, tuple(-np.exp(-1j * a.t * spec.lam) * a.zvec))
-
-
-def group_to_alg_coords(spec: LambdaSpec, g: GroupElem) -> np.ndarray:
-    _check_elem(spec, g)
-    z = g.zvec
-    return np.concatenate([[g.t, g.s], z.real, z.imag])
+def group_to_alg_coords(spec: LambdaSpec, g: GroupRows) -> np.ndarray:
+    _check_rows(spec, g)
+    return np.concatenate([g.t[..., None], g.s[..., None], g.z.real, g.z.imag], axis=-1)
 
 
 def _exp_multiplier(theta: np.ndarray) -> np.ndarray:
@@ -144,44 +118,36 @@ def _s_correction(theta: np.ndarray) -> np.ndarray:
     return np.where(small, series, closed)
 
 
-def g_exp(spec: LambdaSpec, x) -> GroupElem | GroupRows:
+def g_exp(spec: LambdaSpec, x) -> GroupRows:
     """Group exponential; coincides with the geodesic exponential of the
-    bi-invariant metric at the identity.  A stack x of shape (N, d) gives
-    GroupRows; a single element is a one-row stack."""
-    if np.ndim(x) != 2:
-        return _row0(g_exp(spec, _as_elem(spec, x)[None]))
+    bi-invariant metric at the identity.  x of shape S + (d,), S = (N,) or (),
+    gives GroupRows of shape S."""
     x = _as_stack(spec, x)
     n = spec.n
-    z = x[:, 2 : 2 + n] + 1j * x[:, 2 + n :]
-    theta = x[:, :1] * spec.lam
-    s_out = x[:, 1] + 0.5 * np.sum(np.abs(z) ** 2 * _s_correction(theta), axis=1)
-    return GroupRows(x[:, 0], s_out, _exp_multiplier(theta) * z)
+    z = x[..., 2 : 2 + n] + 1j * x[..., 2 + n :]
+    theta = x[..., :1] * spec.lam
+    s_out = x[..., 1] + 0.5 * np.sum(np.abs(z) ** 2 * _s_correction(theta), axis=-1)
+    return GroupRows(x[..., 0], s_out, _exp_multiplier(theta) * z)
 
 
-def _log_domain_error(i: int, th: float) -> ValueError:
-    return ValueError(f"|t*l_{i+1}| = {abs(th):.6g} >= 2*pi: block {i+1} multiplier "
-                      "is singular; the logarithm is undefined here")
-
-
-def g_log(spec: LambdaSpec, g: GroupElem | GroupRows) -> np.ndarray:
+def g_log(spec: LambdaSpec, g: GroupRows) -> np.ndarray:
     """Inverse of g_exp on the domain |t l_j| < 2 pi (hard error outside:
-    the j-th multiplier vanishes at 2 pi / l_j).  GroupRows give a stack of
-    shape (N, d); a single element is a one-row stack."""
-    if not isinstance(g, GroupRows):
-        return g_log(spec, _one_row(spec, g))[0]
+    the j-th multiplier vanishes at 2 pi / l_j).  GroupRows of shape S give
+    an array of shape S + (d,)."""
     _check_rows(spec, g)
-    theta = g.t[:, None] * spec.lam
+    theta = g.t[..., None] * spec.lam
     bad = np.argwhere(np.abs(theta) >= 2.0 * math.pi)
     if bad.size:
-        row, i = bad[0]
-        raise _log_domain_error(i, theta[row, i])
+        i, th = bad[0, -1], theta[tuple(bad[0])]
+        raise ValueError(f"|t*l_{i+1}| = {abs(th):.6g} >= 2*pi: block {i+1} multiplier "
+                         "is singular; the logarithm is undefined here")
     z = g.z / _exp_multiplier(theta)
-    s = g.s - 0.5 * np.sum(np.abs(z) ** 2 * _s_correction(theta), axis=1)
-    return np.concatenate([g.t[:, None], s[:, None], z.real, z.imag], axis=1)
+    s = g.s - 0.5 * np.sum(np.abs(z) ** 2 * _s_correction(theta), axis=-1)
+    return np.concatenate([g.t[..., None], s[..., None], z.real, z.imag], axis=-1)
 
 
 def geodesic_exponential(metric: Metric, x0, rtol: float = 1e-10,
-                         atol: float = 1e-12) -> GroupElem:
+                         atol: float = 1e-12) -> GroupRows:
     """Geodesic exponential of k_u at the identity (the time-1 flow), by
     numeric integration.
 
@@ -216,8 +182,7 @@ def geodesic_exponential(metric: Metric, x0, rtol: float = 1e-10,
     if res.status != ode.COMPLETED:
         raise RuntimeError(f"geodesic did not reach t=1: {res.status}")
     end = res.ys[-1]
-    return GroupElem(end[d], end[d + 1],
-                     tuple(end[d + 2 : d + 2 + n] + 1j * end[d + 2 + n :]))
+    return GroupRows(end[d], end[d + 1], end[d + 2 : d + 2 + n] + 1j * end[d + 2 + n :])
 
 
 # -- block helpers --------------------------------------------------------------
@@ -260,12 +225,16 @@ def _refuse_rows(bad: np.ndarray, message) -> None:
 
 @dataclass(frozen=True, eq=False)
 class IsometryRows:
-    """A stack of N curvature-preserving maps: rho of shape (N,) and, per
-    frequency block, vs of shape (N, 2r) and us of shape (N, 2r, 2r).
+    """Curvature-preserving maps over a leading shape S, S = (N,) for a stack
+    of N and S = () for one map: rho in {-1, +1} of shape S (an int for one
+    map) and, per frequency block, the translation part v_i of shape
+    S + (2r,) (real interleaved coordinates on V_i) and the orthogonal map
+    u_i of V_i of shape S + (2r, 2r).
 
-    The one place where maps are validated and their induced (N, d, d)
-    ``matrix`` is assembled; a ``CurvIsometry`` is a one-row stack.  ``alpha``
-    is per row the e_0 component of the image of e_-1, forced by isotropy."""
+    ``__post_init__`` is the one validator, taking one map as a one-row
+    stack; rows indexed out of a stack are not validated again.  ``matrix``
+    is the induced map on the algebra, of shape S + (d, d), and ``alpha``
+    the e_0 component of the image of e_-1, forced by isotropy."""
 
     spec: LambdaSpec
     rho: np.ndarray
@@ -274,14 +243,14 @@ class IsometryRows:
 
     def __post_init__(self):
         rho, blocks = np.asarray(self.rho), self.spec.blocks
-        if rho.ndim != 1 or len(self.vs) != len(blocks) or len(self.us) != len(blocks):
-            raise ValueError(f"need rho of shape (N,) and one (v, u) pair per "
-                             f"frequency block ({len(blocks)} blocks)")
+        if rho.ndim > 1 or len(self.vs) != len(blocks) or len(self.us) != len(blocks):
+            raise ValueError(f"need rho of shape (N,) and one (v, u) pair per frequency block "
+                             f"({len(blocks)} blocks), or for one map rho of shape ()")
+        lift = slice(None) if rho.ndim else None  # one map is checked as a one-row stack
+        rho = rho[lift]
         _refuse_rows((rho != 1) & (rho != -1), lambda k: f": rho must be +1 or -1, got {rho[k]}")
-        # C-contiguous copies: ``matrix`` takes each row's dots from them, and
-        # a strided slice would sum in another order.
-        vs = tuple(_read_only(np.array(v, dtype=float, order="C")) for v in self.vs)
-        us = tuple(_read_only(np.array(u, dtype=float, order="C")) for u in self.us)
+        vs = tuple(np.array(v, dtype=float, order="C")[lift] for v in self.vs)
+        us = tuple(np.array(u, dtype=float, order="C")[lift] for u in self.us)
         for i, ((_, r), v, u) in enumerate(zip(blocks, vs, us)):
             if v.shape != (rho.size, 2 * r) or u.shape != (rho.size, 2 * r, 2 * r):
                 raise ValueError(f"block {i}: each of {rho.size} rows needs v of shape "
@@ -290,19 +259,42 @@ class IsometryRows:
             res = np.max(np.abs(np.swapaxes(u, 1, 2) @ u - np.eye(2 * r)), axis=(1, 2))
             _refuse_rows(~(res <= ORTHOGONALITY_TOL),  # also refuses NaN entries
                          lambda k: f", block {i}: u is not orthogonal (residual {res[k]:.2e})")
-        rho = _read_only(rho.astype(int))
+        rho = rho.astype(int)
         with np.errstate(over="ignore"):
             alpha = -0.5 * rho * sum(_row_dot(v, v) / lam for (lam, _), v in zip(blocks, vs))
         _refuse_rows(~np.isfinite(alpha), lambda k: ": translation parts overflow: "
                      f"the e_0 coefficient alpha is {alpha[k]}")
-        for name, value in (("rho", rho), ("vs", vs), ("us", us), ("alpha", _read_only(alpha))):
+        self._take(self.spec, 0 if lift is None else lift, rho, vs, us, alpha)
+
+    def _take(self, spec, idx, rho, vs, us, alpha):
+        """Set the fields to rows idx of validated parts, as read-only C-contiguous
+        arrays: ``matrix`` takes each row's dots from them, and a strided slice
+        would sum in another order.  One map keeps an int rho and a float alpha."""
+        rho, alpha = rho[idx], alpha[idx]
+        if np.ndim(rho) > 1:
+            raise IndexError("maps stack along one axis")
+        one = np.ndim(rho) == 0
+        part = lambda a: _read_only(np.ascontiguousarray(a))
+        for name, value in (("spec", spec), ("rho", int(rho) if one else part(rho)),
+                            ("vs", tuple(part(v[idx]) for v in vs)),
+                            ("us", tuple(part(u[idx]) for u in us)),
+                            ("alpha", float(alpha) if one else part(alpha))):
             object.__setattr__(self, name, value)
 
+    def __getitem__(self, idx) -> "IsometryRows":
+        """Rows of a stack by index, slice, index array or mask, or one map as a
+        one-row stack by ``[None]``."""
+        out = object.__new__(IsometryRows)
+        out._take(self.spec, idx, np.asarray(self.rho), self.vs, self.us, np.asarray(self.alpha))
+        return out
+
     def __len__(self) -> int:
-        return self.rho.size
+        return len(self.rho)
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        if np.ndim(self.rho) == 0:
+            return self[None].matrix[0]
         spec, rho = self.spec, self.rho
         u = np.zeros((rho.size, spec.dim, spec.dim))
         u[:, 0, 0] = u[:, 1, 1] = rho
@@ -317,75 +309,37 @@ class IsometryRows:
                 np.ascontiguousarray(np.swapaxes(ui, 1, 2)), vi[:, None]) / lam
         return _read_only(u)
 
-    def __getitem__(self, idx) -> "CurvIsometry | IsometryRows":
-        """Row k as a CurvIsometry; a slice, index array or mask gives a new stack."""
-        cls, rho = ((CurvIsometry, int(self.rho[idx])) if np.isscalar(idx)
-                    else (IsometryRows, self.rho[idx]))
-        return cls(self.spec, rho, tuple(v[idx] for v in self.vs), tuple(u[idx] for u in self.us))
-
-
-@dataclass(frozen=True)
-class CurvIsometry:
-    """Orthogonal map of the algebra preserving the curvature tensor.
-
-    Parametrized by rho in {-1, +1} and per frequency block a translation
-    part v_i (real interleaved coordinates on V_i) and an orthogonal matrix
-    u_i acting on V_i.  ``matrix`` is the induced linear map on the algebra.
-    The map is validated and assembled as the one-row stack ``rows``.
-    """
-
-    spec: LambdaSpec
-    rho: int
-    vs: tuple[np.ndarray, ...]
-    us: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        rows = IsometryRows(self.spec, np.array([self.rho]),
-                            tuple(np.asarray(v, dtype=float)[None] for v in self.vs),
-                            tuple(np.asarray(u, dtype=float)[None] for u in self.us))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "vs", tuple(v[0] for v in rows.vs))
-        object.__setattr__(self, "us", tuple(u[0] for u in rows.us))
-
-    @property
-    def alpha(self) -> float:
-        """e_0 component of the image of e_-1, forced by isotropy of that image."""
-        return float(self.rows.alpha[0])
-
     @property
     def identity_component(self) -> bool:
+        """Whether one map has rho = +1 and rotational block maps."""
         return self.rho == 1 and all(np.linalg.det(u) > 0 for u in self.us)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.rows.matrix[0]
-
-    def inverse(self) -> "CurvIsometry":
+    def inverse(self) -> "IsometryRows":
+        """The inverse of one map."""
         vs = tuple(-self.rho * (u.T @ v) for v, u in zip(self.vs, self.us))
-        return CurvIsometry(self.spec, self.rho, vs, tuple(u.T for u in self.us))
+        return IsometryRows(self.spec, self.rho, vs, tuple(u.T for u in self.us))
 
 
-def identity_isometry(spec: LambdaSpec) -> CurvIsometry:
+def identity_isometry(spec: LambdaSpec) -> IsometryRows:
     vs = tuple(np.zeros(2 * r) for _, r in spec.blocks)
     us = tuple(np.eye(2 * r) for _, r in spec.blocks)
-    return CurvIsometry(spec, 1, vs, us)
+    return IsometryRows(spec, 1, vs, us)
 
 
-def compose(outer: CurvIsometry, inner: CurvIsometry) -> CurvIsometry:
-    """Composition of induced maps: matrix(outer) @ matrix(inner)."""
+def compose(outer: IsometryRows, inner: IsometryRows) -> IsometryRows:
+    """Composition of one map each: matrix(outer) @ matrix(inner)."""
     if outer.spec != inner.spec:
         raise ValueError("cannot compose maps over different specs")
     rho = outer.rho * inner.rho
     vs = tuple(inner.rho * v + u @ w
                for v, u, w in zip(outer.vs, outer.us, inner.vs))
     us = tuple(u @ m for u, m in zip(outer.us, inner.us))
-    return CurvIsometry(outer.spec, rho, vs, us)
+    return IsometryRows(outer.spec, rho, vs, us)
 
 
-def curv_isometry_from_matrix(spec: LambdaSpec, m) -> CurvIsometry | IsometryRows:
-    """Recover (rho, (v_i, u_i)) from induced matrices; exact round-trip.  A
-    stack of shape (N, d, d) gives IsometryRows; a single matrix is a
-    one-row stack.
+def curv_isometry_from_matrix(spec: LambdaSpec, m) -> IsometryRows:
+    """Recover (rho, (v_i, u_i)) from induced matrices of shape S + (d, d),
+    S = (N,) or (); exact round-trip.  A single matrix is a one-row stack.
 
     Raises when a matrix is not of the parametrized shape (which is the
     membership test failing, not a numeric accident)."""
@@ -410,7 +364,7 @@ def curv_isometry_from_matrix(spec: LambdaSpec, m) -> CurvIsometry | IsometryRow
     return cand
 
 
-def curv_isometry_from_json(spec: LambdaSpec, obj) -> CurvIsometry:
+def curv_isometry_from_json(spec: LambdaSpec, obj) -> IsometryRows:
     """Parse {"rho": 1, "blocks": [{"v": [[re, im], ...], "u": [[...]]}]}."""
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise ValueError('expected an object with "rho" and "blocks"')
@@ -431,7 +385,7 @@ def curv_isometry_from_json(spec: LambdaSpec, obj) -> CurvIsometry:
             raise ValueError(f'block {i}: "v" must be a list of [re, im] pairs')
         vs.append(pairs.reshape(-1))
         us.append(np.asarray(blk["u"], dtype=float))
-    return CurvIsometry(spec, int(rho), tuple(vs), tuple(us))
+    return IsometryRows(spec, int(rho), tuple(vs), tuple(us))
 
 
 def random_curv_isometries(spec: LambdaSpec, rng: np.random.Generator, count: int,
@@ -453,7 +407,7 @@ def random_curv_isometries(spec: LambdaSpec, rng: np.random.Generator, count: in
 
 
 def random_curv_isometry(spec: LambdaSpec, rng: np.random.Generator,
-                         identity_component: bool = True) -> CurvIsometry:
+                         identity_component: bool = True) -> IsometryRows:
     return random_curv_isometries(spec, rng, 1, identity_component)[0]
 
 
@@ -476,8 +430,10 @@ def _residual_plan(spec: LambdaSpec, nz: np.ndarray) -> tuple[np.ndarray, ...]:
         xs[:, x_cols] = nz[a].T
         ys = np.matmul(xs.reshape(d, -1, d), nz.astype(float)).transpose(0, 2, 1)
         zs = np.matmul(ys, np.eye(d)[z_cols // d]).ravel() + np.bincount(ut_rows, minlength=d**3)
-        rows = np.flatnonzero((zs > 0) | nz.all())  # every row for a dense U
-        rows = rows if rows.size > 1 else np.union1d(rows, (0, 1))  # a gemm, not a gemv
+        live = (zs > 0) | nz.all()  # every row for a dense U
+        if np.count_nonzero(live) < 2:
+            live[:2] = True  # a gemm, not a gemv
+        rows = np.flatnonzero(live)
         zi = np.full((d, d, d * d), xs.size)  # z as indices into y
         zi[:, :, z_cols] = np.arange(xs.size).reshape(d, -1, d).transpose(0, 2, 1)
         plans[key] = tuple(map(_read_only, (zi.reshape(-1, d)[rows], np.searchsorted(
@@ -510,18 +466,18 @@ def triple_bracket_residual(spec: LambdaSpec, m) -> float:
 
 # -- polar isometries and the group of isometries --------------------------------
 
-def polar(spec: LambdaSpec, u: CurvIsometry | IsometryRows,
-          g: GroupElem | GroupRows) -> GroupElem | GroupRows:
+def polar(spec: LambdaSpec, u: IsometryRows, g: GroupRows) -> GroupRows:
     """The global isometry extending u, in closed form (no logarithm involved,
     so there is no domain restriction).  Identity component only.
 
-    With GroupRows, u is an IsometryRows with one map per row; a single map
-    and element are a one-row stack."""
-    if not isinstance(g, GroupRows):
-        return _row0(polar(spec, u.rows, _one_row(spec, g)))
+    u holds one map per row of g, of the same shape S; one map and one
+    element are a one-row stack."""
     _check_rows(spec, g)
-    if len(u) != len(g.t):
-        raise ValueError(f"need one map per row: {len(u)} maps, {len(g.t)} rows")
+    if np.shape(u.rho) != np.shape(g.t):
+        raise ValueError(f"need one map per row: maps {np.shape(u.rho)}, rows {np.shape(g.t)}")
+    if np.ndim(g.t) == 0:
+        p = polar(spec, u[None], GroupRows(g.t[None], g.s[None], g.z[None]))
+        return GroupRows(p.t[0], p.s[0], p.z[0])
     if np.any(u.rho != 1):
         raise ValueError("closed-form polars cover the identity component (rho = +1)")
     # Per row: math.cos/sin per element (numpy's may differ in the last
@@ -560,9 +516,8 @@ def polar_transport_residuals(spec: LambdaSpec, isos: IsometryRows,
                       np.max(np.abs(p1.z - p2.z), axis=1))
 
 
-def act_sigma_on_u(spec: LambdaSpec, sigma: GroupElem,
-                   u: CurvIsometry) -> CurvIsometry:
-    """The group action on the isotropy factor.
+def act_sigma_on_u(spec: LambdaSpec, sigma: GroupRows, u: IsometryRows) -> IsometryRows:
+    """The group action of one element on the isotropy factor of one map.
 
     Per block the rotation part is conjugated, u_i -> R(-t l_i/2) u_i
     R(t l_i/2), and the translation part picks up l_i J Q(z_i) from the
@@ -572,8 +527,8 @@ def act_sigma_on_u(spec: LambdaSpec, sigma: GroupElem,
     """
     if u.rho != 1:
         raise ValueError("the action is defined on the identity component (rho = +1)")
-    _check_elem(spec, sigma)
-    z = sigma.zvec
+    _check_rows(spec, sigma)
+    z = sigma.z
     vs, us = [], []
     for i, ((lam, r), idx) in enumerate(zip(spec.blocks, spec.block_indices)):
         theta = 0.5 * sigma.t * lam
@@ -584,27 +539,27 @@ def act_sigma_on_u(spec: LambdaSpec, sigma: GroupElem,
         zb = _c2r(z[[j - 1 for j in idx]])
         vs.append(u.vs[i] + lam * (jm @ (q_part @ zb)))
         us.append(ui)
-    return CurvIsometry(spec, 1, tuple(vs), tuple(us))
+    return IsometryRows(spec, 1, tuple(vs), tuple(us))
 
 
 @dataclass(frozen=True)
 class IsomElem:
     """Identity-component isometry (sigma, u), acting as L_sigma o P_u."""
 
-    sigma: GroupElem
-    iso: CurvIsometry
+    sigma: GroupRows
+    iso: IsometryRows
 
     def __post_init__(self):
         if not self.iso.identity_component:
             raise ValueError("isometry-group elements need rho = +1 and "
                              "rotational block maps")
-        _check_elem(self.iso.spec, self.sigma)
+        _check_rows(self.iso.spec, self.sigma)
 
     @property
     def spec(self) -> LambdaSpec:
         return self.iso.spec
 
-    def apply(self, g: GroupElem) -> GroupElem:
+    def apply(self, g: GroupRows) -> GroupRows:
         spec = self.spec
         return g_mul(spec, self.sigma, polar(spec, self.iso, g))
 
@@ -625,12 +580,11 @@ def isom_mul(a: IsomElem, b: IsomElem) -> IsomElem:
 
 def isom_inv(a: IsomElem) -> IsomElem:
     spec = a.spec
-    u_inv = a.iso.inverse()
-    sig = polar(spec, u_inv, g_inv(spec, a.sigma))
+    sig = polar(spec, a.iso.inverse(), g_inv(spec, a.sigma))
     return IsomElem(sig, act_sigma_on_u(spec, sig, a.iso).inverse())
 
 
-def o_r_distance_from_identity(iso: CurvIsometry) -> float:
+def o_r_distance_from_identity(iso: IsometryRows) -> float:
     """Max deviation of (v_i, u_i) from (0, Id); zero iff iso is trivial."""
     worst = 0.0 if iso.rho == 1 else 2.0
     for v, u in zip(iso.vs, iso.us):

@@ -40,7 +40,7 @@ def paper_basis_brackets(spec):
 
 def group_dist(a, b):
     return max(abs(a.t - b.t), abs(a.s - b.s),
-               float(np.max(np.abs(a.zvec - b.zvec))))
+               float(np.max(np.abs(a.z - b.z))))
 
 
 def isom_dist(a, b):

@@ -21,7 +21,7 @@ from osclab.flows import (FlowProblem, analytic_gamma1, completeness_probe,
                           first_integrals, gamma1_residual, integrate,
                           random_initial_state, scalar_blowup_probe,
                           scalar_blowup_time)
-from osclab.isometry import (GroupElem, IsomElem, commensurability_oracle,
+from osclab.isometry import (GroupRows, IsomElem, commensurability_oracle,
                              curv_isometry_from_matrix, g_exp, g_log, g_mul,
                              geodesic_exponential, identity_isometry, isom_dim,
                              isom_inv, isom_mul, isometry_parametrization_dim,
@@ -271,7 +271,7 @@ def test_criterion_08_group_exponential():
             got = geodesic_exponential(metric, x)
             want = g_exp(spec, x)
             worst_exp = max(worst_exp, abs(got.t - want.t), abs(got.s - want.s),
-                            float(np.max(np.abs(got.zvec - want.zvec))))
+                            float(np.max(np.abs(got.z - want.z))))
 
     worst_log = 0.0
     for lams in [(1.0,), (1.0, 2.0)]:
@@ -287,13 +287,13 @@ def test_criterion_08_group_exponential():
     for _ in range(50):
         u = random_curv_isometry(spec, rng)
         t = rng.uniform(-0.9, 0.9) * math.pi
-        g = GroupElem(t, rng.uniform(-2, 2),
+        g = GroupRows(t, rng.uniform(-2, 2),
                       tuple(rng.standard_normal(spec.n)
                             + 1j * rng.standard_normal(spec.n)))
         p1 = polar(spec, u, g)
         p2 = g_exp(spec, u.matrix @ g_log(spec, g))
         worst_polar = max(worst_polar, abs(p1.t - p2.t), abs(p1.s - p2.s),
-                          float(np.max(np.abs(p1.zvec - p2.zvec))))
+                          float(np.max(np.abs(p1.z - p2.z))))
     ok = worst_exp <= 1e-6 and worst_log <= 1e-11 and worst_polar <= 1e-9
     _report(8, ok, f"group vs geodesic exponential {worst_exp:.2e} (tol 1e-6), "
                    f"log-exp roundtrip {worst_log:.2e} (tol 1e-11), "
@@ -319,7 +319,7 @@ def test_criterion_09_isometry_suite():
 
     def rand_isom(sp):
         z = tuple(rng.standard_normal(sp.n) + 1j * rng.standard_normal(sp.n))
-        sig = GroupElem(rng.uniform(-2, 2), rng.uniform(-2, 2), z)
+        sig = GroupRows(rng.uniform(-2, 2), rng.uniform(-2, 2), z)
         return IsomElem(sig, random_curv_isometry(sp, rng))
 
     for _ in range(200):
@@ -328,27 +328,27 @@ def test_criterion_09_isometry_suite():
         worst_assoc = max(
             worst_assoc, abs(lhs.sigma.t - rhs.sigma.t),
             abs(lhs.sigma.s - rhs.sigma.s),
-            float(np.max(np.abs(lhs.sigma.zvec - rhs.sigma.zvec))),
+            float(np.max(np.abs(lhs.sigma.z - rhs.sigma.z))),
             float(np.max(np.abs(lhs.iso.matrix - rhs.iso.matrix))))
 
     spec_inc = LambdaSpec((1.0, 2.0, 3.0))
     worst_auto = 0.0
     for _ in range(20):
         u = random_curv_isometry(spec_inc, rng)
-        a = GroupElem(rng.uniform(-2, 2), rng.uniform(-2, 2),
+        a = GroupRows(rng.uniform(-2, 2), rng.uniform(-2, 2),
                       tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
-        b = GroupElem(rng.uniform(-2, 2), rng.uniform(-2, 2),
+        b = GroupRows(rng.uniform(-2, 2), rng.uniform(-2, 2),
                       tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
         lhs = polar(spec_inc, u, g_mul(spec_inc, a, b))
         rhs = g_mul(spec_inc, polar(spec_inc, u, a), polar(spec_inc, u, b))
         worst_auto = max(worst_auto, abs(lhs.t - rhs.t), abs(lhs.s - rhs.s),
-                         float(np.max(np.abs(lhs.zvec - rhs.zvec))))
+                         float(np.max(np.abs(lhs.z - rhs.z))))
 
     spec_eq = LambdaSpec((1.0, 1.0, 1.0))
     min_conj = math.inf
     for _ in range(20):
         a = rand_isom(spec_eq)
-        b = IsomElem(GroupElem(rng.uniform(-2, 2), rng.uniform(-2, 2),
+        b = IsomElem(GroupRows(rng.uniform(-2, 2), rng.uniform(-2, 2),
                                tuple(rng.standard_normal(3)
                                      + 1j * rng.standard_normal(3))),
                      identity_isometry(spec_eq))

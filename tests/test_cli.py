@@ -750,7 +750,8 @@ def test_isometry_verify_takes_one_triple_bracket_residual_per_sample(capsys, mo
 
 def test_isometry_verify_draws_and_checks_its_maps_as_one_stack(capsys, monkeypatch):
     # One QR per frequency block, not per sample, and one IsometryRows
-    # validation each for the drawn maps, their round trip and the polar rows.
+    # validation each for the drawn maps and their round trip; the polar rows
+    # are taken from the drawn stack without a second one.
     import osclab.isometry as iso_mod
     qr_shapes, validated = [], []
     qr = np.linalg.qr
@@ -766,7 +767,7 @@ def test_isometry_verify_draws_and_checks_its_maps_as_one_stack(capsys, monkeypa
                                 "--samples", str(n))
         assert code == 0 and rep["samples"] == n
         assert qr_shapes == [(n, 2, 2), (n, 4, 4), (n, 2, 2)]
-        assert validated == [n, n, 5 * n]
+        assert validated == [n, n]
 
 
 def test_failing_check_gives_exit_one(capsys, monkeypatch):
@@ -818,5 +819,17 @@ def test_isometry_verify_does_not_load_numpy_ma():
             "'--out', sys.argv[1]]) == 0; assert 'numpy.ma' not in sys.modules")
     env = dict(os.environ, PYTHONPATH=str(_SRC))
     proc = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_residual_of_a_map_reaching_no_row_does_not_load_numpy_ma():
+    # The zero map reaches no residual row, and its plan pads the rows to two.
+    code = ("import sys, numpy as np; from osclab.algebra import LambdaSpec; "
+            "from osclab.isometry import triple_bracket_residual; "
+            "assert triple_bracket_residual(LambdaSpec((1.0, 2.0)), np.zeros((6, 6))) == 0; "
+            "assert 'numpy.ma' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

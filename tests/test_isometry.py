@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import group_dist, isom_dist, paper_basis_brackets
 from osclab import flows
 from osclab.algebra import LambdaSpec, basis_brackets, basis_vector
-from osclab.isometry import (CurvIsometry, GroupElem, GroupRows, IsomElem, IsometryRows,
+from osclab.isometry import (GroupRows, IsomElem, IsometryRows,
                              act_sigma_on_u, commensurability_oracle, compose,
                              curv_isometry_from_json, curv_isometry_from_matrix,
                              g_exp, g_inv, g_log, g_mul, geodesic_exponential,
@@ -26,7 +27,7 @@ from osclab.metrics import k_lambda, metric_from_iso, named_family
 
 def rand_group_elem(spec, rng, t_range=2.0):
     z = tuple(rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n))
-    return GroupElem(rng.uniform(-t_range, t_range), rng.uniform(-2, 2), z)
+    return GroupRows(rng.uniform(-t_range, t_range), rng.uniform(-2, 2), z)
 
 
 def rand_isom(spec, rng):
@@ -35,15 +36,15 @@ def rand_isom(spec, rng):
 
 class TestGroupOps:
     def test_central_slice_is_a_direct_factor(self, spec12):
-        a = GroupElem(0.4, 1.1, (0.0, 0.0))
-        b = GroupElem(-0.3, 0.2, (0.0, 0.0))
+        a = GroupRows(0.4, 1.1, (0.0, 0.0))
+        b = GroupRows(-0.3, 0.2, (0.0, 0.0))
         c = g_mul(spec12, a, b)
-        assert group_dist(c, GroupElem(0.1, 1.3, (0.0, 0.0))) <= 1e-15
+        assert group_dist(c, GroupRows(0.1, 1.3, (0.0, 0.0))) <= 1e-15
 
     def test_quarter_turn_product(self, spec1):
-        got = g_mul(spec1, GroupElem(math.pi / 2, 0.0, (1.0,)),
-                    GroupElem(0.0, 0.0, (1.0,)))
-        assert group_dist(got, GroupElem(math.pi / 2, 0.5, (1.0 + 1.0j,))) <= 1e-15
+        got = g_mul(spec1, GroupRows(math.pi / 2, 0.0, (1.0,)),
+                    GroupRows(0.0, 0.0, (1.0,)))
+        assert group_dist(got, GroupRows(math.pi / 2, 0.5, (1.0 + 1.0j,))) <= 1e-15
 
     def test_inverse_law(self, spec112, rng):
         for _ in range(50):
@@ -63,13 +64,13 @@ class TestGroupOps:
 class TestExpLog:
     def test_t_axis_is_a_one_parameter_subgroup(self, spec12):
         g = g_exp(spec12, np.array([1.7, 0, 0, 0, 0, 0]))
-        assert group_dist(g, GroupElem(1.7, 0.0, (0.0, 0.0))) == 0.0
+        assert group_dist(g, GroupRows(1.7, 0.0, (0.0, 0.0))) == 0.0
 
     def test_zero_t_limit_is_the_identity_chart(self, spec12, rng):
         x = rng.standard_normal(spec12.dim)
         x[0] = 0.0
         g = g_exp(spec12, x)
-        assert group_dist(g, GroupElem(0.0, x[1], tuple(x[2:4] + 1j * x[4:]))) \
+        assert group_dist(g, GroupRows(0.0, x[1], tuple(x[2:4] + 1j * x[4:]))) \
             <= 1e-15
 
     def test_value_at_pi(self, spec1):
@@ -116,7 +117,7 @@ class TestExpLog:
         assert worst <= 1e-11
 
     def test_log_domain_error_names_the_block(self, spec12):
-        g = GroupElem(math.pi, 0.0, (0.1, 0.1))  # t*lam_2 = 2 pi
+        g = GroupRows(math.pi, 0.0, (0.1, 0.1))  # t*lam_2 = 2 pi
         with pytest.raises(ValueError, match="block 2"):
             g_log(spec12, g)
 
@@ -141,7 +142,7 @@ class TestExpLog:
         got = geodesic_exponential(metric, x)
         assert located and all(abs(t - math.pi / 3) <= 1e-9 for t in located)
         monkeypatch.setattr(flows, "locate_singularity", lambda *a: None)
-        assert got == geodesic_exponential(metric, x)
+        assert group_dist(got, geodesic_exponential(metric, x)) == 0.0
 
 
 class TestCurvIsometry:
@@ -185,7 +186,7 @@ class TestCurvIsometry:
     def test_reflection_and_sign_components_still_preserve_brackets(self, spec12, rng):
         form = k_lambda(spec12)
         u = random_curv_isometry(spec12, rng, identity_component=False)
-        refl = CurvIsometry(spec12, -1, u.vs, u.us)
+        refl = IsometryRows(spec12, -1, u.vs, u.us)
         assert orthogonality_residual(form, refl.matrix) <= 1e-12
         assert triple_bracket_residual(spec12, refl.matrix) <= 1e-10
 
@@ -202,13 +203,13 @@ class TestCurvIsometry:
 
     def test_rejects_non_orthogonal_block(self, spec1):
         with pytest.raises(ValueError, match="orthogonal"):
-            CurvIsometry(spec1, 1, (np.zeros(2),), (np.array([[1.0, 0.0],
+            IsometryRows(spec1, 1, (np.zeros(2),), (np.array([[1.0, 0.0],
                                                               [0.0, 2.0]]),))
 
     def test_rejects_translation_parts_whose_alpha_overflows(self, spec12):
         # Each v_i is finite, but |v_1|^2 / l_1 is not: alpha would be -inf.
         with pytest.raises(ValueError, match="alpha"):
-            CurvIsometry(spec12, 1, (np.array([1e200, 1.2]), np.zeros(2)),
+            IsometryRows(spec12, 1, (np.array([1e200, 1.2]), np.zeros(2)),
                          (np.eye(2), np.eye(2)))
 
     def test_compose_matches_matrix_product(self, spec112, rng):
@@ -267,14 +268,14 @@ class TestPolar:
 
     def test_rejects_the_reflected_component(self, spec1, rng):
         u = random_curv_isometry(spec1, rng)
-        refl = CurvIsometry(spec1, -1, u.vs, u.us)
+        refl = IsometryRows(spec1, -1, u.vs, u.us)
         with pytest.raises(ValueError, match="identity component"):
             polar(spec1, refl, identity_elem(spec1))
 
     def test_rejects_a_non_finite_rotation_angle(self, spec12, rng):
         u = random_curv_isometry(spec12, rng)
         with pytest.raises(ValueError, match="t\\*l_1 is not finite"):
-            polar(spec12, u, GroupElem(math.inf, 0.0, (1.0, 1.0)))
+            polar(spec12, u, GroupRows(math.inf, 0.0, (1.0, 1.0)))
 
 
 class TestActions:
@@ -356,7 +357,7 @@ class TestIsometryGroup:
 
     def test_reflected_components_are_kept_out(self, spec1, rng):
         u = random_curv_isometry(spec1, rng)
-        bad = CurvIsometry(spec1, -1, u.vs, u.us)
+        bad = IsometryRows(spec1, -1, u.vs, u.us)
         with pytest.raises(ValueError, match="rho"):
             IsomElem(identity_elem(spec1), bad)
 
@@ -447,13 +448,13 @@ def rand_rows(spec, rng, count):
 
 
 def row_elems(g):
-    return [GroupElem(t, s, tuple(z)) for t, s, z in zip(g.t, g.s, g.z)]
+    return [GroupRows(t, s, tuple(z)) for t, s, z in zip(g.t, g.s, g.z)]
 
 
 def assert_rows_equal(rows, elems):
     np.testing.assert_array_equal(rows.t, [e.t for e in elems])
     np.testing.assert_array_equal(rows.s, [e.s for e in elems])
-    np.testing.assert_array_equal(rows.z, [e.zvec for e in elems])
+    np.testing.assert_array_equal(rows.z, [e.z for e in elems])
 
 
 def per_column_matrix(u):
@@ -474,7 +475,7 @@ def per_column_matrix(u):
 
 def stack_elems(elems):
     return GroupRows(np.array([e.t for e in elems]), np.array([e.s for e in elems]),
-                     np.array([e.zvec for e in elems]))
+                     np.array([e.z for e in elems]))
 
 
 # Single-element references: the closed forms written for one element with
@@ -486,18 +487,18 @@ def reference_g_exp(spec, x):
     z = x[2 : 2 + spec.n] + 1j * x[2 + spec.n :]
     theta = t * spec.lam
     s_out = s + 0.5 * float(np.sum(np.abs(z) ** 2 * _s_correction(theta)))
-    return GroupElem(t, s_out, tuple(_exp_multiplier(theta) * z))
+    return GroupRows(t, s_out, tuple(_exp_multiplier(theta) * z))
 
 
 def reference_g_log(spec, g):
     theta = g.t * spec.lam
-    z = g.zvec / _exp_multiplier(theta)
+    z = g.z / _exp_multiplier(theta)
     s = g.s - 0.5 * float(np.sum(np.abs(z) ** 2 * _s_correction(theta)))
     return np.concatenate([[g.t, s], z.real, z.imag])
 
 
 def reference_polar(spec, u, g):
-    z = g.zvec
+    z = g.z
     out = np.empty(spec.n, dtype=complex)
     s_corr = 0.0
     for i, ((lam, _), idx) in enumerate(zip(spec.blocks, spec.block_indices)):
@@ -510,7 +511,7 @@ def reference_polar(spec, u, g):
             + rot * inner
         a_i = (math.sin(theta) / (2.0 * lam)) * vi + math.cos(0.5 * theta) * inner
         s_corr += float(u.vs[i] @ _c2r(a_i)) / lam
-    return GroupElem(g.t, g.s - s_corr, tuple(out))
+    return GroupRows(g.t, g.s - s_corr, tuple(out))
 
 
 @pytest.mark.parametrize("lams", ROW_LAMBDAS, ids=lambda lams: f"n{len(lams)}")
@@ -529,6 +530,15 @@ class TestStackedRows:
         want = [reference_g_log(spec, e) for e in row_elems(g)]
         np.testing.assert_array_equal(g_log(spec, g), want)
         np.testing.assert_array_equal([g_log(spec, e) for e in row_elems(g)], want)
+
+    def test_group_law_rows_equal_the_single_loop(self, lams, rng):
+        spec = LambdaSpec(lams)
+        a, b = rand_rows(spec, rng, 20), rand_rows(spec, rng, 20)
+        pairs = list(zip(row_elems(a), row_elems(b)))
+        assert_rows_equal(g_mul(spec, a, b), [g_mul(spec, x, y) for x, y in pairs])
+        assert_rows_equal(g_inv(spec, a), [g_inv(spec, x) for x, _ in pairs])
+        np.testing.assert_array_equal(group_to_alg_coords(spec, a),
+                                      [group_to_alg_coords(spec, x) for x, _ in pairs])
 
     def test_polar_rows_equal_the_single_loop(self, lams, rng):
         spec = LambdaSpec(lams)
@@ -549,7 +559,7 @@ class TestStackedRows:
             p1 = reference_polar(spec, u, e)
             p2 = reference_g_exp(spec, u.matrix @ reference_g_log(spec, e))
             want.append(max(abs(p1.t - p2.t), abs(p1.s - p2.s),
-                            float(np.max(np.abs(p1.zvec - p2.zvec)))))
+                            float(np.max(np.abs(p1.z - p2.z)))))
         got = polar_transport_residuals(spec, rows, g)
         np.testing.assert_array_equal(got, want)
         assert float(np.max(got)) <= 1e-9
@@ -610,7 +620,7 @@ class TestIsometryRows:
             for i in range(len(spec.blocks)):
                 np.testing.assert_array_equal(rows.vs[i][k], vs[i])
                 np.testing.assert_array_equal(rows.us[i][k], us[i])
-            np.testing.assert_array_equal(u.matrix, CurvIsometry(spec, rho, vs, us).matrix)
+            np.testing.assert_array_equal(u.matrix, IsometryRows(spec, rho, vs, us).matrix)
         # The three generators stand at the same place in the stream.
         assert len({rng.random() for rng in rngs}) == 1
 
@@ -677,10 +687,55 @@ class TestIsometryRowsContract:
             assert not a.flags.writeable and a.flags.c_contiguous
         single = rows[2]
         np.testing.assert_array_equal(single.matrix, m[2])
-        assert single.rows.matrix.shape == (1, spec112.dim, spec112.dim)
+        assert single[None].matrix.shape == (1, spec112.dim, spec112.dim)
         for idx in (slice(1, 3), [1, 2], np.array([False, True, True, False])):
             np.testing.assert_array_equal(rows[idx].matrix, m[1:3])
+        # A step slice is copied: a strided view would sum matrix's row dots
+        # in another order.
+        stepped = rows[::2]
+        for a in (stepped.rho, *stepped.vs, *stepped.us, stepped.matrix):
+            assert not a.flags.writeable and a.flags.c_contiguous
+        np.testing.assert_array_equal(stepped.matrix, m[::2])
         assert len(list(rows)) == 4
+
+    def test_indexing_a_validated_stack_validates_nothing(self, spec112, rng, monkeypatch):
+        rows = random_curv_isometries(spec112, rng, 4)
+        m, single = rows.matrix, rows[2]
+        validated = []
+        post_init = IsometryRows.__post_init__
+        monkeypatch.setattr(IsometryRows, "__post_init__",
+                            lambda self: validated.append(np.shape(self.rho)) or post_init(self))
+        taken = {1: rows[1], (1, 2): rows[1:3], (0, 2): rows[::2], (2,): single[None]}
+        g = rand_group_elem(spec112, rng)
+        p = polar(spec112, single, g)
+        assert validated == []
+        for idx, part in taken.items():
+            np.testing.assert_array_equal(part.matrix, m[1] if idx == 1 else m[list(idx)])
+        assert type(taken[1].rho) is int and taken[(2,)].rho.shape == (1,)
+        assert group_dist(p, reference_polar(spec112, single, g)) == 0.0
+        with pytest.raises(IndexError):
+            rows[None]
+        with pytest.raises(IndexError):
+            single[0]
+
+
+def test_single_maps_and_elements_keep_the_fields_the_benchmark_reads(spec112, rng):
+    # perfbench/workloads.py writes a random map as an isometry-polar
+    # descriptor with json.dumps, and reads t, s and zvec of g_exp and of
+    # geodesic_exponential for one element.
+    iso = random_curv_isometry(spec112, rng)
+    assert type(iso.rho) is int
+    assert [v.ndim for v in iso.vs] == [1, 1] and [u.ndim for u in iso.us] == [2, 2]
+    desc = {"rho": iso.rho,
+            "blocks": [{"v": v.reshape(-1, 2).tolist(), "u": u.tolist()}
+                       for v, u in zip(iso.vs, iso.us)]}
+    back = curv_isometry_from_json(spec112, json.loads(json.dumps(desc)))
+    np.testing.assert_array_equal(back.matrix, iso.matrix)
+    x = rng.standard_normal(spec112.dim)
+    metric = metric_from_iso(k_lambda(spec112), named_family(spec112, "diagonal_sym"))
+    for g in (g_exp(spec112, x), geodesic_exponential(metric, x)):
+        assert np.ndim(g.t) == np.ndim(g.s) == 0 and g.zvec.shape == (spec112.n,)
+        json.dumps([g.t, g.s])
 
 
 # -- the triple-bracket residual over the nonzeros of T ----------------------------
