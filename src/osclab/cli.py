@@ -340,7 +340,7 @@ def task_isometry_verify(args, spec):
         raise InputError(f"maps beyond the checks' float precision: eps |m|^T |K| |m| "
                          f"is {floor:.1e}, above the orthogonality tolerance "
                          f"{ORTHOGONALITY_CHECK_TOL:g}")
-    worst_triple = max(iso_mod.triple_bracket_residual(spec, mk) for mk in m)
+    worst_triple = float(np.max(iso_mod.triple_bracket_residual(spec, m)))
     worst_round = float(np.max(np.abs(iso_mod.curv_isometry_from_matrix(spec, m).matrix - m)))
     # Five group elements per identity-component map, drawn in map order,
     # then checked as one stack of rows.  Per row, (t, s) is uniform on

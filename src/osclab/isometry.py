@@ -283,9 +283,11 @@ class IsometryRows:
 
     def __getitem__(self, idx) -> "IsometryRows":
         """Rows of a stack by index, slice, index array or mask, or one map as a
-        one-row stack by ``[None]``."""
+        one-row stack by ``[None]``; a computed ``matrix`` is indexed along."""
         out = object.__new__(IsometryRows)
         out._take(self.spec, idx, np.asarray(self.rho), self.vs, self.us, np.asarray(self.alpha))
+        if "matrix" in self.__dict__:  # each row's bits do not depend on the others
+            out.__dict__["matrix"] = _read_only(np.ascontiguousarray(self.matrix[idx]))
         return out
 
     def __len__(self) -> int:
@@ -393,17 +395,21 @@ def random_curv_isometries(spec: LambdaSpec, rng: np.random.Generator, count: in
     """count random maps, drawn map by map as count single draws would take
     the numbers; the rotations are then made per block as one stack."""
     sizes = [2 * r for _, r in spec.blocks]
-    vs, us, flips, rho = [], [], [], []
-    for _ in range(count):
-        for m in sizes:
-            vs.append(rng.standard_normal(m))
-            us.append(rng.standard_normal((m, m)))
-            flips.append(not identity_component and rng.random() < 0.5)
-        rho.append(1 if identity_component else int(rng.choice([-1, 1])))
-    per_block = [slice(i, None, len(sizes)) for i in range(len(sizes))]
-    return IsometryRows(spec, rho, tuple(np.array(vs[b]) for b in per_block),
-                        tuple(_special_orthogonal(np.array(us[b]), np.array(flips[b], bool))
-                              for b in per_block))
+    ends = np.cumsum([m + m * m for m in sizes])  # per map and block: v, then u
+    flips = np.zeros((count, len(sizes)), bool)
+    if identity_component:  # the numbers of the map-by-map draws, in one call
+        draws, rho = rng.standard_normal((count, ends[-1])), np.ones(count, int)
+    else:
+        draws, rho = np.empty((count, ends[-1])), []
+        for k in range(count):
+            for i, (m, e) in enumerate(zip(sizes, ends)):
+                draws[k, e - m - m * m : e] = rng.standard_normal(m + m * m)
+                flips[k, i] = rng.random() < 0.5
+            rho.append(int(rng.choice([-1, 1])))
+    return IsometryRows(spec, rho, tuple(draws[:, e - m - m * m : e - m * m]
+                                         for m, e in zip(sizes, ends)),
+                        tuple(_special_orthogonal(draws[:, e - m * m : e].reshape(-1, m, m), f)
+                              for m, e, f in zip(sizes, ends, flips.T)))
 
 
 def random_curv_isometry(spec: LambdaSpec, rng: np.random.Generator,
@@ -417,10 +423,10 @@ def orthogonality_residual(form: BiInvariantForm, m) -> float:
     return float(np.max(np.abs(np.swapaxes(m, -1, -2) @ form.gram @ m - form.gram)))
 
 
-
-def _residual_plan(spec: LambdaSpec, nz: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Cached per nonzero pattern nz of U: the residual rows (a, b, m) that y or U T reach,
-    as y indices per row and column k (y.size - 1 reads 0), and U T as (row, c, m, q, value)."""
+def _residual_plan(spec: LambdaSpec, nz: np.ndarray) -> tuple:
+    """Cached per nonzero pattern nz of U: the number of rows (a, live km) of y read by the
+    residual rows (a, b, m) that y or U T reach, those rows as y indices per column k (one
+    past y reads 0), and x and U T on them as (flat index, flat index into U, value)."""
     plans, key = spec.__dict__.setdefault("_residual_plans", {}), nz.tobytes()
     if key not in plans:
         (a, b, c, q, val, x_cols, z_cols), d = spec.triple_support, spec.dim
@@ -431,37 +437,62 @@ def _residual_plan(spec: LambdaSpec, nz: np.ndarray) -> tuple[np.ndarray, ...]:
         ys = np.matmul(xs.reshape(d, -1, d), nz.astype(float)).transpose(0, 2, 1)
         zs = np.matmul(ys, np.eye(d)[z_cols // d]).ravel() + np.bincount(ut_rows, minlength=d**3)
         live = (zs > 0) | nz.all()  # every row for a dense U
-        if np.count_nonzero(live) < 2:
-            live[:2] = True  # a gemm, not a gemv
+        live[:2] |= np.count_nonzero(live) < 2  # two rows at least: a gemm, not a gemv
         rows = np.flatnonzero(live)
         zi = np.full((d, d, d * d), xs.size)  # z as indices into y
         zi[:, :, z_cols] = np.arange(xs.size).reshape(d, -1, d).transpose(0, 2, 1)
-        plans[key] = tuple(map(_read_only, (zi.reshape(-1, d)[rows], np.searchsorted(
-            rows, ut_rows), c[ut_n], ut_m, q[ut_n], val[ut_n])))
+        gather = zi.reshape(-1, d)[rows]
+        used = np.bincount(gather.ravel() // d, minlength=xs.size // d + 1)[:-1] > 0
+        used[:2] |= np.count_nonzero(used) < 2
+        slot = np.append(np.cumsum(used) - 1, np.count_nonzero(used))  # y's rows, the zero
+        x_at = np.arange(xs.size).reshape(d, -1)[:, x_cols]  # x[:, x_cols] = U[a].T * value
+        keep = used[x_at // d]
+        plans[key] = (int(slot[-1]), *map(_read_only, (
+            slot[gather // d] * d + gather % d, (slot[x_at // d] * d + x_at % d)[keep],
+            (a * d + np.arange(d)[:, None])[keep], np.broadcast_to(val, x_at.shape)[keep],
+            np.searchsorted(rows, ut_rows) * d + c[ut_n], ut_m * d + q[ut_n], val[ut_n])))
     return plans[key]
 
 
-def triple_bracket_residual(spec: LambdaSpec, m) -> float:
-    """max over basis triples of |U[x,[y,z]] - [Ux,[Uy,Uz]]|.
+# Maps go in chunks of at most this many bytes per temporary, which bounds the memory of any
+# stack.  For 20 maps with one 12x12 block (36 KB each), 256 KB ran fastest: 0.5-4 MB chunks
+# were 1.1-1.5x slower (fresh pages per temporary), 16-64 KB paid more calls (Xeon, 1 thread).
+_CHUNK_BYTES = 1 << 18
 
-    Together with orthogonality this is the membership test for the
-    curvature-preserving group.  It has the bits of the dense einsums over T,
-    ``mq,abcq->abcm`` and the optimized ``ia,jb,kc,ijkm->abcm``: their sums
-    with one nonzero term are single products, the others the same matmuls.
-    Only the rows (a, b, m) that the zero pattern of U reaches are multiplied:
-    while y is finite, so is U, and every other row reads 0 (else all are
-    kept).  A gemm entry is an FMA chain over k on any set of rows, but one
-    row goes to gemv, which sums in another order: so two rows at least."""
+
+def triple_bracket_residual(spec: LambdaSpec, m):
+    """max over basis triples of |U[x,[y,z]] - [Ux,[Uy,Uz]]| per matrix U of m, of shape
+    S + (d, d): a float for S = (), else an array of shape S.
+
+    With orthogonality, the membership test for the curvature-preserving group.  Each
+    entry has the bits of the dense einsums ``mq,abcq->abcm`` and the optimized
+    ``ia,jb,kc,ijkm->abcm`` over T: sums of one nonzero term are single products, the
+    others one gemm per map.  Only the residual rows that U's zero pattern reaches, and the
+    rows of x and y they read, are built: while y is finite, so is U, and other rows read 0.
+    So a map takes every row unless it is finite with d max|T| max|U|^2 < 1e300, which
+    bounds y.  A gemm entry is an FMA chain over k on any rows; one row goes to gemv."""
     m, d = np.asarray(m, dtype=float), spec.dim
-    a, b, c, q, val, x_cols, z_cols = spec.triple_support
-    x = np.zeros((d, z_cols.size * d))  # ijkm,ia->ajkm as rows (a, live km), cols j
-    x[:, x_cols] = m[a].T * val
-    y = np.zeros(x.size + 1)  # ajkm,jb->abkm, and a zero for the (k, m) pairs T misses
-    np.matmul(x.reshape(-1, d), m, out=y[:-1].reshape(-1, d))
-    gather, at, col, um, uq, uval = _residual_plan(spec, (m != 0) | ~np.isfinite(y).all())
-    r = np.matmul(y[gather], m)  # abkm,kc->abcm on the plan's rows (a, b, m), cols c
-    r[at, col] -= m[um, uq] * uval  # U[e_a,[e_b,e_c]] = value U e_q
-    return float(np.max(np.abs(r, out=r)))
+    if m.ndim == 2:
+        return float(triple_bracket_residual(spec, m[None])[0])
+    flat = m.reshape(len(m), d * d)
+    dense = ~(np.max(np.abs(flat), axis=1, initial=0.0)
+              < math.sqrt(1e300 / (d * np.max(np.abs(spec.triple_support[4])))))
+    groups, out = {}, np.empty(len(m))
+    for k, nz in enumerate((flat != 0) | dense[:, None]):
+        groups.setdefault(nz.tobytes(), (nz, []))[1].append(k)
+    for nz, maps in groups.values():
+        ny, gather, xi, xu, xval, ui, uu, uval = _residual_plan(spec, nz.reshape(d, d))
+        step = max(1, _CHUNK_BYTES // (8 * d * max(ny + 1, len(gather))))
+        for part in (maps[k : k + step] for k in range(0, len(maps), step)):
+            mk = flat[part]  # a C-contiguous copy, so each product runs one gemm per map
+            x = np.zeros((len(part), ny * d))  # ijkm,ia->ajkm on the plan's rows of y
+            x[:, xi] = mk[:, xu] * xval
+            y = np.zeros((len(part), ny + 1, d))  # ajkm,jb->abkm, and a zero row
+            np.matmul(x.reshape(-1, ny, d), mk.reshape(-1, d, d), out=y[:, :-1])
+            r = np.matmul(np.take(y.reshape(len(part), -1), gather, axis=1), mk.reshape(-1, d, d))
+            r.reshape(len(part), -1)[:, ui] -= mk[:, uu] * uval  # U[e_a,[e_b,e_c]] = value U e_q
+            out[part] = np.max(np.abs(r, out=r), axis=(1, 2))
+    return out
 
 
 # -- polar isometries and the group of isometries --------------------------------
@@ -482,24 +513,23 @@ def polar(spec: LambdaSpec, u: IsometryRows, g: GroupRows) -> GroupRows:
         raise ValueError("closed-form polars cover the identity component (rho = +1)")
     # Per row: math.cos/sin per element (numpy's may differ in the last
     # bit), one gemv for u_i w and one vector dot.
+    theta = np.multiply.outer([lam for lam, _ in spec.blocks], g.t)[..., None]  # per block
+    bad = np.flatnonzero(~np.isfinite(theta).all(axis=(1, 2))) + 1
+    if bad.size:
+        raise ValueError(f"t*l_{bad[0]} is not finite: block {bad[0]} rotation is undefined")
+    trig = (np.fromiter(map(f, a.ravel().tolist()), float).reshape(theta.shape) for f, a in
+            ((math.sin, 0.5 * theta), (math.cos, 0.5 * theta), (math.sin, theta)))
     out = np.empty(g.z.shape, dtype=complex)
     s_corr = 0.0
-    for i, ((lam, _), idx, vs, us) in enumerate(zip(spec.blocks, spec.block_indices,
-                                                     u.vs, u.us)):
+    for (lam, _), idx, vs, us, sin_half, cos_half, sin_full in zip(
+            spec.blocks, spec.block_indices, u.vs, u.us, *trig):
         cols = [j - 1 for j in idx]
-        theta = g.t * lam
-        if not np.isfinite(theta).all():
-            raise ValueError(f"t*l_{i+1} is not finite: block {i+1} rotation "
-                             "is undefined")
-        sin_half, cos_half = (np.fromiter(map(f, 0.5 * theta), float)[:, None]
-                              for f in (math.sin, math.cos))
         rot = np.empty(sin_half.shape, dtype=complex)
         rot.real, rot.imag = cos_half, sin_half
         vi = _r2c(vs)
         inner = _r2c(np.matmul(us, _c2r(np.conj(rot) * g.z[:, cols])[..., None])[..., 0])
         out[:, cols] = ((2.0 / lam) * sin_half) * rot * vi + rot * inner
-        a_i = (np.fromiter(map(math.sin, theta), float)[:, None] / (2.0 * lam)) * vi \
-            + cos_half * inner
+        a_i = (sin_full / (2.0 * lam)) * vi + cos_half * inner
         s_corr = s_corr + _row_dot(vs, _c2r(a_i)) / lam
     return GroupRows(g.t, g.s - s_corr, out)
 
@@ -528,17 +558,14 @@ def act_sigma_on_u(spec: LambdaSpec, sigma: GroupRows, u: IsometryRows) -> Isome
     if u.rho != 1:
         raise ValueError("the action is defined on the identity component (rho = +1)")
     _check_rows(spec, sigma)
-    z = sigma.z
     vs, us = [], []
     for i, ((lam, r), idx) in enumerate(zip(spec.blocks, spec.block_indices)):
         theta = 0.5 * sigma.t * lam
-        rot_m, rot_p = _rot(-theta, r), _rot(theta, r)
-        ui = rot_m @ u.us[i] @ rot_p
         jm = _rot(0.5 * math.pi, r)  # multiplication by i
         q_part = 0.5 * (u.us[i] + jm @ u.us[i] @ jm)
-        zb = _c2r(z[[j - 1 for j in idx]])
+        zb = _c2r(sigma.z[[j - 1 for j in idx]])
         vs.append(u.vs[i] + lam * (jm @ (q_part @ zb)))
-        us.append(ui)
+        us.append(_rot(-theta, r) @ u.us[i] @ _rot(theta, r))
     return IsometryRows(spec, 1, tuple(vs), tuple(us))
 
 

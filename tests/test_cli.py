@@ -737,15 +737,16 @@ def test_algebra_check_makes_no_ad_call(capsys, monkeypatch):
     assert code == 0 and dims["value"] == [1, 9, 2] and calls == []
 
 
-def test_isometry_verify_takes_one_triple_bracket_residual_per_sample(capsys, monkeypatch):
-    # perfbench's isometry.triple_bracket_ms is a per-call time of this function.
+def test_isometry_verify_takes_one_triple_bracket_residual_over_the_stack(capsys, monkeypatch):
+    # perfbench's isometry.triple_bracket_ms is a per-call time of this
+    # function, so one call per run of the task: the stack of all its maps.
     import osclab.isometry as iso_mod
     calls = []
     residual = iso_mod.triple_bracket_residual
     monkeypatch.setattr(iso_mod, "triple_bracket_residual",
-                        lambda spec, m: calls.append(m) or residual(spec, m))
+                        lambda spec, m: calls.append(np.shape(m)) or residual(spec, m))
     code, rep, _ = run_json(capsys, "isometry-verify", "--lambda", "1,2,2", "--samples", "7")
-    assert code == 0 and rep["samples"] == 7 and len(calls) == 7
+    assert code == 0 and rep["samples"] == 7 and calls == [(7, 8, 8)]
 
 
 def test_isometry_verify_draws_and_checks_its_maps_as_one_stack(capsys, monkeypatch):

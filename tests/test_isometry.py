@@ -624,6 +624,22 @@ class TestIsometryRows:
         # The three generators stand at the same place in the stream.
         assert len({rng.random() for rng in rngs}) == 1
 
+    @pytest.mark.parametrize("identity_component", [True, False])
+    def test_indexing_carries_the_matrix_rows_it_would_compute(self, lams, rng,
+                                                               identity_component):
+        spec = LambdaSpec(lams)
+        rows = random_curv_isometries(spec, rng, 12, identity_component)
+        idxs = [3, slice(2, 9), slice(None, None, 3), [5, 0, 5, 11], rng.random(12) < 0.5]
+        computed = [rows[idx].matrix for idx in idxs]  # before the stack's matrix exists
+        assert "matrix" not in rows.__dict__
+        rows.matrix
+        for idx, want in zip(idxs, computed):
+            part = rows[idx]
+            assert "matrix" in part.__dict__  # carried, not computed again
+            np.testing.assert_array_equal(part.matrix, want)
+            assert not part.matrix.flags.writeable and part.matrix.flags.c_contiguous
+        np.testing.assert_array_equal(rows[3][None].matrix, computed[0][None])
+
     def test_round_trip_of_a_stack_is_exact(self, lams, rng):
         spec, d = LambdaSpec(lams), 2 * len(lams) + 2
         rows = mixed_rows(spec, rng, 40)
@@ -769,54 +785,107 @@ class TestTripleBracketResidual:
         check_support_against_dense_t(LambdaSpec(lams))
 
     def test_residual_equals_the_dense_einsums_bit_for_bit(self, lams, rng):
-        # 165 maps per spec: isometries, rho = -1 maps and reflected blocks,
-        # random matrices scaled 1e-3 to 1e3, and maps whose zero pattern,
-        # overflow or non-finite entries decide which residual rows are
-        # contracted; NaN must meet NaN.
         spec = LambdaSpec(lams)
-        d = spec.dim
-        ms = [u.matrix for u in mixed_isometries(spec, rng, 40)]
-        ms += [u.matrix for u in mixed_isometries(spec, rng, 15, rho=-1)]
-        ms += [random_curv_isometry(spec, rng).matrix for _ in range(15)]
-        ms += [rng.standard_normal((d, d)) * scale
-               for scale in (1e-3, 1e-1, 1.0, 1e1, 1e2, 1e3) for _ in range(5)]
-        isos = mixed_rows(spec, rng, 12)
-        ms += [identity_isometry(spec).matrix, np.zeros((d, d))]
-        for at in [(1, 2), (2, 1), (2, 3)]:  # U T alone reaches rows (a, b, e_0)
-            ms.append(np.zeros((d, d)))
-            ms[-1][at] = 0.5
-        ms += list(IsometryRows(spec, isos.rho, tuple(np.zeros_like(v) for v in isos.vs),
-                                isos.us).matrix)
-        ms += [np.where(m != 0, rng.standard_normal((d, d)), 0.0) for m in isos.matrix]
-        ms += [np.where(rng.random((d, d)) < p, 2 * rng.standard_normal((d, d)), 0.0)
-               for p in (0.1, 0.2, 0.3, 0.5) for _ in range(3)]
-        for scale in (1e3, 1e150, 1e300, 1e307):
-            for m in isos.matrix[:3]:
-                m = m.copy()
-                m[2:, 0] *= scale  # the translation column, and the e_0 row with alpha
-                m[1] *= scale
-                ms.append(m)
-        for bad in (np.inf, -np.inf, np.nan):
-            for at in [(0, 0), (1, 1), (d - 1, 2), tuple(rng.integers(d, size=2))]:
-                m = isos.matrix[int(rng.integers(12))].copy()
-                m[at] = bad
-                ms.append(m)
-        for m in ms:
+        for m in residual_test_maps(spec, rng):
             with np.errstate(all="ignore"):
                 got = triple_bracket_residual(spec, m)
                 want = dense_triple_bracket_residual(spec, m)
             assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_stacked_residual_equals_the_dense_einsums_bit_for_bit(self, lams, rng,
+                                                                    monkeypatch):
+        # The 165 maps shuffled into one stack: zero patterns, the scalings that
+        # could overflow y and the non-finite maps side by side, so each map must
+        # take its rows by its own entries, not by the stack's.
+        spec = LambdaSpec(lams)
+        ms = np.array(residual_test_maps(spec, rng))[rng.permutation(165)]
+        with np.errstate(all="ignore"):
+            want = [dense_triple_bracket_residual(spec, m) for m in ms]
+            patterns = {(m != 0).tobytes() for m in ms}  # and at most one all-true
+            products, matmul = [], np.matmul
+            monkeypatch.setattr(np, "matmul",
+                                lambda *args, **kw: products.append(1) or matmul(*args, **kw))
+            got = triple_bracket_residual(spec, ms)
+        assert got.shape == (165,)
+        np.testing.assert_array_equal(got, want)  # NaN meets NaN
+        # Two products per chunk: some pattern's maps took more than one chunk.
+        assert len(products) > 2 * (len(patterns) + 1)
 
     def test_random_maps_are_not_contracted_over_every_row(self, lams, rng, monkeypatch):
         # The dense kernel multiplies all d^3 rows (a, b, m) of the residual by U.
         spec = LambdaSpec(lams)
         ms = random_curv_isometries(spec, rng, 4).matrix
         rows, matmul = [], np.matmul
-        monkeypatch.setattr(np, "matmul",
-                            lambda x, *args, **kw: rows.append(len(x)) or matmul(x, *args, **kw))
-        for m in ms:
-            triple_bracket_residual(spec, m)
+        monkeypatch.setattr(np, "matmul", lambda x, *args, **kw:
+                            rows.append(x.shape[-2]) or matmul(x, *args, **kw))
+        triple_bracket_residual(spec, ms)
         assert rows and max(rows) < spec.dim ** 3
+
+
+def test_a_map_that_could_overflow_takes_every_row_alone(rng, monkeypatch):
+    # The fallback to every residual row is decided per map: one map whose y
+    # could overflow leaves the other maps of its stack on their own rows.
+    spec = LambdaSpec((0.5, 1.0, 1.0, 2.0))
+    ms = random_curv_isometries(spec, rng, 4).matrix.copy()
+    ms[2] *= 1e200
+    rows, matmul = [], np.matmul
+    with np.errstate(all="ignore"):
+        triple_bracket_residual(spec, ms)  # the plans, built once, multiply too
+        monkeypatch.setattr(np, "matmul", lambda x, *args, **kw:
+                            rows.append(x.shape[-2]) or matmul(x, *args, **kw))
+        triple_bracket_residual(spec, ms)
+    residual_rows = rows[1::2]  # each chunk multiplies x into y, then y's rows into r
+    assert spec.dim ** 3 in residual_rows and min(residual_rows) < spec.dim ** 3
+
+
+def test_residual_temporaries_do_not_grow_with_the_stack(rng, monkeypatch):
+    # One 12x12 block, 36 KB of residual rows per map: 8 maps fill more than
+    # one chunk, so 400 maps take more chunks, none larger.
+    spec = LambdaSpec((1.0,) * 6)
+    stacks = [random_curv_isometries(spec, rng, count).matrix for count in (8, 400)]
+    sizes, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kw:
+                        (lambda out: sizes.append(out.size) or out)(matmul(*args, **kw)))
+    largest = []
+    for ms in stacks:
+        sizes.clear()
+        triple_bracket_residual(spec, ms)
+        largest.append(max(sizes))
+    assert largest[0] == largest[1]
+
+
+def residual_test_maps(spec, rng):
+    """165 maps: isometries, rho = -1 maps and reflected blocks, random
+    matrices scaled 1e-3 to 1e3, and maps whose zero pattern, overflow or
+    non-finite entries decide which residual rows are contracted."""
+    d = spec.dim
+    ms = [u.matrix for u in mixed_isometries(spec, rng, 40)]
+    ms += [u.matrix for u in mixed_isometries(spec, rng, 15, rho=-1)]
+    ms += [random_curv_isometry(spec, rng).matrix for _ in range(15)]
+    ms += [rng.standard_normal((d, d)) * scale
+           for scale in (1e-3, 1e-1, 1.0, 1e1, 1e2, 1e3) for _ in range(5)]
+    isos = mixed_rows(spec, rng, 12)
+    ms += [identity_isometry(spec).matrix, np.zeros((d, d))]
+    for at in [(1, 2), (2, 1), (2, 3)]:  # U T alone reaches rows (a, b, e_0)
+        ms.append(np.zeros((d, d)))
+        ms[-1][at] = 0.5
+    ms += list(IsometryRows(spec, isos.rho, tuple(np.zeros_like(v) for v in isos.vs),
+                            isos.us).matrix)
+    ms += [np.where(m != 0, rng.standard_normal((d, d)), 0.0) for m in isos.matrix]
+    ms += [np.where(rng.random((d, d)) < p, 2 * rng.standard_normal((d, d)), 0.0)
+           for p in (0.1, 0.2, 0.3, 0.5) for _ in range(3)]
+    for scale in (1e3, 1e150, 1e300, 1e307):
+        for m in isos.matrix[:3]:
+            m = m.copy()
+            m[2:, 0] *= scale  # the translation column, and the e_0 row with alpha
+            m[1] *= scale
+            ms.append(m)
+    for bad in (np.inf, -np.inf, np.nan):
+        for at in [(0, 0), (1, 1), (d - 1, 2), tuple(rng.integers(d, size=2))]:
+            m = isos.matrix[int(rng.integers(12))].copy()
+            m[at] = bad
+            ms.append(m)
+    return ms
 
 
 def check_support_against_dense_t(spec):
