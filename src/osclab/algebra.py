@@ -68,18 +68,6 @@ class LambdaSpec:
         if any(a > b for a, b in zip(lam, lam[1:])):
             raise ValueError(f"frequencies must be non-decreasing, got {lam}")
 
-    @classmethod
-    def from_json(cls, obj) -> "LambdaSpec":
-        """Parse {"lambda": [1.0, 1.0, 2.0]}."""
-        if not isinstance(obj, dict) or "lambda" not in obj:
-            raise ValueError('expected an object with a "lambda" array')
-        lam = obj["lambda"]
-        if not isinstance(lam, (list, tuple)) or not lam:
-            raise ValueError('"lambda" must be a non-empty array of positive reals')
-        if not all(is_json_number(v) for v in lam):
-            raise ValueError(f'"lambda" has a non-numeric entry: {lam!r}')
-        return cls(tuple(lam))
-
     @property
     def n(self) -> int:
         return len(self.lambdas)

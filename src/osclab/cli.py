@@ -391,7 +391,7 @@ def task_isometry_polar(args, spec):
         raise InputError(f"--g needs {2 + 2 * spec.n} coordinates")
     if not all(math.isfinite(v) for v in vals):
         raise InputError(f"bad --g {args.g!r}: coordinates must be finite")
-    g = iso_mod.GroupRows(vals[0], vals[1], np.array(vals[2::2]) + 1j * np.array(vals[3::2]))
+    g = iso_mod.GroupRows(vals[0], vals[1], np.array(vals[2:]).view(complex))
     # Entries near the float range give a non-finite image: it is rejected
     # below instead of warned about.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -401,7 +401,7 @@ def task_isometry_polar(args, spec):
             raise InputError(str(err)) from err
     if not np.isfinite([p.t, p.s, *p.z]).all():
         raise InputError(f"bad --g {args.g!r}: the polar image overflows the float range")
-    return {"image": {"t": p.t, "s": p.s, "z": [[w.real, w.imag] for w in p.z]}}, []
+    return {"image": {"t": p.t, "s": p.s, "z": p.z.view(float).reshape(-1, 2).tolist()}}, []
 
 
 @_task("lattice-check",

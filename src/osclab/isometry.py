@@ -14,8 +14,8 @@ Identity-component elements (rho = +1, rotational u_i) combine with group
 translations into the full isometry group.
 
 Within a block, V_i carries real interleaved coordinates
-(Re z_1, Im z_1, Re z_2, ...), in which the block inner product is the
-Euclidean one divided by the block frequency.
+(Re z_1, Im z_1, Re z_2, ...), the float view of its complex ones, in which
+the block inner product is the Euclidean one divided by the block frequency.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ ROUNDTRIP_TOL = 1e-10
 @dataclass(frozen=True, eq=False)
 class GroupRows:
     """Group elements over a leading shape S: t and s of shape S, z of shape
-    S + (n,).  S = (N,) is a stack of N elements and S = () one element, whose
-    t and s are float64 scalars."""
+    S + (n,), C-contiguous for float views.  S = (N,) is a stack of N elements
+    and S = () one element, whose t and s are float64 scalars."""
 
     t: np.ndarray
     s: np.ndarray
@@ -57,7 +57,8 @@ class GroupRows:
 
     def __post_init__(self):
         for name, dtype in (("t", float), ("s", float), ("z", complex)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype)[()])
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=dtype, order="C")[()])
 
     @property
     def zvec(self) -> np.ndarray:
@@ -138,9 +139,10 @@ def g_log(spec: LambdaSpec, g: GroupRows) -> np.ndarray:
     theta = g.t[..., None] * spec.lam
     bad = np.argwhere(np.abs(theta) >= 2.0 * math.pi)
     if bad.size:
-        i, th = bad[0, -1], theta[tuple(bad[0])]
-        raise ValueError(f"|t*l_{i+1}| = {abs(th):.6g} >= 2*pi: block {i+1} multiplier "
-                         "is singular; the logarithm is undefined here")
+        j, th = bad[0, -1] + 1, theta[tuple(bad[0])]
+        raise ValueError(f"|t*l_{j}| = {abs(th):.6g} >= 2*pi: the multiplier of oscillator {j} "
+                         f"(block {len(set(spec.lambdas[:j]))}) is singular; "
+                         "the logarithm is undefined here")
     z = g.z / _exp_multiplier(theta)
     s = g.s - 0.5 * np.sum(np.abs(z) ** 2 * _s_correction(theta), axis=-1)
     return np.concatenate([g.t[..., None], s[..., None], z.real, z.imag], axis=-1)
@@ -186,18 +188,6 @@ def geodesic_exponential(metric: Metric, x0, rtol: float = 1e-10,
 
 
 # -- block helpers --------------------------------------------------------------
-
-def _c2r(z: np.ndarray) -> np.ndarray:
-    """Complex (..., r) to real interleaved (..., 2r)."""
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
-    out[..., 0::2] = np.real(z)
-    out[..., 1::2] = np.imag(z)
-    return out
-
-
-def _r2c(w: np.ndarray) -> np.ndarray:
-    return w[..., 0::2] + 1j * w[..., 1::2]
-
 
 def _rot(theta: float, r: int) -> np.ndarray:
     """Multiplication by e^{i theta} on interleaved real coordinates."""
@@ -295,20 +285,18 @@ class IsometryRows:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        if np.ndim(self.rho) == 0:
-            return self[None].matrix[0]
-        spec, rho = self.spec, self.rho
-        u = np.zeros((rho.size, spec.dim, spec.dim))
-        u[:, 0, 0] = u[:, 1, 1] = rho
-        u[:, 1, 0] = self.alpha
+        spec, rho = self.spec, np.asarray(self.rho)
+        u = np.zeros(rho.shape + (spec.dim, spec.dim))
+        u[..., 0, 0] = u[..., 1, 1] = rho
+        u[..., 1, 0] = self.alpha
         for (lam, _), rows, ui, vi in zip(spec.blocks, spec.block_rows, self.us, self.vs):
-            u[:, rows, 0] = vi
-            u[:, rows[:, None], rows] = ui
+            u[..., rows, 0] = vi
+            u[..., rows[:, None], rows] = ui
             # The e_0 row is -rho k(u_i w, v_i) / lam per basis vector w: a
             # vector dot per column of u_i, taken as contiguous rows so each
             # has the bits of the 1-D dot.
-            u[:, 1, rows] = -rho[:, None] * _row_dot(
-                np.ascontiguousarray(np.swapaxes(ui, 1, 2)), vi[:, None]) / lam
+            u[..., 1, rows] = -rho[..., None] * _row_dot(
+                np.ascontiguousarray(np.swapaxes(ui, -1, -2)), vi[..., None, :]) / lam
         return _read_only(u)
 
     @property
@@ -501,36 +489,34 @@ def polar(spec: LambdaSpec, u: IsometryRows, g: GroupRows) -> GroupRows:
     """The global isometry extending u, in closed form (no logarithm involved,
     so there is no domain restriction).  Identity component only.
 
-    u holds one map per row of g, of the same shape S; one map and one
-    element are a one-row stack."""
+    u holds one map per row of g, of the same shape S."""
     _check_rows(spec, g)
     if np.shape(u.rho) != np.shape(g.t):
         raise ValueError(f"need one map per row: maps {np.shape(u.rho)}, rows {np.shape(g.t)}")
-    if np.ndim(g.t) == 0:
-        p = polar(spec, u[None], GroupRows(g.t[None], g.s[None], g.z[None]))
-        return GroupRows(p.t[0], p.s[0], p.z[0])
     if np.any(u.rho != 1):
         raise ValueError("closed-form polars cover the identity component (rho = +1)")
     # Per row: math.cos/sin per element (numpy's may differ in the last
     # bit), one gemv for u_i w and one vector dot.
     theta = np.multiply.outer([lam for lam, _ in spec.blocks], g.t)[..., None]  # per block
-    bad = np.flatnonzero(~np.isfinite(theta).all(axis=(1, 2))) + 1
+    bad = np.flatnonzero(~np.isfinite(theta).reshape(len(theta), -1).all(axis=1))
     if bad.size:
-        raise ValueError(f"t*l_{bad[0]} is not finite: block {bad[0]} rotation is undefined")
+        j = spec.block_indices[bad[0]][0]
+        raise ValueError(f"t*l_{j} is not finite: block {bad[0] + 1} rotation is undefined")
     trig = (np.fromiter(map(f, a.ravel().tolist()), float).reshape(theta.shape) for f, a in
             ((math.sin, 0.5 * theta), (math.cos, 0.5 * theta), (math.sin, theta)))
     out = np.empty(g.z.shape, dtype=complex)
     s_corr = 0.0
     for (lam, _), idx, vs, us, sin_half, cos_half, sin_full in zip(
             spec.blocks, spec.block_indices, u.vs, u.us, *trig):
-        cols = [j - 1 for j in idx]
+        cols = slice(idx[0] - 1, idx[-1])
         rot = np.empty(sin_half.shape, dtype=complex)
         rot.real, rot.imag = cos_half, sin_half
-        vi = _r2c(vs)
-        inner = _r2c(np.matmul(us, _c2r(np.conj(rot) * g.z[:, cols])[..., None])[..., 0])
-        out[:, cols] = ((2.0 / lam) * sin_half) * rot * vi + rot * inner
+        vi = vs.view(complex)
+        w = (np.conj(rot) * g.z[..., cols]).view(float)
+        inner = np.matmul(us, w[..., None])[..., 0].view(complex)
+        out[..., cols] = ((2.0 / lam) * sin_half) * rot * vi + rot * inner
         a_i = (sin_full / (2.0 * lam)) * vi + cos_half * inner
-        s_corr = s_corr + _row_dot(vs, _c2r(a_i)) / lam
+        s_corr = s_corr + _row_dot(vs, a_i.view(float)) / lam
     return GroupRows(g.t, g.s - s_corr, out)
 
 
@@ -563,7 +549,7 @@ def act_sigma_on_u(spec: LambdaSpec, sigma: GroupRows, u: IsometryRows) -> Isome
         theta = 0.5 * sigma.t * lam
         jm = _rot(0.5 * math.pi, r)  # multiplication by i
         q_part = 0.5 * (u.us[i] + jm @ u.us[i] @ jm)
-        zb = _c2r(sigma.z[[j - 1 for j in idx]])
+        zb = sigma.z[idx[0] - 1 : idx[-1]].view(float)
         vs.append(u.vs[i] + lam * (jm @ (q_part @ zb)))
         us.append(_rot(-theta, r) @ u.us[i] @ _rot(theta, r))
     return IsometryRows(spec, 1, tuple(vs), tuple(us))

@@ -30,24 +30,6 @@ class TestLambdaSpec:
         with pytest.raises(ValueError, match="non-decreasing"):
             LambdaSpec((2.0, 1.0))
 
-    def test_json_parsing(self):
-        spec = LambdaSpec.from_json({"lambda": [1.0, 1.0, 2.0]})
-        assert spec.lambdas == (1.0, 1.0, 2.0)
-        with pytest.raises(ValueError, match="lambda"):
-            LambdaSpec.from_json({"frequencies": [1.0]})
-        with pytest.raises(ValueError, match="non-empty"):
-            LambdaSpec.from_json({"lambda": []})
-        with pytest.raises(ValueError, match="positive"):
-            LambdaSpec.from_json({"lambda": [1.0, -2.0]})
-        assert LambdaSpec.from_json({"lambda": [1, 2]}).lambdas == (1.0, 2.0)
-
-    # float() would coerce true to 1.0 and "2" to 2.0; JSON asks for numbers.
-    @pytest.mark.parametrize("lam", [[True, 2], [1, "2"], [1, None], [[1, 2]],
-                                     [1, 10**400]])
-    def test_json_lambda_takes_only_numbers(self, lam):
-        with pytest.raises(ValueError, match="non-numeric"):
-            LambdaSpec.from_json({"lambda": lam})
-
     # n = 1..6, with repeated, irrational and widely spread frequencies.
     @pytest.mark.parametrize("lams", [
         (1.0,), (2.0, 2.0), (1.0, math.sqrt(2.0), math.sqrt(2.0)),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import group_dist, isom_dist, paper_basis_brackets
-from osclab import flows
+from osclab import cli, flows
 from osclab.algebra import LambdaSpec, basis_brackets, basis_vector
 from osclab.isometry import (GroupRows, IsomElem, IsometryRows,
                              act_sigma_on_u, commensurability_oracle, compose,
@@ -21,7 +21,7 @@ from osclab.isometry import (GroupRows, IsomElem, IsometryRows,
                              orthogonality_residual, polar,
                              polar_transport_residuals, random_curv_isometries,
                              random_curv_isometry, triple_bracket_residual,
-                             _c2r, _exp_multiplier, _r2c, _s_correction)
+                             _exp_multiplier, _s_correction)
 from osclab.metrics import k_lambda, metric_from_iso, named_family
 
 
@@ -120,6 +120,11 @@ class TestExpLog:
         g = GroupRows(math.pi, 0.0, (0.1, 0.1))  # t*lam_2 = 2 pi
         with pytest.raises(ValueError, match="block 2"):
             g_log(spec12, g)
+
+    def test_log_domain_error_names_the_oscillator_and_its_block(self, spec112):
+        g = GroupRows(3.2, 0.0, (0.1, 0.1, 0.1))  # t*lam_3 = 6.4: oscillator 3 is in block 2
+        with pytest.raises(ValueError, match=r"\|t\*l_3\| = 6\.4 >= 2\*pi: .* 3 \(block 2\)"):
+            g_log(spec112, g)
 
     def test_group_exp_matches_geodesic_exp(self, spec12, rng):
         metric = metric_from_iso(k_lambda(spec12), named_family(spec12, "diagonal_sym"))
@@ -276,6 +281,13 @@ class TestPolar:
         u = random_curv_isometry(spec12, rng)
         with pytest.raises(ValueError, match="t\\*l_1 is not finite"):
             polar(spec12, u, GroupRows(math.inf, 0.0, (1.0, 1.0)))
+
+    def test_non_finite_angle_names_the_oscillator_and_its_block(self, spec112, rng):
+        u = random_curv_isometry(spec112, rng)
+        # t*l_1 = t*l_2 = 1e308 is finite; t*l_3 = 2e308 is not.
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="t\\*l_3 is not finite: block 2 rotation"):
+            polar(spec112, u, GroupRows(1e308, 0.0, (1.0, 1.0, 1.0)))
 
 
 class TestActions:
@@ -495,6 +507,17 @@ def reference_g_log(spec, g):
     z = g.z / _exp_multiplier(theta)
     s = g.s - 0.5 * float(np.sum(np.abs(z) ** 2 * _s_correction(theta)))
     return np.concatenate([[g.t, s], z.real, z.imag])
+
+
+def _c2r(z):
+    """Complex (r,) to real interleaved (2r,), by copy."""
+    out = np.empty(2 * len(z))
+    out[0::2], out[1::2] = np.real(z), np.imag(z)
+    return out
+
+
+def _r2c(w):
+    return w[0::2] + 1j * w[1::2]
 
 
 def reference_polar(spec, u, g):
@@ -944,6 +967,34 @@ class TestStackedRowsContract:
             polar(spec12, isos[[0, 1, 2]], g)
         with pytest.raises(ValueError, match="rho"):
             polar(spec12, IsometryRows(spec12, [1, 1, 1, -1], isos.vs, isos.us), g)
+
+    def test_polar_reads_any_layout_and_keeps_signed_zeros(self, spec112, rng, capsys):
+        # A strided or Fortran-ordered z gives the bits of the copy-based reference,
+        # and so does isometry-polar on -0.0 coordinates, signs of zeros included.
+        rows = mixed_rows(spec112, rng, 6, rho=1)
+        g = rand_rows(spec112, rng, 6)
+        want = [reference_polar(spec112, u, e) for u, e in zip(rows, row_elems(g))]
+        wide = np.zeros((6, 2 * spec112.n), dtype=complex)
+        wide[:, ::2] = g.z
+        for z in (wide[:, ::2], np.asfortranarray(g.z)):
+            assert_rows_equal(polar(spec112, rows, GroupRows(g.t, g.s, z)), want)
+        assert_rows_equal(stack_elems([polar(spec112, rows[0], GroupRows(
+            g.t[0], g.s[0], wide[0, ::2]))]), want[:1])
+        u = rows[1]
+        desc = json.dumps({"rho": 1, "blocks": [{"v": v.reshape(-1, 2).tolist(),
+                                                 "u": m.tolist()} for v, m in zip(u.vs, u.us)]})
+        for coords in ([-0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -0.0, -0.0],
+                       [0.0, 0.0, -0.0, 1.5, -0.0, -0.0, 0.7, -0.0],
+                       [-0.0, 0.4, 0.3, -0.0, -0.0, 0.0, -0.0, 2.0]):
+            assert cli.main(["isometry-polar", "--lambda", "1,1,2", "--u", desc,
+                             "--g", ",".join(map(repr, coords))]) == 0
+            image = json.loads(capsys.readouterr().out)["image"]
+            ref = reference_polar(spec112, u, GroupRows(coords[0], coords[1], [
+                complex(re, im) for re, im in zip(coords[2::2], coords[3::2])]))
+            got = np.array([image["t"], image["s"], *np.ravel(image["z"])])
+            exp = np.array([ref.t, ref.s, *_c2r(ref.z)])
+            np.testing.assert_array_equal(got, exp)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(exp))
 
     @pytest.mark.parametrize("shape", ["z_columns", "t_rows", "s_rows", "t_2d"])
     def test_rows_must_match_the_spec(self, spec12, rng, shape):
