@@ -593,6 +593,16 @@ class TestOutOfRangeIsometryInputs:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and needle in proc.stderr
 
+    def test_repeated_frequencies_name_the_overflowing_oscillator(self):
+        # On lambda = (1, 1, 2), t*l_1 = t*l_2 = 1e308 is finite and t*l_3 is not.
+        u = json.dumps({"rho": 1, "blocks": [{"v": [[0, 0], [0, 0]], "u": np.eye(4).tolist()},
+                                             {"v": [[0, 0]], "u": np.eye(2).tolist()}]})
+        proc = run_child("isometry-polar", "--lambda", "1,1,2", "--u", u,
+                         "--g=1e308,0,1,0,1,0,1,0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "t*l_3 is not finite: block 2 rotation" in proc.stderr
+
 
 class TestMapsBeyondTheChecksPrecision:
     """A true isometry never fails isometry-verify: over |v| from 1 to 1e300

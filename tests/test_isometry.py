@@ -21,7 +21,7 @@ from osclab.isometry import (GroupRows, IsomElem, IsometryRows,
                              orthogonality_residual, polar,
                              polar_transport_residuals, random_curv_isometries,
                              random_curv_isometry, triple_bracket_residual,
-                             _exp_multiplier, _s_correction)
+                             _exp_multiplier, _rot, _s_correction)
 from osclab.metrics import k_lambda, metric_from_iso, named_family
 
 
@@ -123,6 +123,12 @@ class TestExpLog:
 
     def test_log_domain_error_names_the_oscillator_and_its_block(self, spec112):
         g = GroupRows(3.2, 0.0, (0.1, 0.1, 0.1))  # t*lam_3 = 6.4: oscillator 3 is in block 2
+        with pytest.raises(ValueError, match=r"\|t\*l_3\| = 6\.4 >= 2\*pi: .* 3 \(block 2\)"):
+            g_log(spec112, g)
+
+    def test_log_domain_error_on_a_stack_names_the_first_bad_row(self, spec112):
+        # Row 0 is in the domain; row 1 leaves it at oscillator 3 only, row 2 at all three.
+        g = GroupRows([1.0, 3.2, 6.5], [0.0, 0.0, 0.0], np.full((3, 3), 0.1 + 0.0j))
         with pytest.raises(ValueError, match=r"\|t\*l_3\| = 6\.4 >= 2\*pi: .* 3 \(block 2\)"):
             g_log(spec112, g)
 
@@ -535,6 +541,36 @@ def reference_polar(spec, u, g):
         a_i = (math.sin(theta) / (2.0 * lam)) * vi + math.cos(0.5 * theta) * inner
         s_corr += float(u.vs[i] @ _c2r(a_i)) / lam
     return GroupRows(g.t, g.s - s_corr, tuple(out))
+
+
+def reference_act_sigma_on_u(spec, sigma, u):
+    """act_sigma_on_u with each block's coordinates gathered and copied."""
+    vs, us = [], []
+    for i, ((lam, r), idx) in enumerate(zip(spec.blocks, spec.block_indices)):
+        theta = 0.5 * sigma.t * lam
+        jm = _rot(0.5 * math.pi, r)
+        q_part = 0.5 * (u.us[i] + jm @ u.us[i] @ jm)
+        zb = _c2r(sigma.z[[j - 1 for j in idx]])
+        vs.append(u.vs[i] + lam * (jm @ (q_part @ zb)))
+        us.append(_rot(-theta, r) @ u.us[i] @ _rot(theta, r))
+    return vs, us
+
+
+@pytest.mark.parametrize("lams", ROW_LAMBDAS, ids=lambda lams: f"n{len(lams)}")
+def test_act_sigma_on_u_equals_the_copy_based_reference(lams, rng):
+    # The block coordinates are read as float views of sigma.z, also when the
+    # element was built from a strided z.
+    spec = LambdaSpec(lams)
+    for _ in range(5):
+        u = random_curv_isometry(spec, rng)
+        elem = rand_group_elem(spec, rng)
+        wide = np.zeros(2 * spec.n, dtype=complex)
+        wide[::2] = elem.z
+        for sigma in (elem, GroupRows(elem.t, elem.s, wide[::2])):
+            acted = act_sigma_on_u(spec, sigma, u)
+            vs, us = reference_act_sigma_on_u(spec, sigma, u)
+            for got, want in zip(acted.vs + acted.us, vs + us):
+                np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("lams", ROW_LAMBDAS, ids=lambda lams: f"n{len(lams)}")
