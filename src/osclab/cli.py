@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .algebra import (LambdaSpec, bracket, cartan, center, derived_ideal,
                       is_json_number, jacobi_residual)
-from .metrics import (DegenerateMetric, NotKSymmetric, SymIso, ad_invariance_residual,
+from .metrics import (DegenerateMetric, NotKSymmetric, ad_invariance_residual,
                       completeness_criteria, k_lambda,
                       k_symmetry_residual, locsym_conditions, metric_from_iso,
                       parse_sym_iso, signature)
@@ -49,9 +49,16 @@ def _parse_lambda(text) -> LambdaSpec:
     if text is None:
         raise InputError("missing --lambda")
     try:
-        return LambdaSpec(tuple(float(p) for p in str(text).split(",") if p.strip()))
+        return _spec_of(tuple(float(p) for p in str(text).split(",") if p.strip()))
     except ValueError as err:
         raise InputError(f"bad --lambda {text!r}: {err}") from err
+
+
+@functools.lru_cache(maxsize=16)
+def _spec_of(lambdas: tuple[float, ...]) -> LambdaSpec:
+    # Like the parser, one per process and frequency tuple, with the tables
+    # built from lambda alone; a ValueError is not cached.
+    return LambdaSpec(lambdas)
 
 
 def _load_json(text: str, what: str):
@@ -228,7 +235,7 @@ def task_metric_info(args, spec, metric):
         _check("ad_invariance", "bi-invariant form is ad-invariant",
                ad_invariance_residual(form, seed=args.seed), 1e-12),
         _verdict_check("k_index", "bi-invariant form has index 1",
-                       metric_from_iso(form, SymIso(spec, np.eye(spec.dim))).index, 1),
+                       int(np.sum(np.linalg.eigvalsh(form.gram) < 0)), 1),
     ]
     info = {
         "kind": metric.iso.kind,
@@ -247,12 +254,9 @@ def task_metric_info(args, spec, metric):
 def task_connection_report(args, spec, metric):
     table = levi_civita(metric)
     rep = connection_report(table)
-    rng = np.random.default_rng(args.seed)
-    worst_cf = 0.0
-    for _ in range(10):
-        x = rng.standard_normal(spec.dim)
-        worst_cf = max(worst_cf, float(np.max(np.abs(
-            table.left_mult_of(x) - closed_form_L(metric, x)))))
+    # One (10, d) draw is the same stream as ten d-vector draws.
+    x = np.random.default_rng(args.seed).standard_normal((10, spec.dim))
+    worst_cf = float(np.max(np.abs(table.left_mult_of(x) - closed_form_L(metric, x))))
     checks = [
         _check("torsion", "connection is torsion-free", rep["torsion_residual"], 1e-10),
         _check("compatibility", "connection is metric-compatible",
@@ -330,12 +334,14 @@ def task_completeness_probe(args, spec, metric):
 def task_isometry_verify(args, spec):
     form = k_lambda(spec)
     rng = np.random.default_rng(args.seed)
-    isos = (_parse_isometry(spec, args.u)[None] if args.u
-            else iso_mod.random_curv_isometries(spec, rng, args.samples))
+    try:
+        isos = (_parse_isometry(spec, args.u)[None] if args.u
+                else iso_mod.random_curv_isometries(spec, rng, args.samples))
+    except ValueError as err:  # a drawn map's e_0 part overflows where some l_j is near 0
+        raise InputError(f"maps beyond the float range: {err}") from err
     m = isos.matrix
     am = np.abs(m)  # eps |m|^T |K| |m|: the rounding unit of the sums orthogonality cancels
-    with np.errstate(over="ignore", invalid="ignore"):
-        floor = np.finfo(float).eps * np.max(am.swapaxes(1, 2) @ np.abs(form.gram) @ am)
+    floor = np.finfo(float).eps * np.max(am.swapaxes(1, 2) @ np.abs(form.gram) @ am)
     if not floor <= ORTHOGONALITY_CHECK_TOL:  # also NaN or inf where that sum overflows
         raise InputError(f"maps beyond the checks' float precision: eps |m|^T |K| |m| "
                          f"is {floor:.1e}, above the orthogonality tolerance "
@@ -392,13 +398,11 @@ def task_isometry_polar(args, spec):
     if not all(math.isfinite(v) for v in vals):
         raise InputError(f"bad --g {args.g!r}: coordinates must be finite")
     g = iso_mod.GroupRows(vals[0], vals[1], np.array(vals[2:]).view(complex))
-    # Entries near the float range give a non-finite image: it is rejected
-    # below instead of warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            p = iso_mod.polar(spec, u, g)
-        except ValueError as err:
-            raise InputError(str(err)) from err
+    # Entries near the float range give a non-finite image: it is rejected below.
+    try:
+        p = iso_mod.polar(spec, u, g)
+    except ValueError as err:
+        raise InputError(str(err)) from err
     if not np.isfinite([p.t, p.s, *p.z]).all():
         raise InputError(f"bad --g {args.g!r}: the polar image overflows the float range")
     return {"image": {"t": p.t, "s": p.s, "z": p.z.view(float).reshape(-1, 2).tolist()}}, []
@@ -484,7 +488,8 @@ def _run_task(args) -> int:
                          f"got {args.samples}")
     if args.seed < 0:
         raise InputError(f"--seed must be at least 0, got {args.seed}")
-    fields, checks = body(args, *inputs)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf fails its check
+        fields, checks = body(args, *inputs)
     report.update(fields, checks=checks)
     return _finish(report, args)
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LambdaSpec, _as_elem, ad, basis_brackets, bracket
+from .algebra import LambdaSpec, _as_elem, _as_stack, basis_brackets, bracket
 from .metrics import Metric
 
 
@@ -49,9 +49,10 @@ class ConnTable:
         return R
 
     def left_mult_of(self, x) -> np.ndarray:
-        """Matrix of L_x for an arbitrary element x."""
-        x = _as_elem(self.spec, x)
-        return np.einsum("a,abc->cb", x, self.coeffs)
+        """Matrix of L_x for an element or a stack of elements x, shape
+        ``(..., d)``; each row has the bits of the single-element call."""
+        x = _as_stack(self.spec, x)
+        return np.einsum("...a,abc->...cb", x, self.coeffs)
 
     def right_mult_of(self, y) -> np.ndarray:
         """Matrix of x -> L_x y."""
@@ -100,14 +101,17 @@ def closed_form_L(metric: Metric, x) -> np.ndarray:
     """Matrix of L_x via 1/2 (ad_x - u^-1 ad_{u(x)} + u^-1 ad_x u).
 
     Valid whenever the base form is the bi-invariant one; must agree with
-    the Koszul table columns.
+    the Koszul table columns.  x is an element or a stack, shape ``(..., d)``;
+    each row has the bits of the single-element call (ad as in ``algebra.ad``,
+    u x by gemv).
     """
     spec = metric.spec
-    x = _as_elem(spec, x)
+    x = _as_stack(spec, x)
     u = metric.iso.matrix
     uinv = metric.iso.inv
-    adx = ad(spec, x)
-    adux = ad(spec, u @ x)
+    eye = np.eye(spec.dim)
+    adx, adux = (np.ascontiguousarray(bracket(spec, v[..., None, :], eye).swapaxes(-1, -2))
+                 for v in (x, (u @ x[..., None])[..., 0]))
     return 0.5 * (adx - uinv @ adux + uinv @ adx @ u)
 
 
@@ -240,15 +244,10 @@ def associator_symmetry_residual(prod: ConnTable) -> float:
 
 def right_mult_nilpotency_residual(prod: ConnTable) -> float:
     """max |R_y^dim| over basis vectors and ten random y; 0 certifies completeness."""
-    spec = prod.spec
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    ys = [np.eye(spec.dim)[a] for a in range(spec.dim)]
-    ys += [rng.standard_normal(spec.dim) for _ in range(10)]
-    for y in ys:
-        m = prod.right_mult_of(y)
-        worst = max(worst, float(np.max(np.abs(np.linalg.matrix_power(m, spec.dim)))))
-    return worst
+    d = prod.spec.dim
+    ys = np.vstack([np.eye(d), np.random.default_rng(0).standard_normal((10, d))])
+    m = np.einsum("...b,abc->...ca", ys, prod.coeffs)
+    return float(np.max(np.abs(np.linalg.matrix_power(m, d))))
 
 
 def connection_report(table: ConnTable) -> dict:

@@ -135,6 +135,10 @@ def metric_from_iso(form: BiInvariantForm, iso: SymIso) -> Metric:
     scale = float(np.max(np.abs(w)))
     if scale == 0.0 or float(np.min(np.abs(w))) <= 1e-12 * scale:
         raise DegenerateMetric("gram matrix of k_u is singular; u must be invertible")
+    try:  # k_u passes where u fails k-symmetry by less than the absolute K_SYMMETRY_TOL
+        iso.inv
+    except np.linalg.LinAlgError as err:
+        raise DegenerateMetric(f"u is singular ({err}); u must be invertible") from err
     gram_u.setflags(write=False)
     index = int(np.sum(w < 0.0))
     return Metric(form, iso, gram_u, index)

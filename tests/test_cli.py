@@ -4,14 +4,18 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from osclab import ode
 from osclab.algebra import LambdaSpec
 from osclab.cli import main
 from osclab.isometry import random_curv_isometries
+from osclab.metrics import k_lambda
 
 
 def run(capsys, *argv):
@@ -844,3 +848,273 @@ def test_residual_of_a_map_reaching_no_row_does_not_load_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- one spec per frequency tuple -------------------------------------------------
+
+_REPORT_TASKS = ("algebra-check", "metric-info", "connection-report", "locsym-check",
+                 "full-report", "isometry-verify", "isometry-polar", "isometry-dim",
+                 "lattice-check")
+
+
+def _u_descriptor(iso):
+    return json.dumps({"rho": int(iso.rho), "blocks": [
+        {"v": v.reshape(-1, 2).tolist(), "u": u.tolist()} for v, u in zip(iso.vs, iso.us)]})
+
+
+def report_argvs(n, rng):
+    """One argv for each non-integrating task at n oscillators, all on one
+    lambda of small rationals, so repeated frequencies are common."""
+    fracs = sorted(((int(rng.integers(1, 5)), int(rng.choice([1, 2]))) for _ in range(n)),
+                   key=lambda pq: pq[0] / pq[1])
+    lams = [p / q for p, q in fracs]
+    lam = ",".join(repr(v) for v in lams)
+    u = _u_descriptor(random_curv_isometries(LambdaSpec(tuple(lams)), rng, 1)[0])
+    g = ",".join(repr(v) for v in rng.standard_normal(2 * n + 2).tolist())
+    diag = json.dumps({"kind": "diagonal_sym", "eta": rng.uniform(0.3, 2.0, n).tolist(),
+                       "eta_check": rng.uniform(0.3, 2.0, n).tolist(), "rho": 0.4})
+    seed = str(int(rng.integers(2**31)))
+    return [["algebra-check", "--lambda", lam, "--seed", seed, "--samples", "20"],
+            ["metric-info", "--lambda", lam, "--metric", diag],
+            ["connection-report", "--lambda", lam, "--seed", seed, "--metric", diag],
+            ["locsym-check", "--lambda", lam, "--metric", diag],
+            ["full-report", "--lambda", lam, "--seed", seed, "--metric", diag],
+            ["isometry-verify", "--lambda", lam, "--seed", seed, "--samples", "5"],
+            ["isometry-polar", "--lambda", lam, "--u", u, "--g=" + g],
+            ["isometry-dim", "--lambda", lam],
+            ["lattice-check", "--lambda", ",".join(f"{p}/{q}" for p, q in fracs), "--exact"]]
+
+
+class TestSpecCache:
+    def test_equal_frequency_tuples_share_one_spec(self):
+        import osclab.cli as cli
+
+        assert cli._parse_lambda("1,2") is cli._parse_lambda("1.0,2")
+        assert cli._parse_lambda("1,2") is cli._parse_lambda(" 1, 2.0 ,")
+        assert cli._parse_lambda("1,2") is not cli._parse_lambda("1,2,2")
+
+    def test_cache_stays_at_its_bound(self):
+        import osclab.cli as cli
+
+        cli._spec_of.cache_clear()
+        bound = cli._spec_of.cache_info().maxsize
+        assert bound is not None
+        specs = [cli._parse_lambda(f"1,{2 + k}") for k in range(bound + 5)]
+        assert cli._spec_of.cache_info().currsize == bound
+        assert specs[-1] is cli._parse_lambda(f"1,{2 + bound + 4}")
+        assert specs[0] is not cli._parse_lambda("1,2") and specs[0] == cli._parse_lambda("1,2")
+
+    @pytest.mark.parametrize("bad, needle", [
+        ("1,x", "bad --lambda '1,x': could not convert string to float: 'x'"),
+        ("0,1", "bad --lambda '0,1': frequencies must be positive reals, got (0.0, 1.0)"),
+        ("2,1", "bad --lambda '2,1': frequencies must be non-decreasing, got (2.0, 1.0)"),
+        (",", "bad --lambda ',': need at least one frequency"),
+    ])
+    def test_bad_lambda_after_a_good_one_exits_2(self, capsys, bad, needle):
+        for _ in range(2):  # an error is raised again, not cached
+            assert run(capsys, "isometry-dim", "--lambda", "1,2")[0] == 0
+            code, out, err = run(capsys, "isometry-dim", "--lambda", bad)
+            assert_one_line_input_error(code, out, err, needle)
+            assert err == f"error: {needle}\n"
+
+    def test_cleared_and_warm_cache_write_the_same_bytes(self, capsys):
+        import osclab.cli as cli
+
+        argvs = [argv for n in range(1, 7)
+                 for argv in report_argvs(n, np.random.default_rng([25, n]))]
+        assert sorted({argv[0] for argv in argvs}) == sorted(_REPORT_TASKS)
+
+        def outputs(clear):
+            got = []
+            for argv in argvs:
+                if clear:
+                    cli._spec_of.cache_clear()
+                got.append(run(capsys, *argv))
+            return got
+
+        cold = outputs(clear=True)
+        assert all(code == 0 and err == "" for code, _, err in cold)
+        outputs(clear=False)
+        assert outputs(clear=False) == cold
+
+    def test_a_given_map_leaves_no_plan_state_for_random_maps(self, capsys):
+        import osclab.cli as cli
+
+        lam, spec = "0.5,1,1,2", LambdaSpec((0.5, 1.0, 1.0, 2.0))
+        rng = np.random.default_rng(2025)
+        given = [_u_descriptor(random_curv_isometries(spec, rng, 1)[0]),
+                 json.dumps({"rho": 1, "blocks": [{"v": [[0, 0]] * r, "u": np.eye(2 * r).tolist()}
+                                                  for _, r in spec.blocks]})]
+        random_maps = ["isometry-verify", "--lambda", lam, "--seed", "7", "--samples", "9"]
+        cli._spec_of.cache_clear()
+        cold = run(capsys, *random_maps)
+        for u in given:
+            cli._spec_of.cache_clear()
+            assert run(capsys, "isometry-verify", "--lambda", lam, "--u", u)[0] == 0
+            assert cli._parse_lambda(lam).__dict__["_residual_plans"]
+            assert run(capsys, *random_maps) == cold
+            assert run(capsys, *random_maps) == cold
+
+
+class TestFloatRangeFindings:
+    """Cases the argv fuzz found; each gave a traceback or a numpy warning."""
+
+    def test_metric_info_indexes_the_bi_invariant_form_at_a_huge_frequency(self, capsys):
+        # The form's own eigenvalues 1/l_j fall under the relative degeneracy
+        # rule of metric_from_iso, which once raised here.
+        code, rep, err = run_json(capsys, "metric-info", "--lambda", "1e13", "--metric",
+                                  '{"kind":"diagonal_sym","eta":[1e13],"eta_check":[1e13]}')
+        k_index = [c for c in rep["checks"] if c["name"] == "k_index"][0]
+        assert code == 0 and err == "" and k_index["value"] == 1
+
+    def test_overflowing_brackets_fail_their_check_without_a_warning(self, capsys):
+        code, out, err = run_in_process(capsys, ["algebra-check", "--lambda", "1e300",
+                                                 "--samples", "5"])
+        jacobi = [c for c in json.loads(out)["checks"] if c["name"] == "jacobi"][0]
+        assert code == 1 and err == "" and jacobi["residual"] is None
+
+    def test_random_maps_beyond_the_float_range_exit_2(self, capsys):
+        code, out, err = run(capsys, "isometry-verify", "--lambda", "1e-308")
+        assert_one_line_input_error(code, out, err, "maps beyond the float range")
+
+    @pytest.mark.parametrize("task", [["connection-report"], ["geodesic-integrate", "--x0",
+                                                              "1,0,0,0", "--t-max", "1"]])
+    def test_singular_u_with_a_regular_gram_matrix_exits_2(self, capsys, task):
+        # K u is not symmetric, but by less than the absolute tolerance, and its
+        # symmetric part is regular while u is singular.
+        u = '{"kind":"matrix","rows":[[0,0,0,0],[1e-20,2e-20,0,0],[0,0,1e-20,0],[0,0,0,1e-20]]}'
+        code, out, err = run(capsys, task[0], "--lambda", "1", "--metric", u, *task[1:])
+        assert_one_line_input_error(code, out, err, "u is singular")
+
+
+# -- argv fuzz of the non-integrating tasks ----------------------------------------
+
+# Malformed, non-finite, huge and negative tokens of a number or a comma list.
+_BAD_TOKENS = st.one_of(
+    st.sampled_from(["-1", "0", "-0", "nan", "inf", "-inf", "1e400", "-1e400", "x", "",
+                     " ", "0x10", "1_0", "+2", "1e5000", "2/0", "1/-2", "--1"]),
+    st.floats().map(repr), st.integers(-10**30, 10**30).map(str))
+_BAD_JSON = st.sampled_from(["{", "[]", "null", "1", '"u1_dim4"', "nope", "@/nonexistent/x.json",
+                             '{"kind": "matrix"}', '{"rho": 1}', '{"kind": "diagonal_sym"}'])
+_BAD_NUMBER = st.sampled_from([True, None, "1", [], {}, float("nan"), float("inf"), 10**400])
+_FREQUENCY = st.one_of(st.sampled_from([1.0, 1.0, 2.0, 0.5, 1 / 3, 1e-150, 1e150, 1e300,
+                                        5e-324, 1.7976931348623157e308]),
+                       st.floats(min_value=1e-300, max_value=1e300))
+_FINITE = st.one_of(st.floats(-10, 10), st.floats(allow_nan=False, allow_infinity=False))
+_SCALE = st.one_of(st.just(1.0), _FINITE)
+
+
+def _json(obj):
+    return json.dumps(obj, allow_nan=True)
+
+
+def _scaled_curv_isometry(lams, seed, scale, rho):
+    """scale * v of a random map of lams' block sizes, drawn at tame frequencies."""
+    tame = [float(k) for k, (_, r) in enumerate(LambdaSpec(lams).blocks, 1) for _ in range(r)]
+    iso = random_curv_isometries(LambdaSpec(tuple(tame)), np.random.default_rng(seed), 1)[0]
+    with np.errstate(over="ignore"):
+        return _json({"rho": rho, "blocks": [{"v": (scale * v).reshape(-1, 2).tolist(),
+                                              "u": u.tolist()} for v, u in zip(iso.vs, iso.us)]})
+
+
+def _scaled_matrix_metric(lams, seed, scale):
+    """scale * u for the k-symmetric u = K^-1 (S + S^T) with a random S, or the
+    identity for seed None."""
+    gram = k_lambda(LambdaSpec(lams)).gram
+    s = np.random.default_rng(seed).standard_normal(gram.shape)
+    with np.errstate(all="ignore"):
+        u = np.eye(len(gram)) if seed is None else np.linalg.solve(gram, s + s.T)
+        return _json({"kind": "matrix", "rows": (scale * u).tolist()})
+
+
+def _valid_or_bad(draw, valid, bad):
+    """A valid value most of the time, else a bad one; None leaves the flag out."""
+    kind = draw(st.sampled_from(["valid"] * 5 + ["bad", "missing"]))
+    return None if kind == "missing" else draw(valid if kind == "valid" else bad)
+
+
+@st.composite
+def _report_argv(draw, task):
+    """A command line of ``task``: each flag valid, missing, or malformed,
+    non-finite, huge or negative, on 1 to 4 oscillators."""
+    n = draw(st.integers(1, 4))
+    lams = tuple(sorted(draw(st.lists(_FREQUENCY, min_size=n, max_size=n))))
+    d, seed = 2 * n + 2, draw(st.integers(0, 2**32))
+    bad_list = st.lists(_BAD_TOKENS, min_size=0, max_size=4).map(",".join)
+    if task == "lattice-check":
+        exact = st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
+                         min_size=1, max_size=4).map(lambda pq: ",".join(f"{p}/{q}" for p, q in pq))
+        valid_lambda = st.one_of(exact, st.just(",".join(map(repr, lams))))
+    else:
+        valid_lambda = st.just(",".join(map(repr, lams)))
+    flags = {"--lambda": (valid_lambda, bad_list),
+             "--seed": (st.integers(0, 2**64).map(str),
+                        st.one_of(st.integers(-2**64, -1).map(str), _BAD_TOKENS))}
+    if task in ("metric-info", "connection-report", "locsym-check", "full-report"):
+        entries = st.lists(st.one_of(_FINITE, _BAD_NUMBER), min_size=n, max_size=n)
+        families = ["u1_dim4", "u2_dim4", "lattice_dim4"] if n == 1 else ["matrix"]
+        flags["--metric"] = (st.one_of(
+            st.sampled_from(families),
+            st.builds(lambda eta, etc, rho: _json({"kind": "diagonal_sym", "eta": eta,
+                                                   "eta_check": etc, "rho": rho}),
+                      st.lists(_FINITE, min_size=n, max_size=n),
+                      st.lists(_FINITE, min_size=n, max_size=n), _FINITE),
+            st.builds(_scaled_matrix_metric, st.just(lams), st.sampled_from([None, seed]),
+                      _SCALE)),
+            st.one_of(_BAD_JSON, st.builds(
+                lambda eta, etc, rho: _json({"kind": "diagonal_sym", "eta": eta,
+                                             "eta_check": etc, "rho": rho}),
+                entries, entries, st.one_of(_FINITE, _BAD_NUMBER))))
+    if task in ("algebra-check", "isometry-verify"):
+        flags["--samples"] = (st.integers(1, 30).map(str), st.one_of(
+            st.sampled_from(["0", "10001", str(10**20), "1e3"]), _BAD_TOKENS))
+    if task in ("isometry-verify", "isometry-polar"):
+        flags["--u"] = (st.builds(_scaled_curv_isometry, st.just(lams), st.just(seed), _SCALE,
+                                  st.sampled_from([1, 1, -1])),
+                        st.one_of(_BAD_JSON, st.builds(_scaled_curv_isometry, st.just(lams),
+                                                       st.just(seed), _SCALE,
+                                                       st.one_of(_BAD_NUMBER, st.just(2)))))
+    if task == "isometry-polar":
+        flags["--g"] = (st.lists(_FINITE, min_size=d, max_size=d).map(
+            lambda v: ",".join(map(repr, v))), bad_list)
+    if task == "full-report":  # no probe sample is integrated
+        flags["--probe-samples"] = (st.just("0"), st.sampled_from(["-1", "-7", "x", "1.5"]))
+        flags["--t-max"] = (_FINITE.map(repr), _BAD_TOKENS)
+    argv = [task, "--json"]
+    for flag, (valid, bad) in flags.items():
+        value = _valid_or_bad(draw, valid, bad)
+        if value is not None:
+            argv.append(f"{flag}={value}" if draw(st.booleans()) else flag)
+            argv += [] if "=" in argv[-1] else [value]
+    if task == "lattice-check" and draw(st.booleans()):
+        argv.append("--exact")
+    return argv
+
+
+def run_in_process(capsys, argv):
+    """Exit code, stdout and stderr of one in-process ``main`` call, where a
+    numpy warning raises; argparse rejects a bad command line with SystemExit."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("task", _REPORT_TASKS)
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_argv_fuzz_keeps_the_input_contract(capsys, task, data):
+    # Many main calls in one process, as the spec cache serves them.
+    code, out, err = run_in_process(capsys, data.draw(_report_argv(task)))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    else:
+        assert err == ""
+        json.loads(out, parse_constant=_reject_constant)

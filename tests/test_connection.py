@@ -193,14 +193,16 @@ def dense_locsym_reference(table, R=None):
 _LAMBDA_POOL = (0.5, 1.0, 1.0, 1.5, 2.0, 3.0, 4.0)
 
 
-def sample_table(n, kind, rng):
+def sample_table(n, kind, rng, lams=None):
     """A Levi-Civita table at n oscillators from one metric family:
     locally symmetric diagonal (conditions (a)/(b) mixed, rho = 0 or 0.9),
     generic diagonal, dense matrix (with or without a fixed centre line),
-    or u1/u2 (``u1_dim4``/``u2_dim4`` at n = 1, their direct sums above)."""
-    lams = tuple(sorted(rng.choice(_LAMBDA_POOL, n)))
-    if kind in ("u1", "u2"):
-        lams = (1.0,) + tuple(sorted(rng.choice(_LAMBDA_POOL[1:], n - 1)))
+    or u1/u2 (``u1_dim4``/``u2_dim4`` at n = 1, their direct sums above).
+    The frequencies are drawn unless ``lams`` is given."""
+    if lams is None:
+        lams = tuple(sorted(rng.choice(_LAMBDA_POOL, n)))
+        if kind in ("u1", "u2"):
+            lams = (1.0,) + tuple(sorted(rng.choice(_LAMBDA_POOL[1:], n - 1)))
     spec = LambdaSpec(lams)
     if kind in ("locsym", "locsym_rho"):
         eta = rng.uniform(0.2, 2.2, n) * rng.choice([-1.0, 1.0], n)
@@ -413,3 +415,82 @@ def test_connection_report_task_solves_the_koszul_system_once(capsys, monkeypatc
                      '{"kind":"diagonal_sym","eta":[0.4,1.1],"eta_check":[0.6,1.1]}']) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def old_closed_form_L(metric, x):
+    """``closed_form_L`` on one element as written before it took stacks."""
+    spec, u, uinv = metric.spec, metric.iso.matrix, metric.iso.inv
+    adx, adux = ad(spec, x), ad(spec, u @ x)
+    return 0.5 * (adx - uinv @ adux + uinv @ adx @ u)
+
+
+def closed_form_residual_reference(table, seed):
+    """``connection-report``'s closed_form residual as the loop over ten
+    single draws it was before the check took one stack."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(10):
+        x = rng.standard_normal(table.spec.dim)
+        worst = max(worst, float(np.max(np.abs(
+            np.einsum("a,abc->cb", x, table.coeffs) - old_closed_form_L(table.metric, x)))))
+    return worst
+
+
+_STACK_KINDS = ("locsym", "generic", "matrix", "u1", "u2")
+
+
+class TestStackedClosedForm:
+    """``closed_form_L`` and ``left_mult_of`` on an (N, d) stack give, row by
+    row, the bits of the single-element calls; n = 1 takes the u1_dim4 and
+    u2_dim4 metrics, n > 1 their direct sums."""
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["sampled", "repeated"])
+    @pytest.mark.parametrize("kind", _STACK_KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_equal_single_calls(self, n, kind, repeated):
+        rng = np.random.default_rng([25, n, _STACK_KINDS.index(kind), repeated])
+        table = sample_table(n, kind, rng, lams=(1.0,) * n if repeated else None)
+        X = rng.standard_normal((20, table.spec.dim))
+        stack_l, stack_c = table.left_mult_of(X), closed_form_L(table.metric, X)
+        assert stack_l.shape == stack_c.shape == (20, table.spec.dim, table.spec.dim)
+        for x, row_l, row_c in zip(X, stack_l, stack_c):
+            np.testing.assert_array_equal(row_l, table.left_mult_of(x))
+            np.testing.assert_array_equal(row_l, np.einsum("a,abc->cb", x, table.coeffs))
+            np.testing.assert_array_equal(row_c, closed_form_L(table.metric, x))
+            np.testing.assert_array_equal(row_c, old_closed_form_L(table.metric, x))
+
+    def test_leading_axes_broadcast(self, rng):
+        table = sample_table(3, "matrix", rng)
+        X = rng.standard_normal((2, 3, table.spec.dim))
+        flat = closed_form_L(table.metric, X.reshape(6, -1))
+        np.testing.assert_array_equal(closed_form_L(table.metric, X).reshape(flat.shape), flat)
+        np.testing.assert_array_equal(table.left_mult_of(X).reshape(flat.shape),
+                                      table.left_mult_of(X.reshape(6, -1)))
+
+    def test_wrong_last_axis_is_a_dimension_mismatch(self, spec12):
+        from osclab.algebra import DimensionMismatch
+
+        table = levi_civita(identity_metric(spec12))
+        with pytest.raises(DimensionMismatch):
+            closed_form_L(table.metric, np.zeros((3, 4)))
+        with pytest.raises(DimensionMismatch):
+            table.left_mult_of(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("kind", _STACK_KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_report_residual_equals_the_per_sample_loop(self, capsys, n, kind):
+        import json
+
+        import osclab.cli as cli
+
+        rng = np.random.default_rng([251, n, _STACK_KINDS.index(kind)])
+        sampled = sample_table(n, kind, rng)
+        lam = ",".join(repr(v) for v in sampled.spec.lambdas)
+        desc = json.dumps({"kind": "matrix", "rows": sampled.metric.iso.matrix.tolist()})
+        seed = int(rng.integers(2**31))
+        assert cli.main(["connection-report", "--lambda", lam, "--seed", str(seed),
+                         "--metric", desc]) in (0, 1)
+        rep = json.loads(capsys.readouterr().out)
+        got = [c["residual"] for c in rep["checks"] if c["name"] == "closed_form"]
+        table = levi_civita(cli._parse_metric(LambdaSpec(sampled.spec.lambdas), desc))
+        assert got == [closed_form_residual_reference(table, seed)]
