@@ -55,9 +55,9 @@ class ConnTable:
         return np.einsum("...a,abc->...cb", x, self.coeffs)
 
     def right_mult_of(self, y) -> np.ndarray:
-        """Matrix of x -> L_x y."""
-        y = _as_elem(self.spec, y)
-        return np.einsum("b,abc->ca", y, self.coeffs)
+        """Matrix of x -> L_x y, for y of shape ``(..., d)`` as in ``left_mult_of``."""
+        y = _as_stack(self.spec, y)
+        return np.einsum("...b,abc->...ca", y, self.coeffs)
 
     def product(self, x, y) -> np.ndarray:
         """L_x y."""
@@ -246,8 +246,7 @@ def right_mult_nilpotency_residual(prod: ConnTable) -> float:
     """max |R_y^dim| over basis vectors and ten random y; 0 certifies completeness."""
     d = prod.spec.dim
     ys = np.vstack([np.eye(d), np.random.default_rng(0).standard_normal((10, d))])
-    m = np.einsum("...b,abc->...ca", ys, prod.coeffs)
-    return float(np.max(np.abs(np.linalg.matrix_power(m, d))))
+    return float(np.max(np.abs(np.linalg.matrix_power(prod.right_mult_of(ys), d))))
 
 
 def connection_report(table: ConnTable) -> dict:

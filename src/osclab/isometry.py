@@ -417,6 +417,8 @@ def _residual_plan(spec: LambdaSpec, nz: np.ndarray) -> tuple:
     past y reads 0), and x and U T on them as (flat index, flat index into U, value)."""
     plans, key = spec.__dict__.setdefault("_residual_plans", {}), nz.tobytes()
     if key not in plans:
+        if len(plans) >= 16:  # a spec lives on in the CLI's cache: keep the newest 16
+            del plans[next(iter(plans))]
         (a, b, c, q, val, x_cols, z_cols), d = spec.triple_support, spec.dim
         ut_n, ut_m = np.nonzero(nz[:, q].T)  # (U T)[a, b, c, m] = value U[m, q]
         ut_rows = (a[ut_n] * d + b[ut_n]) * d + ut_m

@@ -942,13 +942,14 @@ class TestSpecCache:
 
         lam, spec = "0.5,1,1,2", LambdaSpec((0.5, 1.0, 1.0, 2.0))
         rng = np.random.default_rng(2025)
-        given = [_u_descriptor(random_curv_isometries(spec, rng, 1)[0]),
-                 json.dumps({"rho": 1, "blocks": [{"v": [[0, 0]] * r, "u": np.eye(2 * r).tolist()}
-                                                  for _, r in spec.blocks]})]
+        given_maps = [_u_descriptor(random_curv_isometries(spec, rng, 1)[0]),
+                      json.dumps({"rho": 1, "blocks": [{"v": [[0, 0]] * r,
+                                                        "u": np.eye(2 * r).tolist()}
+                                                       for _, r in spec.blocks]})]
         random_maps = ["isometry-verify", "--lambda", lam, "--seed", "7", "--samples", "9"]
         cli._spec_of.cache_clear()
         cold = run(capsys, *random_maps)
-        for u in given:
+        for u in given_maps:
             cli._spec_of.cache_clear()
             assert run(capsys, "isometry-verify", "--lambda", lam, "--u", u)[0] == 0
             assert cli._parse_lambda(lam).__dict__["_residual_plans"]
@@ -1008,6 +1009,10 @@ def _json(obj):
     return json.dumps(obj, allow_nan=True)
 
 
+def _diagonal_metric(eta, eta_check, rho):
+    return _json({"kind": "diagonal_sym", "eta": eta, "eta_check": eta_check, "rho": rho})
+
+
 def _scaled_curv_isometry(lams, seed, scale, rho):
     """scale * v of a random map of lams' block sizes, drawn at tame frequencies."""
     tame = [float(k) for k, (_, r) in enumerate(LambdaSpec(lams).blocks, 1) for _ in range(r)]
@@ -1055,16 +1060,12 @@ def _report_argv(draw, task):
         families = ["u1_dim4", "u2_dim4", "lattice_dim4"] if n == 1 else ["matrix"]
         flags["--metric"] = (st.one_of(
             st.sampled_from(families),
-            st.builds(lambda eta, etc, rho: _json({"kind": "diagonal_sym", "eta": eta,
-                                                   "eta_check": etc, "rho": rho}),
-                      st.lists(_FINITE, min_size=n, max_size=n),
+            st.builds(_diagonal_metric, st.lists(_FINITE, min_size=n, max_size=n),
                       st.lists(_FINITE, min_size=n, max_size=n), _FINITE),
             st.builds(_scaled_matrix_metric, st.just(lams), st.sampled_from([None, seed]),
                       _SCALE)),
-            st.one_of(_BAD_JSON, st.builds(
-                lambda eta, etc, rho: _json({"kind": "diagonal_sym", "eta": eta,
-                                             "eta_check": etc, "rho": rho}),
-                entries, entries, st.one_of(_FINITE, _BAD_NUMBER))))
+            st.one_of(_BAD_JSON, st.builds(_diagonal_metric, entries, entries,
+                                           st.one_of(_FINITE, _BAD_NUMBER))))
     if task in ("algebra-check", "isometry-verify"):
         flags["--samples"] = (st.integers(1, 30).map(str), st.one_of(
             st.sampled_from(["0", "10001", str(10**20), "1e3"]), _BAD_TOKENS))
@@ -1084,8 +1085,7 @@ def _report_argv(draw, task):
     for flag, (valid, bad) in flags.items():
         value = _valid_or_bad(draw, valid, bad)
         if value is not None:
-            argv.append(f"{flag}={value}" if draw(st.booleans()) else flag)
-            argv += [] if "=" in argv[-1] else [value]
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     if task == "lattice-check" and draw(st.booleans()):
         argv.append("--exact")
     return argv

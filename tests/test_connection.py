@@ -440,8 +440,8 @@ _STACK_KINDS = ("locsym", "generic", "matrix", "u1", "u2")
 
 
 class TestStackedClosedForm:
-    """``closed_form_L`` and ``left_mult_of`` on an (N, d) stack give, row by
-    row, the bits of the single-element calls; n = 1 takes the u1_dim4 and
+    """``closed_form_L``, ``left_mult_of`` and ``right_mult_of`` on an (N, d)
+    stack give, row by row, the bits of the single-element calls; n = 1 takes the u1_dim4 and
     u2_dim4 metrics, n > 1 their direct sums."""
 
     @pytest.mark.parametrize("repeated", [False, True], ids=["sampled", "repeated"])
@@ -458,6 +458,8 @@ class TestStackedClosedForm:
             np.testing.assert_array_equal(row_l, np.einsum("a,abc->cb", x, table.coeffs))
             np.testing.assert_array_equal(row_c, closed_form_L(table.metric, x))
             np.testing.assert_array_equal(row_c, old_closed_form_L(table.metric, x))
+        for y, row_r in zip(X, table.right_mult_of(X)):
+            np.testing.assert_array_equal(row_r, np.einsum("b,abc->ca", y, table.coeffs))
 
     def test_leading_axes_broadcast(self, rng):
         table = sample_table(3, "matrix", rng)

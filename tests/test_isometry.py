@@ -644,6 +644,15 @@ class TestStackedRows:
             rhs = np.einsum("ia,jb,kc,ijkm->abcm", m, m, m, T, optimize=True)
             assert triple_bracket_residual(spec, m) == float(np.max(np.abs(lhs - rhs)))
 
+    def test_plans_per_spec_stay_bounded(self, lams, rng):
+        spec, m = LambdaSpec(lams), mixed_isometries(LambdaSpec(lams), rng, 1)[0].matrix
+        masked = [m * (rng.random(m.shape) < 0.7) for _ in range(24)]
+        assert len({(mk != 0).tobytes() for mk in masked}) > 16
+        for mk in masked:
+            assert triple_bracket_residual(spec, mk) == triple_bracket_residual(
+                LambdaSpec(lams), mk)
+        assert len(spec.__dict__["_residual_plans"]) == 16
+
 
 # -- maps as one stack ---------------------------------------------------------------
 

@@ -60,9 +60,10 @@ class TestSingleElementInputs:
         for value in (form.value, metric.value):
             with pytest.raises(DimensionMismatch):
                 value(row, x)
-        # left_mult_of takes stacks: a stack of one gives one row.
+        # left_mult_of and right_mult_of take stacks: a stack of one gives one row.
         table = levi_civita(metric)
-        np.testing.assert_array_equal(table.left_mult_of(row), table.left_mult_of(row[0])[None])
+        for mult in (table.left_mult_of, table.right_mult_of):
+            np.testing.assert_array_equal(mult(row), mult(row[0])[None])
 
     def test_flow_problem_rejects_a_row_vector(self, spec1, rng):
         metric = metric_from_iso(k_lambda(spec1), named_family(spec1, "diagonal_sym"))
