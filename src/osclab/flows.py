@@ -102,68 +102,39 @@ def _sq(v):
     return np.float_power(v, 2)
 
 
-@dataclass(frozen=True)
-class FirstIntegral:
-    name: str
-    fn: object  # callable on an (N, dim) stack of euler-coordinates states
-
-    def __call__(self, x) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)[None])[0])
-
-
-@dataclass(frozen=True)
-class FirstIntegralSet:
-    integrals: tuple[FirstIntegral, ...]
-    notes: tuple[str, ...] = ()
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(i.name for i in self.integrals)
-
-
-@dataclass(frozen=True)
-class AdaptedFrame:
-    """k-orthonormal eigenframe of u on the Euclidean complement of the
-    canonical Cartan subalgebra, plus the Cartan block of u."""
-
-    basis_inv: np.ndarray  # inverse of the frame with columns (e_-1, e_0, E_1..E_2n)
-    mu: np.ndarray     # eigenvalues of u on the complement, ascending
-    a: float           # u(e_0)   = a e_-1 + alpha e_0
-    alpha: float
-    b: float           # u(e_-1)  = alpha e_-1 + b e_0
-
-
-def cartan_adapted_frame(metric: Metric) -> AdaptedFrame:
-    """Requires u to stabilize the canonical Cartan subalgebra span{e_-1, e_0}."""
+def cartan_adapted_frame(metric: Metric) -> tuple[np.ndarray, np.ndarray]:
+    """``(basis_inv, mu)``: the inverse of the frame (e_-1, e_0, E_1..E_2n), E_j a
+    k-orthonormal eigenframe of u on the Euclidean complement of the canonical
+    Cartan subalgebra span{e_-1, e_0}, and u's eigenvalues there, ascending.
+    Raises ValueError unless u stabilizes span{e_-1, e_0} and is symmetric on E."""
     spec = metric.spec
     u = metric.iso.matrix
-    d = spec.dim
     if not stabilizes_cartan(u):
         raise ValueError("u does not stabilize the canonical Cartan subalgebra")
     lam_rep = np.concatenate([spec.lam, spec.lam])
     scale = np.sqrt(1.0 / lam_rep)          # Cholesky factor of the diagonal Gram
-    a_w = u[2:, 2:]
-    a_f = (a_w / scale[None, :]) * scale[:, None]
+    a_f = (u[2:, 2:] / scale[None, :]) * scale[:, None]
     sym_res = float(np.max(np.abs(a_f - a_f.T)))
     if sym_res > 1e-8:
         raise ValueError(f"u restricted to the Euclidean factor is not symmetric ({sym_res:.2e})")
     mu, vecs = np.linalg.eigh(0.5 * (a_f + a_f.T))
-    E = np.zeros((d, 2 * spec.n))
+    E = np.zeros((spec.dim, 2 * spec.n))
     E[2:, :] = vecs / scale[:, None]
     basis = np.column_stack([basis_vector(spec, 0), basis_vector(spec, 1), E])
-    return AdaptedFrame(np.linalg.inv(basis), mu,
-                        a=float(u[0, 1]), alpha=float(u[1, 1]), b=float(u[1, 0]))
+    return np.linalg.inv(basis), mu
 
 
-def first_integrals(metric: Metric) -> FirstIntegralSet:
-    """The conserved quantities applicable to this metric's geodesic flow.
+def first_integrals(metric: Metric) -> dict:
+    """The conserved quantities applicable to this metric's geodesic flow, as
+    a dict from name to a function of an (N, dim) stack of euler-coordinates
+    states, in registration order.
 
     Always registered: E = k_u(x,x) and A = k(ux,ux) (the two Lax-form
     integrals transported by y = u(x)) and the center pairing
-    C = k(x, u(e_0)).  When u stabilizes the canonical Cartan subalgebra
-    and moves the center (a != 0), the quadratic family Q_j built in the
-    adapted eigenframe is added.  The dim-4 index-2 example carries its two
-    special polynomial integrals.
+    C = k(x, u(e_0)).  When u stabilizes the canonical Cartan subalgebra,
+    has an adapted eigenframe and moves the center (a != 0), the quadratic
+    family Q1..Q2n built in that frame follows.  The dim-4 index-2 example
+    carries its two special polynomial integrals P1, P2.
     """
     spec = metric.spec
     gram = metric.form.gram
@@ -173,47 +144,35 @@ def first_integrals(metric: Metric) -> FirstIntegralSet:
     with np.errstate(over="ignore"):  # a huge u overflows k(ux, ux); its drift reads NaN
         uT_g_u = u.T @ gram @ u
 
-    out = [
-        FirstIntegral("E", lambda X, m=gu: _row_bilinear(X, m, X)),      # k_u(x, x)
-        FirstIntegral("A", lambda X, m=uT_g_u: _row_bilinear(X, m, X)),  # k(u x, u x)
-        FirstIntegral("C", lambda X, w=ue0: _rowwise(w, X)),             # k(x, u(e_0))
-    ]
-    notes: list[str] = []
-
+    out = {
+        "E": lambda X, m=gu: _row_bilinear(X, m, X),      # k_u(x, x)
+        "A": lambda X, m=uT_g_u: _row_bilinear(X, m, X),  # k(u x, u x)
+        "C": lambda X, w=ue0: _rowwise(w, X),             # k(x, u(e_0))
+    }
+    # u(e_0) = a e_-1 + alpha e_0 and u(e_-1) = alpha e_-1 + b e_0 on the
+    # Cartan subalgebra; a = 0 (u fixes the center line) degenerates the family.
+    a, alpha, b = float(u[0, 1]), float(u[1, 1]), float(u[1, 0])
     try:
-        frame = cartan_adapted_frame(metric)
-    except ValueError:
-        frame = None
-        notes.append("u does not stabilize the canonical Cartan subalgebra; "
-                     "only the generic integrals are registered")
-    if frame is not None:
-        mu = frame.mu
-        if mu.size > 1 and float(np.min(np.abs(np.diff(mu)))) < 1e-10:
-            notes.append("repeated eigenvalues on the Euclidean factor; "
-                         "the adapted eigenframe is not unique")
-        if abs(frame.a) > 1e-12:
-            beta_den = frame.a * mu
-            beta = (frame.a * frame.b - frame.alpha**2) / beta_den
-            binv, ue0w = frame.basis_inv, ue0
-            def make_q(j):
-                def q(X):
-                    xb = _rowwise(binv, X)
-                    cx = _rowwise(ue0w, X)
-                    quad = np.sum(mu * (mu[j] - mu) * xb[:, 2:] ** 2, axis=1)
-                    return beta[j] * _sq(mu[j] * xb[:, 0] - cx) + quad
-                return q
-            for j in range(2 * spec.n):
-                out.append(FirstIntegral(f"Q{j + 1}", make_q(j)))
-        else:
-            notes.append("u fixes the center line (a = 0); the quadratic "
-                         "family degenerates and is skipped")
+        binv, mu = cartan_adapted_frame(metric)
+    except ValueError:  # no adapted frame: only the generic integrals apply
+        mu = None
+    if mu is not None and abs(a) > 1e-12:
+        beta = (a * b - alpha**2) / (a * mu)
+        def make_q(j):
+            def q(X):
+                xb = _rowwise(binv, X)
+                cx = _rowwise(ue0, X)
+                quad = np.sum(mu * (mu[j] - mu) * xb[:, 2:] ** 2, axis=1)
+                return beta[j] * _sq(mu[j] * xb[:, 0] - cx) + quad
+            return q
+        for j in range(2 * spec.n):
+            out[f"Q{j + 1}"] = make_q(j)
 
     if metric.iso.kind == "u2_dim4":
         # P1 = 2 x_1 xc_1 + x_-1^2 + x_0^2 and P2 = x_-1 xc_1 + x_0 x_1
-        out.append(FirstIntegral(
-            "P1", lambda X: 2 * X[:, 2] * X[:, 3] + _sq(X[:, 0]) + _sq(X[:, 1])))
-        out.append(FirstIntegral("P2", lambda X: X[:, 0] * X[:, 3] + X[:, 1] * X[:, 2]))
-    return FirstIntegralSet(tuple(out), tuple(notes))
+        out["P1"] = lambda X: 2 * X[:, 2] * X[:, 3] + _sq(X[:, 0]) + _sq(X[:, 1])
+        out["P2"] = lambda X: X[:, 0] * X[:, 3] + X[:, 1] * X[:, 2]
+    return out
 
 
 @dataclass(frozen=True)
@@ -245,15 +204,15 @@ class Trajectory:
         return out
 
 
-def integrate(problem: FlowProblem, integrals: FirstIntegralSet | None = None) -> Trajectory:
-    """Run the adaptive integrator and log registered conserved quantities."""
+def integrate(problem: FlowProblem, integrals: dict | None = None) -> Trajectory:
+    """Run the adaptive integrator and log ``integrals`` (name to stacked function)."""
     res = ode.solve_rk45(problem.rhs, problem.t_span, problem.x0,
                          rtol=problem.rtol, atol=problem.atol,
                          singularity=problem.singularity)
     if integrals is None:  # built after the solver, which may refuse the run
         integrals = first_integrals(problem.metric)
     xs = problem.to_euler_states(res.ys)
-    log = {i.name: i.fn(xs) for i in integrals.integrals}
+    log = {name: fn(xs) for name, fn in integrals.items()}
     return Trajectory(problem, res.ts, res.ys, res.status, res.t_detected, log,
                       res.n_steps, res.n_rejected)
 

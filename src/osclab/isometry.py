@@ -630,6 +630,12 @@ class LatticeVerdict:
     reason: str
 
 
+# Fraction("1e<k>") expands 10**|k| in time superlinear in k, and past Python's
+# default int-to-str digit limit (sys.int_info.default_max_str_digits, 4300 since
+# 3.11) no exact report could print the value anyway.
+MAX_EXACT_EXPONENT = 4300
+
+
 def _to_exact(values) -> list[Fraction] | None:
     out = []
     for v in values:
@@ -637,6 +643,9 @@ def _to_exact(values) -> list[Fraction] | None:
             return None
         if not isinstance(v, (int, Fraction, str)):
             return None  # floats and anything else are inexact: refuse to guess
+        exponent = v.lower().partition("e")[2] if isinstance(v, str) else ""
+        if exponent and abs(int(exponent)) > MAX_EXACT_EXPONENT:  # checked before parsing
+            raise ValueError(f"decimal exponents are bounded by {MAX_EXACT_EXPONENT}")
         out.append(Fraction(v))
     return out
 
@@ -644,8 +653,9 @@ def _to_exact(values) -> list[Fraction] | None:
 def lattice_criterion(values) -> LatticeVerdict:
     """Whether the frequencies generate a discrete subgroup of (R, +).
 
-    Decidable only for exact rational input (ints, Fractions, or strings
-    like "2/3"); floats yield an undecidable verdict rather than a guess.
+    Decidable only for exact rational input (ints, Fractions, or strings like
+    "2/3" or "1.5e3", |exponent| <= MAX_EXACT_EXPONENT); floats yield an
+    undecidable verdict rather than a guess.
     """
     try:
         exact = _to_exact(values)

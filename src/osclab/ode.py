@@ -131,7 +131,6 @@ class IntegrationResult:
     t_detected: float | None = None
     n_steps: int = 0
     n_rejected: int = 0
-    message: str = ""
 
 
 def _check_inputs(t0, t1, y0, rtol, atol, blowup_threshold):
@@ -204,7 +203,7 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12,
     n_steps = n_rejected = 0
     abs_y = np.abs(y)
     norm = norm_prev = float(abs_y.max())  # max-norms of y and its predecessor
-    status, message, t_detected = COMPLETED, "", None
+    status, t_detected = COMPLETED, None
     next_decision = DECIDE_FROM if singularity is not None else math.inf
 
     # A non-finite trial is a rejected step: its overflow warnings are noise.
@@ -248,7 +247,6 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12,
                             f"step size underflow at t={t} without norm growth; "
                             "refusing to report incompleteness")
                     status, t_detected = STEP_UNDERFLOW, t
-                    message = f"step underflow below h_min={h_min:g} with growing norm"
                     break
             if status != COMPLETED:
                 break
@@ -265,7 +263,6 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12,
                 # keeps stepping and may still complete.
                 if t_hat is not None and (t_hat - t1) * direction <= 0:
                     status, t_detected = BLOWUP, t_hat
-                    message = f"singularity located at t={t_hat!r} from max-norm {norm:.3e}"
                     break
                 while next_decision < norm:
                     next_decision *= 10.0
@@ -273,7 +270,6 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12,
                     next_decision = math.inf
             if norm > blowup_threshold:
                 status = UNBOUNDED_GROWTH
-                message = f"max-norm {norm:.3e} exceeded threshold with no singularity located"
                 break
             factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA if err > 0 else _MAX_FACTOR
             if failed_before:
@@ -282,4 +278,4 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12,
             err_prev = max(err, 1e-10)
 
     return IntegrationResult(np.array(ts), np.array(ys), status, t_detected,
-                             n_steps, n_rejected, message)
+                             n_steps, n_rejected)

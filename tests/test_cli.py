@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -393,6 +394,25 @@ class TestIsometryAndLatticeInputs:
                              "--metric", "u1_dim4", "--x0", seed)
         assert_one_line_input_error(code, out, err, f"bad --x0 {seed!r}")
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["geodesic-integrate", "--lambda", "1", "--metric", "u1_dim4"], "missing --x0"),
+        (["geodesic-integrate", "--lambda", "1,2", "--metric",
+          '{"kind":"diagonal_sym","eta":[0.3,1.7],"eta_check":[0.7,1.7]}',
+          "--x0", "gamma1:c=1"], "gamma1 seeds live on the dim-4 oscillator"),
+        (["isometry-polar", "--lambda", "1", "--g", "0.7,0.1,1,0"], "missing --u"),
+        (["isometry-polar", "--lambda", "1", "--u", json.dumps(_U_OK), "--g", "0.7,0.1,1"],
+         "--g needs 4 coordinates"),
+    ], ids=["no_x0", "gamma1_at_n2", "no_u", "short_g"])
+    def test_missing_or_misplaced_input_exits_2(self, capsys, argv, needle):
+        code, out, err = run(capsys, *argv)
+        assert_one_line_input_error(code, out, err, needle)
+
+    def test_huge_decimal_exponent_exits_2_before_parsing(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lattice-check", "--exact", "--lambda", "1e10000000,2")
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_input_error(code, out, err, "decimal exponents are bounded by 4300")
+
     def test_zero_c_gamma1_seed_exits_2(self, capsys):
         code, out, err = run(capsys, "geodesic-integrate", "--lambda", "1",
                              "--metric", "u1_dim4", "--x0", "gamma1:c=0")
@@ -461,13 +481,23 @@ class TestScenarioFile:
         ({"task": "isometry-polar", "lambda": [1], "u": _U_OK, "g": [0.7, 0.1, 1, 0]},
          ["isometry-polar", "--lambda", "1", "--u", json.dumps(_U_OK),
           "--g", "0.7,0.1,1,0"]),
-    ], ids=["lambda", "x0_and_metric", "g_and_u"])
+        ({"task": "lattice-check", "lambda": "2/3,1", "exact": True},
+         ["lattice-check", "--lambda", "2/3,1", "--exact"]),
+    ], ids=["lambda", "x0_and_metric", "g_and_u", "true_is_a_bare_flag"])
     def test_number_lists_are_comma_lists(self, capsys, tmp_path, scenario, argv):
         scen = tmp_path / "scenario.json"
         scen.write_text(json.dumps(scenario))
         code, out, err = run(capsys, "run", str(scen))
         assert (code, err) == (0, "")
         assert (code, out) == run(capsys, *argv)[:2]
+
+    @pytest.mark.parametrize("scenario", [[{"task": "isometry-dim"}], {"lambda": [1]}],
+                             ids=["not_an_object", "no_task"])
+    def test_scenario_without_a_task_field_exits_2(self, capsys, tmp_path, scenario):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, "run", str(scen))
+        assert_one_line_input_error(code, out, err, 'must be an object with a "task" field')
 
     def test_unknown_task_is_an_input_error(self, capsys, tmp_path):
         scen = tmp_path / "scenario.json"

@@ -220,6 +220,21 @@ class TestSingularityTest:
         assert flows.locate_singularity(table, 3.0, np.array([-200.0]), -1.0) == \
             pytest.approx(2.99, rel=1e-15)
 
+    @pytest.mark.parametrize("form", [BODY, EULER, LAX])
+    def test_equilibrium_has_no_singularity(self, spec1, form, monkeypatch):
+        # The field vanishes on the center line, so the series' first
+        # coefficient is zero; 1e3 e_0 is past the first decision's max-norm.
+        located = []
+        real = flows.locate_singularity
+        monkeypatch.setattr(flows, "locate_singularity",
+                            lambda *a: located.append(real(*a)) or located[-1])
+        x0 = 1e3 * basis_vector(spec1, 1)
+        prob = FlowProblem(metric(spec1, "diagonal_sym"), x0, (0.0, 1.0), form=form)
+        assert prob.singularity(0.0, prob.x0, 1.0) is None
+        traj = integrate(prob)
+        assert traj.completed and np.all(traj.states == x0)
+        assert located == [None, None]  # the call above, then the run's one decision
+
     def test_time_direction_flips_the_located_pole(self, u1_metric):
         prob = FlowProblem(u1_metric, analytic_gamma1(1.0, 1.0, 0.0), (0.0, 3.0))
         t = 1.5
@@ -253,9 +268,9 @@ class TestTrajectoryRecord:
         inv = m.iso.inv
         per_row = np.array([inv @ s for s in traj.states])
         assert np.array_equal(traj.euler_states, per_row)
-        for fi in first_integrals(m).integrals:
-            assert np.array_equal(traj.invariant_log[fi.name],
-                                  [fi(x) for x in traj.euler_states])
+        for name, fn in first_integrals(m).items():
+            assert np.array_equal(traj.invariant_log[name],
+                                  [fn(x[None])[0] for x in traj.euler_states])
 
 
 def _scalar_integrals(m):
@@ -270,11 +285,11 @@ def _scalar_integrals(m):
         ref["P1"] = lambda x: float(2 * x[2] * x[3] + x[0] ** 2 + x[1] ** 2)
         ref["P2"] = lambda x: float(x[0] * x[3] + x[1] * x[2])
     else:
-        fr = cartan_adapted_frame(m)
-        mu = fr.mu
-        beta = (fr.a * fr.b - fr.alpha ** 2) / (fr.a * mu)
+        binv, mu = cartan_adapted_frame(m)
+        a, alpha, b = float(u[0, 1]), float(u[1, 1]), float(u[1, 0])
+        beta = (a * b - alpha ** 2) / (a * mu)
         def q(j, x):
-            xb = fr.basis_inv @ x
+            xb = binv @ x
             cx = float(ue0 @ x)
             quad = float(np.sum(mu * (mu[j] - mu) * xb[2:] ** 2))
             return float(beta[j] * (mu[j] * xb[0] - cx) ** 2 + quad)
@@ -291,21 +306,21 @@ def test_stacked_integrals_equal_the_scalar_reference(u2_metric, spec12, rng):
     for m in (u2_metric, cartan):
         xs = rng.standard_normal((4000, m.spec.dim)) * rng.uniform(0.1, 10.0, (4000, 1))
         ref = _scalar_integrals(m)
-        fis = first_integrals(m).integrals
-        assert sorted(ref) == sorted(fi.name for fi in fis)
-        for fi in fis:
-            assert np.array_equal(fi.fn(xs), [ref[fi.name](x) for x in xs]), fi.name
+        fis = first_integrals(m)
+        assert sorted(ref) == sorted(fis)
+        for name, fn in fis.items():
+            assert np.array_equal(fn(xs), [ref[name](x) for x in xs]), name
 
 
 class TestFirstIntegrals:
     def test_generic_set_always_registered(self, u1_metric):
-        names = first_integrals(u1_metric).names
-        assert names[:3] == ("E", "A", "C")
+        names = list(first_integrals(u1_metric))
+        assert names[:3] == ["E", "A", "C"]
 
     def test_u2_invariants_conserved_until_blowup(self, u2_metric):
         x0 = np.array([0.0, 1.0, 0.5, -2.0])
         fi = first_integrals(u2_metric)
-        assert {"P1", "P2"} <= set(fi.names)
+        assert {"P1", "P2"} <= set(fi)
         traj = integrate(FlowProblem(u2_metric, x0, (0.0, 5.0)), fi)
         assert traj.status == ode.BLOWUP
         keep = traj.ts <= 0.9 * traj.t_detected
@@ -328,7 +343,7 @@ class TestFirstIntegrals:
             u[i, i] = v
         m = metric_from_iso(k_lambda(spec12), SymIso(spec12, u, "cartan_test"))
         fi = first_integrals(m)
-        assert {"Q1", "Q2", "Q3", "Q4"} <= set(fi.names)
+        assert {"Q1", "Q2", "Q3", "Q4"} <= set(fi)
         traj = integrate(FlowProblem(m, random_initial_state(spec12, rng),
                                      (0.0, 20.0)), fi)
         assert traj.completed
@@ -337,8 +352,30 @@ class TestFirstIntegrals:
     def test_center_fixing_metric_skips_the_family(self, spec1):
         m = metric(spec1, "diagonal_sym", eta=[0.5], eta_check=[0.5])
         fi = first_integrals(m)
-        assert not any(n.startswith("Q") for n in fi.names)
-        assert any("a = 0" in note for note in fi.notes)
+        assert not any(n.startswith("Q") for n in fi)
+        cartan_adapted_frame(m)  # the frame exists: a = 0 alone skips the family
+        assert m.iso.matrix[0, 1] == 0.0
+
+    def test_asymmetric_euclidean_block_registers_the_generic_integrals(self):
+        # u stabilizes the Cartan subalgebra and reads complete_cartan, but its
+        # Euclidean block is 5e-8 off symmetric: accepted by metric_from_iso at
+        # lambda = 1e3, refused by the adapted frame.
+        spec = LambdaSpec((1e3,))
+        u = np.zeros((4, 4))
+        u[:2, :2] = [[1.1, 0.7], [0.3, 1.1]]
+        u[2:, 2:] = [[0.9, 0.5], [0.5 + 5e-8, 1.2]]
+        m = metric_from_iso(k_lambda(spec), SymIso(spec, u, "cartan_test"))
+        assert completeness_criteria(m.iso) == COMPLETE_CARTAN
+        with pytest.raises(ValueError, match="not symmetric"):
+            cartan_adapted_frame(m)
+        fi = first_integrals(m)
+        assert list(fi) == ["E", "A", "C"]
+        traj = integrate(FlowProblem(m, [0.5, 0.1, 0.6, -0.4], (0.0, 1.0)), fi)
+        assert traj.completed and list(traj.invariant_log) == ["E", "A", "C"]
+        # A and C are conserved for any u; E = k(ux, x) only for a k-symmetric
+        # one, and here drifts with the asymmetry (6e-6).
+        drift = traj.invariant_drift()
+        assert max(drift["A"], drift["C"]) <= 1e-8
 
     def test_adapted_frame_requires_cartan_stability(self, u1_metric):
         with pytest.raises(ValueError, match="Cartan"):

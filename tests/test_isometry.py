@@ -16,7 +16,8 @@ from osclab.isometry import (GroupRows, IsomElem, IsometryRows,
                              g_exp, g_inv, g_log, g_mul, geodesic_exponential,
                              group_to_alg_coords, identity_elem,
                              identity_isometry, isom_dim, isom_identity,
-                             isom_inv, isom_mul, isometry_parametrization_dim,
+                             MAX_EXACT_EXPONENT, isom_inv, isom_mul,
+                             isometry_parametrization_dim,
                              lattice_criterion, o_r_distance_from_identity,
                              orthogonality_residual, polar,
                              polar_transport_residuals, random_curv_isometries,
@@ -420,6 +421,14 @@ class TestLattice:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             lattice_criterion([0, 1])
+
+    def test_decimal_exponents_are_bounded_before_parsing(self):
+        assert MAX_EXACT_EXPONENT == 4300
+        v = lattice_criterion(["1e4300", "2", "1.5E+2"])
+        assert v.decidable and v.generator == 2
+        for big in ("1e4301", "1E-4301", "2.5e+0010000000"):
+            with pytest.raises(ValueError, match="decimal exponents are bounded by 4300"):
+                lattice_criterion([big, "2"])
 
     @given(st.lists(st.fractions(min_value=Fraction(1, 12), max_value=20,
                                  max_denominator=12), min_size=1, max_size=6))
