@@ -45,11 +45,24 @@ MAX_SAMPLES = 10_000  # samples are drawn as one stack: more could exhaust memor
 ORTHOGONALITY_CHECK_TOL = 1e-12
 
 
+def _int_range(low, high=math.inf):
+    """An argparse type: an integer from low to high, else the parser's error."""
+    def parse(text):
+        value = int(text)
+        if not low <= value <= high:
+            bound = "" if high == math.inf else f" and at most {high}"
+            raise argparse.ArgumentTypeError(f"must be at least {low}{bound}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+_SAMPLES = _int_range(1, MAX_SAMPLES)
+
+
 def _parse_lambda(text) -> LambdaSpec:
-    if text is None:
-        raise InputError("missing --lambda")
     try:
-        return _spec_of(tuple(float(p) for p in str(text).split(",") if p.strip()))
+        return _spec_of(tuple(float(p) for p in text.split(",") if p.strip()))
     except ValueError as err:
         raise InputError(f"bad --lambda {text!r}: {err}") from err
 
@@ -77,8 +90,6 @@ def _load_json(text: str, what: str):
 
 
 def _parse_metric(spec: LambdaSpec, text):
-    if text is None:
-        raise InputError("missing --metric")
     if text in ("u1_dim4", "u2_dim4", "lattice_dim4"):
         obj = {"kind": text}
     else:
@@ -91,8 +102,6 @@ def _parse_metric(spec: LambdaSpec, text):
 
 
 def _parse_x0(spec: LambdaSpec, text):
-    if text is None:
-        raise InputError("missing --x0")
     if text.startswith("gamma1:"):
         try:
             pairs = [kv.split("=") for kv in text[len("gamma1:"):].split(",")]
@@ -205,7 +214,7 @@ def _task(name, *flags, metric=False, spec=True):
     return register
 
 
-@_task("algebra-check", ("--samples", dict(type=int, default=1000)))
+@_task("algebra-check", ("--samples", dict(type=_SAMPLES, default=1000)))
 def task_algebra_check(args, spec):
     rng = np.random.default_rng(args.seed)
     # One (samples, 3, d) draw is the same stream as samples (3, d) draws.
@@ -278,7 +287,7 @@ def task_locsym_check(args, spec, metric):
 
 
 @_task("geodesic-integrate",
-       ("--x0", dict(help='initial state: coordinates or "gamma1:c=1,rho=1"')),
+       ("--x0", dict(required=True, help='initial state: coordinates or "gamma1:c=1,rho=1"')),
        ("--t-max", dict(type=float, default=10.0)),
        ("--t-min", dict(type=float, default=0.0)),
        ("--form", dict(choices=[flows.BODY, flows.EULER, flows.LAX], default=flows.EULER)),
@@ -310,7 +319,7 @@ def task_geodesic_integrate(args, spec, metric):
 
 
 @_task("completeness-probe",
-       ("--samples", dict(type=int, default=100)),
+       ("--samples", dict(type=_SAMPLES, default=100)),
        ("--t-max", dict(type=float, default=100.0)),
        metric=True)
 def task_completeness_probe(args, spec, metric):
@@ -329,7 +338,7 @@ def task_completeness_probe(args, spec, metric):
 
 
 @_task("isometry-verify",
-       ("--samples", dict(type=int, default=20)),
+       ("--samples", dict(type=_SAMPLES, default=20)),
        ("--u", dict(help="isometry descriptor JSON or @file")))
 def task_isometry_verify(args, spec):
     form = k_lambda(spec)
@@ -384,14 +393,10 @@ def task_isometry_dim(args, spec):
 
 
 @_task("isometry-polar",
-       ("--u", dict(help="isometry descriptor JSON or @file")),
-       ("--g", dict(help='group element "t,s,re1,im1,..."')))
+       ("--u", dict(required=True, help="isometry descriptor JSON or @file")),
+       ("--g", dict(required=True, help='group element "t,s,re1,im1,..."')))
 def task_isometry_polar(args, spec):
-    if not args.u:
-        raise InputError("missing --u")
     u = _parse_isometry(spec, args.u)
-    if args.g is None:
-        raise InputError('missing --g "t,s,re1,im1,..."')
     vals = _parse_floats(args.g, "--g")
     if len(vals) != 2 + 2 * spec.n:
         raise InputError(f"--g needs {2 + 2 * spec.n} coordinates")
@@ -412,9 +417,7 @@ def task_isometry_polar(args, spec):
        ("--exact", dict(action="store_true", help="treat the entries as exact rationals")),
        spec=False)
 def task_lattice_check(args):
-    if args.lam is None:
-        raise InputError("missing --lambda")
-    parts = [p.strip() for p in str(args.lam).split(",") if p.strip()]
+    parts = [p.strip() for p in args.lam.split(",") if p.strip()]
     values = parts if args.exact else _parse_floats(",".join(parts), "--lambda")
     if not args.exact and not all(math.isfinite(v) and v > 0 for v in values):
         raise InputError(f"bad --lambda {args.lam!r}: frequencies must be positive reals")
@@ -426,7 +429,7 @@ def task_lattice_check(args):
     if verdict.decidable:
         checks.append(_verdict_check(
             "oracle_agreement", "criterion agrees with the brute-force oracle",
-            verdict.discrete, iso_mod.commensurability_oracle(values)))
+            verdict.discrete, iso_mod.commensurability_oracle(values, verdict.generator)))
     return {"lambda": parts, "exact": bool(args.exact),
             "decidable": verdict.decidable, "discrete": verdict.discrete,
             "generator": str(verdict.generator) if verdict.generator else None,
@@ -434,12 +437,10 @@ def task_lattice_check(args):
 
 
 @_task("full-report",
-       ("--probe-samples", dict(type=int, default=0)),
+       ("--probe-samples", dict(type=_int_range(0), default=0)),
        ("--t-max", dict(type=float, default=50.0)),
        metric=True)
 def task_full_report(args, spec, metric):
-    if args.probe_samples < 0:
-        raise InputError(f"--probe-samples must be at least 0, got {args.probe_samples}")
     form = k_lambda(spec)
     rng = np.random.default_rng(args.seed)
     x, y, z = rng.standard_normal((200, 3, spec.dim)).transpose(1, 0, 2)
@@ -471,9 +472,8 @@ def task_full_report(args, spec, metric):
 
 
 def _run_task(args) -> int:
-    """Parse the declared inputs in a fixed order (--lambda, --metric,
-    --samples, then --seed), run the body and wrap its result in the report
-    envelope."""
+    """Parse the declared inputs (--lambda, then --metric), run the body and
+    wrap its result in the report envelope."""
     body, _, takes_metric, takes_spec = _TASKS[args.task]
     report = {"task": args.task}
     inputs = []
@@ -483,11 +483,6 @@ def _run_task(args) -> int:
         inputs.append(spec)
         if takes_metric:
             inputs.append(_parse_metric(spec, args.metric))
-    if not 1 <= getattr(args, "samples", 1) <= MAX_SAMPLES:
-        raise InputError(f"--samples must be at least 1 and at most {MAX_SAMPLES}, "
-                         f"got {args.samples}")
-    if args.seed < 0:
-        raise InputError(f"--seed must be at least 0, got {args.seed}")
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf fails its check
         fields, checks = body(args, *inputs)
     report.update(fields, checks=checks)
@@ -497,11 +492,11 @@ def _run_task(args) -> int:
 # -- argument wiring --------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Rejects a bad command line with one ``error:`` line and exit 2, like
-    every other input error; subparsers inherit it."""
+    """Rejects a bad command line as an ``InputError``, like every other input
+    error; subparsers inherit it."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        raise InputError(message)
 
 
 @functools.lru_cache(maxsize=None)
@@ -515,13 +510,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="task", required=True)
     for name, (_, flags, takes_metric, _) in _TASKS.items():
         p = sub.add_parser(name)
-        p.add_argument("--lambda", dest="lam", help="comma-separated frequencies")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--lambda", dest="lam", required=True,
+                       help="comma-separated frequencies")
+        p.add_argument("--seed", type=_int_range(0), default=0)
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--json", action="store_true",
                        help="print the JSON report to stdout even with --out")
         if takes_metric:
-            p.add_argument("--metric",
+            p.add_argument("--metric", required=True,
                            help="metric descriptor: JSON, @file, or a family name")
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
@@ -575,15 +571,11 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_attach_negative_values(argv))
     try:
+        args = _build_parser().parse_args(_attach_negative_values(argv))
         if args.task == "run":
             return _run_scenario(args.scenario)
         return _run_task(args)
     except (InputError, ode.SolverInputError, ode.SolverRefusal) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -88,12 +88,6 @@ class FlowProblem:
         """``locate_singularity`` for this field: the solver's blow-up test."""
         return locate_singularity(self.bilinear, t, x, direction)
 
-    def to_euler_states(self, states: np.ndarray) -> np.ndarray:
-        """Map a stack of raw samples of this problem to euler (x) coordinates."""
-        if self.form == LAX:
-            return _rowwise(self.metric.iso.inv, states)
-        return states
-
 
 def _sq(v):
     # libm pow(v, 2), the rounding the pinned invariant logs were made with
@@ -175,24 +169,15 @@ def first_integrals(metric: Metric) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Trajectory:
+@dataclass(frozen=True, kw_only=True)
+class Trajectory(ode.IntegrationResult):
+    """A solver run of ``problem``: ``ys`` holds the samples in the problem's
+    own form and ``euler_states`` the same samples in euler (x) coordinates,
+    on which ``invariant_log`` evaluates each integral."""
+
     problem: FlowProblem
-    ts: np.ndarray
-    states: np.ndarray            # raw samples in the problem's own form
-    status: str
-    t_detected: float | None
+    euler_states: np.ndarray
     invariant_log: dict[str, np.ndarray]
-    n_steps: int                  # accepted steps, as counted by the solver
-    n_rejected: int
-
-    @property
-    def completed(self) -> bool:
-        return self.status == ode.COMPLETED
-
-    @cached_property
-    def euler_states(self) -> np.ndarray:
-        return self.problem.to_euler_states(self.states)
 
     def invariant_drift(self) -> dict[str, float]:
         """Per integral, max |I(t) - I(0)| / max(|I(0)|, 1)."""
@@ -211,10 +196,9 @@ def integrate(problem: FlowProblem, integrals: dict | None = None) -> Trajectory
                          singularity=problem.singularity)
     if integrals is None:  # built after the solver, which may refuse the run
         integrals = first_integrals(problem.metric)
-    xs = problem.to_euler_states(res.ys)
-    log = {name: fn(xs) for name, fn in integrals.items()}
-    return Trajectory(problem, res.ts, res.ys, res.status, res.t_detected, log,
-                      res.n_steps, res.n_rejected)
+    xs = _rowwise(problem.metric.iso.inv, res.ys) if problem.form == LAX else res.ys
+    return Trajectory(**vars(res), problem=problem, euler_states=xs,
+                      invariant_log={name: fn(xs) for name, fn in integrals.items()})
 
 
 # -- blow-up test ---------------------------------------------------------------
@@ -420,7 +404,7 @@ def trajectory_csv(traj: Trajectory) -> str:
     names += [f"xc_{j}" for j in range(1, spec.n + 1)]
     names += list(traj.invariant_log.keys())
     fmt = ",".join(["%.17g"] * len(names))
-    table = np.column_stack([traj.ts, traj.states, *traj.invariant_log.values()])
+    table = np.column_stack([traj.ts, traj.ys, *traj.invariant_log.values()])
     # One % over the flat table: per-row tuples cost more, and a list per
     # row kept alive at once sets off the garbage collector.
     rows = "\n".join([fmt] * len(table)) % tuple(table.ravel().tolist())

@@ -355,18 +355,13 @@ def curv_isometry_from_matrix(spec: LambdaSpec, m) -> IsometryRows:
 
 
 def curv_isometry_from_json(spec: LambdaSpec, obj) -> IsometryRows:
-    """Parse {"rho": 1, "blocks": [{"v": [[re, im], ...], "u": [[...]]}]}."""
-    if not isinstance(obj, dict) or "blocks" not in obj:
-        raise ValueError('expected an object with "rho" and "blocks"')
+    """Parse {"rho": 1, "blocks": [{"v": [[re, im], ...], "u": [[...]]}]};
+    ``IsometryRows`` validates the map."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list):
+        raise ValueError('expected an object with "rho" and a "blocks" list')
     check_json_numbers(obj, "isometry descriptor", scalars=("rho",), arrays=())
-    rho = obj.get("rho", 1)
-    if rho not in (-1, 1):
-        raise ValueError(f'"rho" must be +1 or -1, got {rho!r}')
-    blocks = obj["blocks"]
-    if not isinstance(blocks, list) or len(blocks) != len(spec.blocks):
-        raise ValueError(f'"blocks" must be a list of {len(spec.blocks)} blocks')
     vs, us = [], []
-    for i, blk in enumerate(blocks):
+    for i, blk in enumerate(obj["blocks"]):
         if not isinstance(blk, dict) or "v" not in blk or "u" not in blk:
             raise ValueError(f'block {i}: expected an object with "v" and "u"')
         check_json_numbers(blk, f"block {i}", scalars=(), arrays=("v", "u"))
@@ -375,7 +370,7 @@ def curv_isometry_from_json(spec: LambdaSpec, obj) -> IsometryRows:
             raise ValueError(f'block {i}: "v" must be a list of [re, im] pairs')
         vs.append(pairs.reshape(-1))
         us.append(np.asarray(blk["u"], dtype=float))
-    return IsometryRows(spec, int(rho), tuple(vs), tuple(us))
+    return IsometryRows(spec, obj.get("rho", 1), tuple(vs), tuple(us))
 
 
 def random_curv_isometries(spec: LambdaSpec, rng: np.random.Generator, count: int,
@@ -680,17 +675,13 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
                     a.denominator * b.denominator)
 
 
-def commensurability_oracle(values) -> bool:
-    """Brute-force check that the generated additive subgroup is discrete:
-    scale by the common denominator and verify every frequency is an
-    integer multiple of the integer gcd."""
+def commensurability_oracle(values, generator) -> bool:
+    """Brute-force check that ``generator`` generates the additive subgroup
+    of the frequencies: each is an integer multiple of it, and the integers
+    have gcd 1."""
     exact = _to_exact(values)
     if exact is None:
         raise ValueError("oracle needs exact rational input")
-    lcm = math.lcm(*(v.denominator for v in exact))
-    ints = [v * lcm for v in exact]
-    if any(i.denominator != 1 for i in ints):
-        return False
-    g = math.gcd(*(i.numerator for i in ints))
-    step = Fraction(g, lcm)
-    return g > 0 and all((v / step).denominator == 1 for v in exact)
+    multiples = [v / Fraction(generator) for v in exact]
+    return (all(k.denominator == 1 for k in multiples)
+            and math.gcd(*(k.numerator for k in multiples)) == 1)

@@ -22,8 +22,9 @@ rejected like any step that misses the tolerance (its overflow warnings are
 silenced).  Two classes are raised.  ``SolverInputError``, a ``ValueError``,
 refuses up front inputs that could only produce a meaningless status:
 negative, non-finite or all-zero tolerances, a non-finite time span or
-initial state, an initial state beyond the blow-up threshold, or a
-non-finite f(t0, y0).  ``SolverRefusal``, a ``RuntimeError``, stops a run
+initial state, an initial state beyond the blow-up threshold, a
+non-finite f(t0, y0), or a y0 or f(t0, y0) whose ratio to the tolerance
+scale overflows or is 0/0, so that no first step can be guessed.  ``SolverRefusal``, a ``RuntimeError``, stops a run
 with no status to report: a step underflow with non-increasing norm
 (stiffness or a bug, not incompleteness evidence), or a span that
 ``MAX_STEPS`` (300,000) accepted steps do not cover.
@@ -123,14 +124,18 @@ class SolverRefusal(RuntimeError):
     step underflowed while the norm was not growing."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegrationResult:
     ts: np.ndarray
     ys: np.ndarray
     status: str
     t_detected: float | None = None
-    n_steps: int = 0
+    n_steps: int = 0                # accepted steps
     n_rejected: int = 0
+
+    @property
+    def completed(self) -> bool:
+        return self.status == COMPLETED
 
 
 def _check_inputs(t0, t1, y0, rtol, atol, blowup_threshold):
@@ -152,9 +157,13 @@ def _check_inputs(t0, t1, y0, rtol, atol, blowup_threshold):
 def _initial_step(f, t0, y0, f0, direction, rtol, atol):
     # Hairer-style two-stage guess.
     scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    with np.errstate(all="ignore"):  # a guess of 0 or NaN is refused below
+        d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
+        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not h0 > 0.0:  # 0 would be divided by below, and no step of NaN size ends
+        raise SolverInputError(f"no first step at t={t0} (guess {h0}): y0 or f(t0, y0) over "
+                               "the tolerance scale atol + rtol |y0| overflows or is 0/0")
     y1 = y0 + h0 * direction * f0
     f1 = f(t0 + h0 * direction, y1)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0

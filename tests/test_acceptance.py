@@ -395,7 +395,8 @@ def test_criterion_10_lattice_criterion():
         k = int(rng.integers(1, 7))
         vals = [Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 13)))
                 for _ in range(k)]
-        agree &= lattice_criterion(vals).discrete == commensurability_oracle(vals)
+        verdict = lattice_criterion(vals)
+        agree &= verdict.discrete == commensurability_oracle(vals, verdict.generator)
     ok = examples_ok and agree
     _report(10, ok, f"named examples {'ok' if examples_ok else 'BAD'}, "
                     f"oracle agreement on 50 random rational tuples "

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,7 +216,7 @@ class TestSamplesContract:
         code, out, err = run(capsys, *argv, "--samples", samples)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "--samples must be at least 1" in err
+        assert f"argument --samples: must be at least 1 and at most 10000, got {samples}" in err
 
     @pytest.mark.parametrize("argv", [
         ["algebra-check", "--lambda", "1"],
@@ -230,7 +232,7 @@ class TestSamplesContract:
                             (lambda args, *inputs: bodies.append(args) or ({}, []), *rest))
         code, out, err = run(capsys, *argv, "--samples", str(cli.MAX_SAMPLES + 1))
         assert code == 2 and out == "" and bodies == []
-        assert err == f"error: --samples must be at least 1 and at most " \
+        assert err == f"error: argument --samples: must be at least 1 and at most " \
                       f"{cli.MAX_SAMPLES}, got {cli.MAX_SAMPLES + 1}\n"
         code, _, _ = run(capsys, *argv, "--samples", str(cli.MAX_SAMPLES))
         assert code == 0 and len(bodies) == 1
@@ -239,7 +241,7 @@ class TestSamplesContract:
         code, out, err = run(capsys, "full-report", "--lambda", "1", "--metric",
                              "u1_dim4", "--probe-samples", "-3")
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "--probe-samples" in err
+        assert err == "error: argument --probe-samples: must be at least 0, got -3\n"
 
 
 class TestSeedContract:
@@ -253,11 +255,12 @@ class TestSeedContract:
     ])
     def test_negative_seed_exits_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--seed", "-1")
-        assert_one_line_input_error(code, out, err, "--seed must be at least 0, got -1")
+        assert_one_line_input_error(code, out, err, "argument --seed: must be at least 0, got -1")
 
 
 class TestArgparseRejections:
-    """argparse's own rejections print one ``error:`` line, no usage block."""
+    """argparse's own rejections print one ``error:`` line, no usage block,
+    and ``main`` returns 2 as for every other input error."""
 
     @pytest.mark.parametrize("argv, needle", [
         (["algebra-check", "--lambda", "1", "--samples", "abc"],
@@ -268,12 +271,7 @@ class TestArgparseRejections:
         ([], "the following arguments are required: task"),
     ], ids=["bad_int", "bad_seed", "unknown_task", "missing_task"])
     def test_exits_2_with_one_line(self, capsys, argv, needle):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        out = capsys.readouterr()
-        assert exc.value.code == 2 and out.out == ""
-        assert out.err.count("\n") == 1 and out.err.startswith("error: ")
-        assert needle in out.err
+        assert_one_line_input_error(*run(capsys, *argv), needle)
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -299,11 +297,9 @@ class TestProbeInputs:
         assert "time span endpoints must be finite" in err
 
     def test_threads_flag_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["completeness-probe", "--lambda", "1", "--metric", "u1_dim4",
-                  "--threads", "2"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        code, out, err = run(capsys, "completeness-probe", "--lambda", "1", "--metric",
+                             "u1_dim4", "--threads", "2")
+        assert_one_line_input_error(code, out, err, "unrecognized arguments: --threads")
 
 
 class TestStepBudget:
@@ -331,7 +327,7 @@ _BAD_U = {
                                               "u": [[1, 1], [0, 1]]}]},
                        "u is not orthogonal"),
     "rho_2": ({"rho": 2, "blocks": [{"v": [[0.5, -0.3]], "u": [[1, 0], [0, 1]]}]},
-              '"rho" must be +1 or -1'),
+              "rho must be +1 or -1, got 2"),
     "rho_true": ({"rho": True, "blocks": [{"v": [[0.5, -0.3]], "u": [[1, 0], [0, 1]]}]},
                  "non-numeric parameter 'rho'"),
     "v_strings": ({"rho": 1, "blocks": [{"v": [["0.5", "-0.3"]], "u": [[1, 0], [0, 1]]}]},
@@ -378,6 +374,15 @@ class TestIsometryAndLatticeInputs:
                              "--u", json.dumps(desc), "--g", "0.7,0.1,1,0")
         assert_one_line_input_error(code, out, err, "identity component (rho = +1)")
 
+    def test_wrong_generator_fails_the_oracle_check(self, capsys, monkeypatch):
+        import osclab.isometry as iso_mod
+        criterion = iso_mod.lattice_criterion
+        monkeypatch.setattr(iso_mod, "lattice_criterion", lambda values: dataclasses.replace(
+            criterion(values), generator=Fraction(2, 3)))
+        code, rep, _ = run_json(capsys, "lattice-check", "--lambda", "2/3,1,5/3", "--exact")
+        assert code == 1 and rep["generator"] == "2/3"
+        assert [(c["name"], c["pass"]) for c in rep["checks"]] == [("oracle_agreement", False)]
+
     def test_non_numeric_float_lattice_exits_2(self, capsys):
         code, out, err = run(capsys, "lattice-check", "--lambda", "1,x")
         assert_one_line_input_error(code, out, err, "bad --lambda")
@@ -395,14 +400,29 @@ class TestIsometryAndLatticeInputs:
         assert_one_line_input_error(code, out, err, f"bad --x0 {seed!r}")
 
     @pytest.mark.parametrize("argv, needle", [
-        (["geodesic-integrate", "--lambda", "1", "--metric", "u1_dim4"], "missing --x0"),
+        (["geodesic-integrate", "--lambda", "1", "--metric", "u1_dim4"],
+         "the following arguments are required: --x0"),
         (["geodesic-integrate", "--lambda", "1,2", "--metric",
           '{"kind":"diagonal_sym","eta":[0.3,1.7],"eta_check":[0.7,1.7]}',
           "--x0", "gamma1:c=1"], "gamma1 seeds live on the dim-4 oscillator"),
-        (["isometry-polar", "--lambda", "1", "--g", "0.7,0.1,1,0"], "missing --u"),
+        (["isometry-polar", "--lambda", "1", "--g", "0.7,0.1,1,0"],
+         "the following arguments are required: --u"),
         (["isometry-polar", "--lambda", "1", "--u", json.dumps(_U_OK), "--g", "0.7,0.1,1"],
          "--g needs 4 coordinates"),
-    ], ids=["no_x0", "gamma1_at_n2", "no_u", "short_g"])
+        (["metric-info", "--lambda", "1", "--metric",
+          '{"kind":"diagonal_sym","eta":[1,2],"eta_check":[1]}'],
+         "eta and eta_check must have length 1"),
+        (["metric-info", "--lambda", "1,2", "--metric", "lattice_dim4"],
+         "lattice_dim4 lives on the dim-4 oscillator, got n=2"),
+        (["metric-info", "--lambda", "1", "--metric", '{"kind":"matrix","rows":[[1,0],[0,1]]}'],
+         'matrix descriptor needs "rows" of shape 4x4'),
+        (["isometry-verify", "--lambda", "1", "--u", "[]"],
+         'expected an object with "rho" and a "blocks" list'),
+        (["isometry-verify", "--lambda", "1", "--u",
+          '{"rho":1,"blocks":[{"v":[0.5,-0.3],"u":[[1,0],[0,1]]}]}'],
+         'block 0: "v" must be a list of [re, im] pairs'),
+    ], ids=["no_x0", "gamma1_at_n2", "no_u", "short_g", "eta_length", "lattice_at_n2",
+            "matrix_shape", "u_not_an_object", "v_not_pairs"])
     def test_missing_or_misplaced_input_exits_2(self, capsys, argv, needle):
         code, out, err = run(capsys, *argv)
         assert_one_line_input_error(code, out, err, needle)
@@ -694,6 +714,21 @@ class TestOutOfRangeInitialState:
         assert proc.returncode == 2 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and needle in proc.stderr
+
+
+@pytest.mark.parametrize("argv, guess", [
+    # f(t0, y0) over the tolerance scale overflows (at lambda = 1e100 the run
+    # ends as step_underflow): the solver divided by the guess 0.
+    (["--lambda", "1e150", "--metric",
+      '{"kind":"diagonal_sym","eta":[1e150],"eta_check":[2e150]}', "--x0", "1,0.5,1,0"], 0.0),
+    # A zero of the tolerance scale where y0 is 0 gives 0/0: the run never ended.
+    (["--lambda", "1", "--metric", "u1_dim4", "--x0", "0,0.5,1,0", "--atol", "0"], math.nan),
+], ids=["overflow", "zero_over_zero"])
+def test_first_step_guess_of_0_or_nan_exits_2_with_one_line(argv, guess):
+    proc = run_child("geodesic-integrate", *argv, "--t-max", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: no first step at t=0.0 (guess {guess}): y0 or f(t0, y0) "
+                           "over the tolerance scale atol + rtol |y0| overflows or is 0/0\n")
 
 
 _DIAG_1E160 = json.dumps({"kind": "matrix", "rows": (1e160 * np.eye(4)).tolist()})
@@ -1018,7 +1053,7 @@ class TestFloatRangeFindings:
         assert_one_line_input_error(code, out, err, "u is singular")
 
 
-# -- argv fuzz of the non-integrating tasks ----------------------------------------
+# -- argv fuzz ----------------------------------------------------------------------
 
 # Malformed, non-finite, huge and negative tokens of a number or a comma list.
 _BAD_TOKENS = st.one_of(
@@ -1033,6 +1068,13 @@ _FREQUENCY = st.one_of(st.sampled_from([1.0, 1.0, 2.0, 0.5, 1 / 3, 1e-150, 1e150
                        st.floats(min_value=1e-300, max_value=1e300))
 _FINITE = st.one_of(st.floats(-10, 10), st.floats(allow_nan=False, allow_infinity=False))
 _SCALE = st.one_of(st.just(1.0), _FINITE)
+# Times of the integrating tasks: valid ones keep |t| <= 1, bad ones are
+# refused before the first step.
+_TIME = st.floats(-1, 1).map(repr)
+_BAD_TIME = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "x", "", "0x10", "2/0",
+                             "--1"])
+_TOLERANCE = st.sampled_from(["1e-10", "1e-6", "1e-3", "1", "1e300", "1e-12", "0"])
+_BAD_TOLERANCE = st.sampled_from(["-1", "-1e-10", "nan", "inf", "-inf", "1e400", "x", ""])
 
 
 def _json(obj):
@@ -1062,18 +1104,28 @@ def _scaled_matrix_metric(lams, seed, scale):
         return _json({"kind": "matrix", "rows": (scale * u).tolist()})
 
 
-def _valid_or_bad(draw, valid, bad):
-    """A valid value most of the time, else a bad one; None leaves the flag out."""
-    kind = draw(st.sampled_from(["valid"] * 5 + ["bad", "missing"]))
+def _valid_or_bad(draw, valid, bad, kinds=("valid",) * 5 + ("bad", "missing")):
+    """A valid or a bad value, or None to leave the flag out, drawn as one of
+    ``kinds``; by default valid most of the time."""
+    kind = draw(st.sampled_from(kinds))
     return None if kind == "missing" else draw(valid if kind == "valid" else bad)
 
 
 @st.composite
-def _report_argv(draw, task):
+def _report_argv(draw, task, probe=False):
     """A command line of ``task``: each flag valid, missing, or malformed,
-    non-finite, huge or negative, on 1 to 4 oscillators."""
+    non-finite, huge or negative, on 1 to 4 oscillators.  An integrating
+    task (or a full-report that probes) always spans |t| <= 1 with at most
+    2 probe samples; so that most of its command lines reach the solver, it
+    spoils at most one flag and draws tame frequencies and regular metrics
+    more often."""
+    integrating = probe or task in ("geodesic-integrate", "completeness-probe")
+    tame = st.floats(0.1, 10)
     n = draw(st.integers(1, 4))
-    lams = tuple(sorted(draw(st.lists(_FREQUENCY, min_size=n, max_size=n))))
+    lams = st.lists(_FREQUENCY, min_size=n, max_size=n)
+    if integrating:
+        lams = st.one_of(st.lists(tame, min_size=n, max_size=n), lams)
+    lams = tuple(sorted(draw(lams)))
     d, seed = 2 * n + 2, draw(st.integers(0, 2**32))
     bad_list = st.lists(_BAD_TOKENS, min_size=0, max_size=4).map(",".join)
     if task == "lattice-check":
@@ -1085,10 +1137,13 @@ def _report_argv(draw, task):
     flags = {"--lambda": (valid_lambda, bad_list),
              "--seed": (st.integers(0, 2**64).map(str),
                         st.one_of(st.integers(-2**64, -1).map(str), _BAD_TOKENS))}
-    if task in ("metric-info", "connection-report", "locsym-check", "full-report"):
+    if task in ("metric-info", "connection-report", "locsym-check", "full-report",
+                "geodesic-integrate", "completeness-probe"):
         entries = st.lists(st.one_of(_FINITE, _BAD_NUMBER), min_size=n, max_size=n)
         families = ["u1_dim4", "u2_dim4", "lattice_dim4"] if n == 1 else ["matrix"]
+        regular = st.lists(tame, min_size=n, max_size=n)
         flags["--metric"] = (st.one_of(
+            *[st.builds(_diagonal_metric, regular, regular, tame)] * integrating,
             st.sampled_from(families),
             st.builds(_diagonal_metric, st.lists(_FINITE, min_size=n, max_size=n),
                       st.lists(_FINITE, min_size=n, max_size=n), _FINITE),
@@ -1108,12 +1163,33 @@ def _report_argv(draw, task):
     if task == "isometry-polar":
         flags["--g"] = (st.lists(_FINITE, min_size=d, max_size=d).map(
             lambda v: ",".join(map(repr, v))), bad_list)
-    if task == "full-report":  # no probe sample is integrated
-        flags["--probe-samples"] = (st.just("0"), st.sampled_from(["-1", "-7", "x", "1.5"]))
-        flags["--t-max"] = (_FINITE.map(repr), _BAD_TOKENS)
+    if task == "full-report":
+        flags["--probe-samples"] = (st.sampled_from(["1", "2"] if probe else ["0"]),
+                                    st.sampled_from(["-1", "-7", "x", "1.5"]))
+        flags["--t-max"] = (_TIME, _BAD_TIME) if probe else (_FINITE.map(repr), _BAD_TOKENS)
+    if task == "completeness-probe":
+        flags["--samples"] = (st.sampled_from(["1", "2"]),
+                              st.sampled_from(["0", "-1", "10001", "x", "1.5", "1e3"]))
+        flags["--t-max"] = (_TIME, _BAD_TIME)
+    if task == "geodesic-integrate":
+        coordinates = st.lists(st.floats(-10, 10), min_size=d, max_size=d).map(
+            lambda v: ",".join(map(repr, v)))
+        gamma1 = st.builds("gamma1:c={!r},rho={!r}".format, _FINITE, st.floats(-10, 10))
+        flags["--x0"] = (st.one_of(coordinates, gamma1) if n == 1 else coordinates,
+                         st.one_of(bad_list, gamma1, st.sampled_from(
+                             ["gamma1:c", "gamma1:c=0", "gamma1:c=1,rh=2", "gamma1:c=1,c=2"])))
+        flags["--t-max"] = flags["--t-min"] = (_TIME, _BAD_TIME)
+        flags["--form"] = (st.sampled_from(["body", "euler_u", "lax"]), st.just("x"))
+        flags["--rtol"] = flags["--atol"] = (_TOLERANCE, _BAD_TOLERANCE)
+    # No flag of an integrating task is spoiled in about half its command lines.
+    spoiled = draw(st.sampled_from([None] * len(flags) + [*flags])) if integrating else None
     argv = [task, "--json"]
     for flag, (valid, bad) in flags.items():
-        value = _valid_or_bad(draw, valid, bad)
+        if not integrating:
+            value = _valid_or_bad(draw, valid, bad)
+        else:  # a missing --t-max would take the task's default span
+            value = _valid_or_bad(draw, valid, bad, ["valid"] if flag != spoiled else
+                                  ["bad"] + ["missing"] * (flag != "--t-max"))
         if value is not None:
             argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     if task == "lattice-check" and draw(st.booleans()):
@@ -1123,24 +1199,24 @@ def _report_argv(draw, task):
 
 def run_in_process(capsys, argv):
     """Exit code, stdout and stderr of one in-process ``main`` call, where a
-    numpy warning raises; argparse rejects a bad command line with SystemExit."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    numpy warning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
 
 
-@pytest.mark.parametrize("task", _REPORT_TASKS)
+@pytest.mark.parametrize("task, probe", [
+    *((task, False) for task in _REPORT_TASKS),
+    ("geodesic-integrate", False), ("completeness-probe", False), ("full-report", True),
+], ids=[*_REPORT_TASKS, "geodesic-integrate", "completeness-probe", "full-report-probing"])
 @settings(max_examples=60, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(data=st.data())
-def test_argv_fuzz_keeps_the_input_contract(capsys, task, data):
+def test_argv_fuzz_keeps_the_input_contract(capsys, task, probe, data):
     # Many main calls in one process, as the spec cache serves them.
-    code, out, err = run_in_process(capsys, data.draw(_report_argv(task)))
+    code, out, err = run_in_process(capsys, data.draw(_report_argv(task, probe)))
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:

@@ -127,7 +127,7 @@ class TestIntegrate:
         traj = integrate(FlowProblem(m, basis_vector(spec1, 2), (0.0, 10.0),
                                      form=LAX))
         assert traj.completed
-        assert np.max(np.abs(traj.states - traj.states[0])) == 0.0
+        assert np.max(np.abs(traj.ys - traj.ys[0])) == 0.0
         assert traj.invariant_drift()["E"] == 0.0
 
     @pytest.mark.parametrize("c, rho", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.7)])
@@ -139,7 +139,7 @@ class TestIntegrate:
         assert abs(traj.t_detected - pole) <= 1e-9 * pole
         # The run stops at the first decade the series confirms, |x| ~ 1e2.
         assert traj.ts[-1] < traj.t_detected
-        assert 1e2 < np.max(np.abs(traj.states[-1])) < 1e3
+        assert 1e2 < np.max(np.abs(traj.ys[-1])) < 1e3
 
     def test_diagonal_family_completes(self, spec12, rng):
         m = metric(spec12, "diagonal_sym", eta=[0.3, 1.1], eta_check=[0.7, 1.1])
@@ -152,8 +152,8 @@ class TestIntegrate:
         m = metric(spec12, "diagonal_sym", eta=[0.4, 0.9], eta_check=[0.6, 0.9])
         x0 = random_initial_state(spec12, rng)
         fwd = integrate(FlowProblem(m, x0, (0.0, 10.0)))
-        back = integrate(FlowProblem(m, fwd.states[-1], (10.0, 0.0)))
-        assert np.max(np.abs(back.states[-1] - x0)) <= 1e-7
+        back = integrate(FlowProblem(m, fwd.ys[-1], (10.0, 0.0)))
+        assert np.max(np.abs(back.ys[-1] - x0)) <= 1e-7
 
     def test_forms_agree_on_a_common_grid(self, spec1, rng):
         m = metric(spec1, "lattice_dim4", alpha=0.8)
@@ -163,7 +163,7 @@ class TestIntegrate:
             te = integrate(FlowProblem(m, x0, (0.0, t_end), form=EULER))
             tl = integrate(FlowProblem(m, u @ x0, (0.0, t_end), form=LAX))
             assert te.ts[-1] == tl.ts[-1] == t_end
-            assert np.max(np.abs(u @ te.states[-1] - tl.states[-1])) <= 1e-7
+            assert np.max(np.abs(u @ te.ys[-1] - tl.ys[-1])) <= 1e-7
 
     def test_nan_in_rhs_aborts_with_diagnostic(self, spec1):
         def bad(t, y):
@@ -207,7 +207,7 @@ class TestSingularityTest:
         traj = integrate(prob)
         plain = ode.solve_rk45(prob.rhs, prob.t_span, prob.x0, rtol=prob.rtol, atol=prob.atol)
         assert traj.completed and traj.t_detected is None
-        assert np.array_equal(traj.ts, plain.ts) and np.array_equal(traj.states, plain.ys)
+        assert np.array_equal(traj.ts, plain.ts) and np.array_equal(traj.ys, plain.ys)
         pole = math.copysign(math.pi / 2, t_max)
         assert located and all(abs(t - pole) <= 1e-9 * math.pi / 2 for t in located)
 
@@ -232,7 +232,7 @@ class TestSingularityTest:
         prob = FlowProblem(metric(spec1, "diagonal_sym"), x0, (0.0, 1.0), form=form)
         assert prob.singularity(0.0, prob.x0, 1.0) is None
         traj = integrate(prob)
-        assert traj.completed and np.all(traj.states == x0)
+        assert traj.completed and np.all(traj.ys == x0)
         assert located == [None, None]  # the call above, then the run's one decision
 
     def test_time_direction_flips_the_located_pole(self, u1_metric):
@@ -266,7 +266,7 @@ class TestTrajectoryRecord:
         x0 = random_initial_state(spec12, rng)
         traj = integrate(FlowProblem(m, u @ x0, (0.0, 5.0), form=LAX))
         inv = m.iso.inv
-        per_row = np.array([inv @ s for s in traj.states])
+        per_row = np.array([inv @ s for s in traj.ys])
         assert np.array_equal(traj.euler_states, per_row)
         for name, fn in first_integrals(m).items():
             assert np.array_equal(traj.invariant_log[name],
@@ -442,7 +442,7 @@ class TestAnalyticCurve:
         assert traj.status == ode.BLOWUP
         keep = traj.ts <= 0.9 * pole
         assert keep.sum() > 10
-        for t, x in zip(traj.ts[keep], traj.states[keep]):
+        for t, x in zip(traj.ts[keep], traj.ys[keep]):
             ref = analytic_gamma1(c, rho, t)
             assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
 

@@ -107,7 +107,7 @@ def test_completing_case_matches_a_tight_reference(name):
     assert traj.completed and traj.ts[-1] == problem.t_span[1] == 5.0
     ref = solve_ivp(problem.rhs, problem.t_span, problem.x0, method="DOP853",
                     rtol=1e-13, atol=1e-15).y[:, -1]
-    err = np.max(np.abs(traj.states[-1] - ref))
+    err = np.max(np.abs(traj.ys[-1] - ref))
     assert err <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 

@@ -436,7 +436,13 @@ class TestLattice:
     def test_agrees_with_the_brute_force_oracle(self, values):
         v = lattice_criterion(values)
         assert v.decidable
-        assert v.discrete == commensurability_oracle(values)
+        assert v.discrete == commensurability_oracle(values, v.generator)
+
+    @pytest.mark.parametrize("generator, ok", [(Fraction(1, 3), True), (Fraction(2, 3), False),
+                                               (Fraction(1, 6), False)])
+    def test_oracle_refuses_a_wrong_generator(self, generator, ok):
+        # 1 is no multiple of 2/3, and the multiples 4, 6, 10 of 1/6 share 2.
+        assert commensurability_oracle(["2/3", "1", "5/3"], generator) is ok
 
 
 def test_drawn_rotations_are_special_orthogonal(rng):
