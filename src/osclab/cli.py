@@ -28,9 +28,8 @@ import numpy as np
 from . import __version__
 from .algebra import (LambdaSpec, bracket, cartan, center, derived_ideal,
                       is_json_number, jacobi_residual)
-from .metrics import (DegenerateMetric, NotKSymmetric, ad_invariance_residual,
-                      completeness_criteria, k_lambda,
-                      k_symmetry_residual, locsym_conditions, metric_from_iso,
+from .metrics import (K_SYMMETRY_TOL, ad_invariance_residual, completeness_criteria,
+                      k_lambda, k_symmetry_residual, locsym_conditions, metric_from_iso,
                       parse_sym_iso, signature)
 from .connection import closed_form_L, connection_report, levi_civita, local_symmetry_residual
 from . import flows, ode
@@ -97,7 +96,7 @@ def _parse_metric(spec: LambdaSpec, text):
     try:
         iso = parse_sym_iso(spec, obj)
         return metric_from_iso(k_lambda(spec), iso)
-    except (ValueError, NotKSymmetric, DegenerateMetric) as err:
+    except ValueError as err:
         raise InputError(f"bad metric descriptor: {err}") from err
 
 
@@ -159,9 +158,9 @@ def _locsym_tolerance(metric):
     return 1e-10 if certified else None
 
 
-def _no_blowups(verdict, probe):
+def _no_blowups(probe):
     """A certified-complete metric must show no blow-up or step underflow."""
-    return [] if verdict == "undetermined" else [_verdict_check(
+    return [] if probe.verdict == "undetermined" else [_verdict_check(
         "no_blowups", "sufficient completeness condition implies no blow-ups",
         probe.n_blowup + probe.n_underflow, 0)]
 
@@ -240,7 +239,7 @@ def task_metric_info(args, spec, metric):
     pos, neg = signature(metric)
     checks = [
         _check("k_symmetry", "u is symmetric for the bi-invariant form",
-               k_symmetry_residual(form, metric.iso.matrix), 1e-10),
+               k_symmetry_residual(form, metric.iso.matrix), K_SYMMETRY_TOL),
         _check("ad_invariance", "bi-invariant form is ad-invariant",
                ad_invariance_residual(form, seed=args.seed), 1e-12),
         _verdict_check("k_index", "bi-invariant form has index 1",
@@ -334,7 +333,7 @@ def task_completeness_probe(args, spec, metric):
         "per_sample": [{"index": s.index, "orientation": s.orientation,
                         "status": s.status, "t_detected": s.t_detected}
                        for s in rep.samples],
-    }, _no_blowups(rep.verdict, rep)
+    }, _no_blowups(rep)
 
 
 @_task("isometry-verify",
@@ -450,16 +449,16 @@ def task_full_report(args, spec, metric):
         _check("ad_invariance", "bi-invariant form is ad-invariant",
                ad_invariance_residual(form, seed=args.seed), 1e-12),
         _check("k_symmetry", "u is symmetric for the bi-invariant form",
-               k_symmetry_residual(form, metric.iso.matrix), 1e-10),
+               k_symmetry_residual(form, metric.iso.matrix), K_SYMMETRY_TOL),
         _check("torsion", "connection is torsion-free", rep["torsion_residual"], 1e-10),
         _check("compatibility", "connection is metric-compatible",
                rep["compat_residual"], 1e-10),
         _check("local_symmetry", "local symmetry identity over basis triples",
                rep["locsym_residual"], _locsym_tolerance(metric)),
     ]
-    verdict = completeness_criteria(metric.iso)
     fields = {"metric_kind": metric.iso.kind, "seed": args.seed,
-              "metric": {"index": metric.index, "completeness_verdict": verdict},
+              "metric": {"index": metric.index,
+                         "completeness_verdict": completeness_criteria(metric.iso)},
               "connection": rep}
     if args.probe_samples:
         probe = flows.completeness_probe(metric, args.probe_samples, args.t_max,
@@ -467,7 +466,7 @@ def task_full_report(args, spec, metric):
         fields["probe"] = {"n_blowup": probe.n_blowup,
                            "n_underflow": probe.n_underflow,
                            "earliest_blowup": probe.earliest_blowup}
-        checks += _no_blowups(verdict, probe)
+        checks += _no_blowups(probe)
     return fields, checks
 
 

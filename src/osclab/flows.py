@@ -25,7 +25,8 @@ from . import ode
 from .algebra import (LambdaSpec, _as_elem, _row_bilinear, _rowwise, ad, basis_brackets,
                       basis_vector, bracket)
 from .connection import levi_civita
-from .metrics import Metric, completeness_criteria, named_family, stabilizes_cartan
+from .metrics import (COMPLETE_CARTAN, Metric, completeness_criteria, named_family,
+                      stabilizes_cartan)
 
 BODY = "body"
 EULER = "euler_u"
@@ -100,7 +101,8 @@ def cartan_adapted_frame(metric: Metric) -> tuple[np.ndarray, np.ndarray]:
     """``(basis_inv, mu)``: the inverse of the frame (e_-1, e_0, E_1..E_2n), E_j a
     k-orthonormal eigenframe of u on the Euclidean complement of the canonical
     Cartan subalgebra span{e_-1, e_0}, and u's eigenvalues there, ascending.
-    Raises ValueError unless u stabilizes span{e_-1, e_0} and is symmetric on E."""
+    Raises ValueError unless u stabilizes span{e_-1, e_0}; on E, u is symmetric
+    to ``K_SYMMETRY_TOL`` in this frame, as ``metric_from_iso`` accepted it."""
     spec = metric.spec
     u = metric.iso.matrix
     if not stabilizes_cartan(u):
@@ -108,9 +110,6 @@ def cartan_adapted_frame(metric: Metric) -> tuple[np.ndarray, np.ndarray]:
     lam_rep = np.concatenate([spec.lam, spec.lam])
     scale = np.sqrt(1.0 / lam_rep)          # Cholesky factor of the diagonal Gram
     a_f = (u[2:, 2:] / scale[None, :]) * scale[:, None]
-    sym_res = float(np.max(np.abs(a_f - a_f.T)))
-    if sym_res > 1e-8:
-        raise ValueError(f"u restricted to the Euclidean factor is not symmetric ({sym_res:.2e})")
     mu, vecs = np.linalg.eigh(0.5 * (a_f + a_f.T))
     E = np.zeros((spec.dim, 2 * spec.n))
     E[2:, :] = vecs / scale[:, None]
@@ -125,10 +124,10 @@ def first_integrals(metric: Metric) -> dict:
 
     Always registered: E = k_u(x,x) and A = k(ux,ux) (the two Lax-form
     integrals transported by y = u(x)) and the center pairing
-    C = k(x, u(e_0)).  When u stabilizes the canonical Cartan subalgebra,
-    has an adapted eigenframe and moves the center (a != 0), the quadratic
-    family Q1..Q2n built in that frame follows.  The dim-4 index-2 example
-    carries its two special polynomial integrals P1, P2.
+    C = k(x, u(e_0)).  Exactly when the verdict of ``completeness_criteria``
+    is complete_cartan, the quadratic family Q1..Q2n built in the adapted
+    frame follows.  The dim-4 index-2 example carries its two special
+    polynomial integrals P1, P2.
     """
     spec = metric.spec
     gram = metric.form.gram
@@ -143,14 +142,11 @@ def first_integrals(metric: Metric) -> dict:
         "A": lambda X, m=uT_g_u: _row_bilinear(X, m, X),  # k(u x, u x)
         "C": lambda X, w=ue0: _rowwise(w, X),             # k(x, u(e_0))
     }
-    # u(e_0) = a e_-1 + alpha e_0 and u(e_-1) = alpha e_-1 + b e_0 on the
-    # Cartan subalgebra; a = 0 (u fixes the center line) degenerates the family.
-    a, alpha, b = float(u[0, 1]), float(u[1, 1]), float(u[1, 0])
-    try:
+    if completeness_criteria(metric.iso) == COMPLETE_CARTAN:
+        # u(e_0) = a e_-1 + alpha e_0 and u(e_-1) = alpha e_-1 + b e_0 on the
+        # Cartan subalgebra, with a != 0 (u moves the center line).
+        a, alpha, b = float(u[0, 1]), float(u[1, 1]), float(u[1, 0])
         binv, mu = cartan_adapted_frame(metric)
-    except ValueError:  # no adapted frame: only the generic integrals apply
-        mu = None
-    if mu is not None and abs(a) > 1e-12:
         beta = (a * b - alpha**2) / (a * mu)
         def make_q(j):
             def q(X):
@@ -398,11 +394,8 @@ def completeness_probe(metric: Metric, sample_count: int, t_max: float,
 def trajectory_csv(traj: Trajectory) -> str:
     """Full-precision CSV: t, coordinates, one column per logged integral;
     the final comment line records the status and any detected time."""
-    spec = traj.problem.metric.spec
-    names = ["t", "x_-1", "x_0"]
-    names += [f"x_{j}" for j in range(1, spec.n + 1)]
-    names += [f"xc_{j}" for j in range(1, spec.n + 1)]
-    names += list(traj.invariant_log.keys())
+    names = ["t", *(e.replace("e", "x", 1) for e in traj.problem.metric.spec.basis_names),
+             *traj.invariant_log]
     fmt = ",".join(["%.17g"] * len(names))
     table = np.column_stack([traj.ts, traj.ys, *traj.invariant_log.values()])
     # One % over the flat table: per-row tuples cost more, and a list per

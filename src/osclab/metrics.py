@@ -4,8 +4,9 @@ The canonical form k has Gram entries k(e_-1, e_0) = 1 and
 k(e_j, e_j) = k(ec_j, ec_j) = 1/l_j; it is ad-invariant and of index 1.
 A left-invariant metric is encoded by an invertible linear map u that is
 k-symmetric (k(ux, y) = k(x, uy), equivalently Gram @ u symmetric); the
-metric is k_u(x, y) = k(u(x), y).
-"""
+metric is k_u(x, y) = k(u(x), y).  ``k_symmetry_residual`` measures
+k-symmetry in the frame w_i e_i, w = (1, 1, sqrt(l_1..l_n), sqrt(l_1..l_n)),
+where k's Gram entries are 0 or 1: entry (i, j) of Gram @ u is scaled by w_i w_j."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .algebra import LambdaSpec, _as_elem, _row_bilinear, bracket, check_json_numbers
 
-# Acceptance tolerance for k-symmetry, absolute on max|Gram@u - (Gram@u)^T|.
+# Acceptance tolerance for k-symmetry, on ``k_symmetry_residual``.
 K_SYMMETRY_TOL = 1e-10
 # Tolerance used when testing whether u stabilizes a distinguished subspace.
 STABILITY_TOL = 1e-10
@@ -87,8 +88,10 @@ class SymIso:
 
 
 def k_symmetry_residual(form: BiInvariantForm, matrix: np.ndarray) -> float:
+    """max|Gram@u - (Gram@u)^T| in the frame of the module docstring."""
     s = form.gram @ matrix
-    return float(np.max(np.abs(s - s.T)))
+    w = np.concatenate([[1.0, 1.0], np.sqrt(form.spec.lam), np.sqrt(form.spec.lam)])
+    return float(np.max(np.abs((s - s.T) * w[:, None] * w)))
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ def metric_from_iso(form: BiInvariantForm, iso: SymIso) -> Metric:
     scale = float(np.max(np.abs(w)))
     if scale == 0.0 or float(np.min(np.abs(w))) <= 1e-12 * scale:
         raise DegenerateMetric("gram matrix of k_u is singular; u must be invertible")
-    try:  # k_u passes where u fails k-symmetry by less than the absolute K_SYMMETRY_TOL
+    try:  # k_u passes where u fails k-symmetry by less than K_SYMMETRY_TOL
         iso.inv
     except np.linalg.LinAlgError as err:
         raise DegenerateMetric(f"u is singular ({err}); u must be invertible") from err

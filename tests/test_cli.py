@@ -421,8 +421,14 @@ class TestIsometryAndLatticeInputs:
         (["isometry-verify", "--lambda", "1", "--u",
           '{"rho":1,"blocks":[{"v":[0.5,-0.3],"u":[[1,0],[0,1]]}]}'],
          'block 0: "v" must be a list of [re, im] pairs'),
+        # The Euclidean block is 5e-8 off symmetric in k's orthonormal frame
+        # (5e-11 in the Gram frame): once accepted, its E then drifted 6.3e-6.
+        (["geodesic-integrate", "--lambda", "1000", "--metric",
+          '{"kind":"matrix","rows":[[1.1,0.7,0,0],[0.3,1.1,0,0],[0,0,0.9,0.5],'
+          '[0,0,0.50000005,1.2]]}', "--x0", "0.5,0.1,0.6,-0.4", "--t-max", "1"],
+         "not k-symmetric: residual 5.000e-08"),
     ], ids=["no_x0", "gamma1_at_n2", "no_u", "short_g", "eta_length", "lattice_at_n2",
-            "matrix_shape", "u_not_an_object", "v_not_pairs"])
+            "matrix_shape", "u_not_an_object", "v_not_pairs", "asymmetric_at_lambda_1e3"])
     def test_missing_or_misplaced_input_exits_2(self, capsys, argv, needle):
         code, out, err = run(capsys, *argv)
         assert_one_line_input_error(code, out, err, needle)
@@ -1046,7 +1052,7 @@ class TestFloatRangeFindings:
     @pytest.mark.parametrize("task", [["connection-report"], ["geodesic-integrate", "--x0",
                                                               "1,0,0,0", "--t-max", "1"]])
     def test_singular_u_with_a_regular_gram_matrix_exits_2(self, capsys, task):
-        # K u is not symmetric, but by less than the absolute tolerance, and its
+        # K u is not symmetric, but by less than the tolerance, and its
         # symmetric part is regular while u is singular.
         u = '{"kind":"matrix","rows":[[0,0,0,0],[1e-20,2e-20,0,0],[0,0,1e-20,0],[0,0,0,1e-20]]}'
         code, out, err = run(capsys, task[0], "--lambda", "1", "--metric", u, *task[1:])

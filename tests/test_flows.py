@@ -12,9 +12,9 @@ from osclab.flows import (BODY, EULER, LAX, FlowProblem, analytic_gamma1,
                           first_integrals, gamma1_residual, integrate,
                           random_initial_state, scalar_blowup_probe,
                           scalar_blowup_time, trajectory_csv)
-from osclab.metrics import (COMPLETE_CARTAN, SymIso, completeness_criteria, k_lambda,
-                            metric_from_iso, named_family, random_k_symmetric,
-                            stabilizes_cartan)
+from osclab.metrics import (COMPLETE_CARTAN, COMPLETE_CENTER, NotKSymmetric, SymIso,
+                            completeness_criteria, k_lambda, metric_from_iso,
+                            named_family, random_k_symmetric, stabilizes_cartan)
 
 
 def metric(spec, name, **params):
@@ -353,29 +353,19 @@ class TestFirstIntegrals:
         m = metric(spec1, "diagonal_sym", eta=[0.5], eta_check=[0.5])
         fi = first_integrals(m)
         assert not any(n.startswith("Q") for n in fi)
-        cartan_adapted_frame(m)  # the frame exists: a = 0 alone skips the family
+        cartan_adapted_frame(m)  # the frame exists: the complete_center verdict skips the family
         assert m.iso.matrix[0, 1] == 0.0
 
-    def test_asymmetric_euclidean_block_registers_the_generic_integrals(self):
-        # u stabilizes the Cartan subalgebra and reads complete_cartan, but its
-        # Euclidean block is 5e-8 off symmetric: accepted by metric_from_iso at
-        # lambda = 1e3, refused by the adapted frame.
+    def test_asymmetric_euclidean_block_is_refused(self):
+        # u stabilizes the Cartan subalgebra, but its Euclidean block is 5e-8
+        # off symmetric in k's orthonormal frame (5e-11 in the Gram frame).
+        # Accepted, it registered E, which then drifted 6.3e-6 in one time unit.
         spec = LambdaSpec((1e3,))
         u = np.zeros((4, 4))
         u[:2, :2] = [[1.1, 0.7], [0.3, 1.1]]
         u[2:, 2:] = [[0.9, 0.5], [0.5 + 5e-8, 1.2]]
-        m = metric_from_iso(k_lambda(spec), SymIso(spec, u, "cartan_test"))
-        assert completeness_criteria(m.iso) == COMPLETE_CARTAN
-        with pytest.raises(ValueError, match="not symmetric"):
-            cartan_adapted_frame(m)
-        fi = first_integrals(m)
-        assert list(fi) == ["E", "A", "C"]
-        traj = integrate(FlowProblem(m, [0.5, 0.1, 0.6, -0.4], (0.0, 1.0)), fi)
-        assert traj.completed and list(traj.invariant_log) == ["E", "A", "C"]
-        # A and C are conserved for any u; E = k(ux, x) only for a k-symmetric
-        # one, and here drifts with the asymmetry (6e-6).
-        drift = traj.invariant_drift()
-        assert max(drift["A"], drift["C"]) <= 1e-8
+        with pytest.raises(NotKSymmetric, match="residual 5.000e-08"):
+            metric_from_iso(k_lambda(spec), SymIso(spec, u, "cartan_test"))
 
     def test_adapted_frame_requires_cartan_stability(self, u1_metric):
         with pytest.raises(ValueError, match="Cartan"):
@@ -383,6 +373,9 @@ class TestFirstIntegrals:
 
     def test_frame_exists_exactly_where_the_cartan_predicate_holds(self, spec1, spec12, rng):
         isos = [named_family(spec1, name) for name in ("u1_dim4", "u2_dim4", "lattice_dim4")]
+        # u moves the center by 5e-11 only: complete_center, so no Q family.
+        isos += [SymIso(spec1, np.array([[1.1, 5e-11, 0, 0], [0.3, 1.1, 0, 0],
+                                         [0, 0, 0.9, 0.5], [0, 0, 0.5, 1.2]]))]
         isos += [named_family(spec12, "diagonal_sym", eta=[0.3, 1.7], eta_check=[0.7, 1.7],
                               rho=0.4)]
         isos += [named_family(spec12, "direct_sum", core=core, blocks=[[[1.0, 0.2], [0.2, 0.5]]])
@@ -397,8 +390,9 @@ class TestFirstIntegrals:
             isos.append(SymIso(spec, u))
         held, verdicts = [], []
         for iso in isos:
+            m = metric_from_iso(k_lambda(iso.spec), iso)
             try:
-                cartan_adapted_frame(metric_from_iso(k_lambda(iso.spec), iso))
+                cartan_adapted_frame(m)
                 framed = True
             except ValueError:
                 framed = False
@@ -406,7 +400,11 @@ class TestFirstIntegrals:
             verdicts.append(completeness_criteria(iso))
             assert framed == held[-1]
             assert framed or verdicts[-1] != COMPLETE_CARTAN
+            q_names = [f"Q{j + 1}" for j in range(2 * iso.spec.n)]
+            registered = [name for name in first_integrals(m) if name.startswith("Q")]
+            assert registered == (q_names if verdicts[-1] == COMPLETE_CARTAN else [])
         assert any(held) and not all(held) and COMPLETE_CARTAN in verdicts
+        assert verdicts[3] == COMPLETE_CENTER and held[3]
 
 
 class TestAnalyticCurve:

@@ -91,6 +91,27 @@ class TestMetricFromIso:
         with pytest.raises(NotKSymmetric, match="residual"):
             metric_from_iso(k_lambda(spec1), SymIso(spec1, bad))
 
+    @pytest.mark.parametrize("lambdas", [(1e-3,), (1.0,), (1e3,), (0.5, 8.0)])
+    def test_k_symmetry_is_decided_in_k_frame_at_every_lambda(self, lambdas):
+        # u = K^-1 W^-1 S W^-1, W = diag(w) k's orthonormal frame, so that
+        # W K u W = S: a symmetric S but for delta at entry (2, 3), which is
+        # (e_1, ec_1) on one oscillator and couples e_1 and e_2 on two.
+        spec = LambdaSpec(lambdas)
+        form = k_lambda(spec)
+        w = np.concatenate([[1.0, 1.0], np.sqrt(spec.lam), np.sqrt(spec.lam)])
+        s = np.eye(spec.dim)[[1, 0, *range(2, spec.dim)]]  # W K W
+        s[2:, 2:] += 0.2
+        isos = {}
+        for delta in (1e-11, 1e-9):
+            sd = s.copy()
+            sd[2, 3] += delta
+            isos[delta] = SymIso(spec, np.linalg.solve(form.gram, sd / np.outer(w, w)))
+        metric_from_iso(form, isos[1e-11])
+        with pytest.raises(NotKSymmetric, match="residual 1.000e-09"):
+            metric_from_iso(form, isos[1e-9])
+        for delta, iso in isos.items():
+            assert k_symmetry_residual(form, iso.matrix) == pytest.approx(delta, rel=1e-3)
+
     def test_rejects_singular_matrix(self, spec1):
         sing = np.zeros((spec1.dim, spec1.dim))
         with pytest.raises(DegenerateMetric):
