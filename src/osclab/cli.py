@@ -28,9 +28,9 @@ import numpy as np
 from . import __version__
 from .algebra import (LambdaSpec, bracket, cartan, center, derived_ideal,
                       is_json_number, jacobi_residual)
-from .metrics import (K_SYMMETRY_TOL, ad_invariance_residual, completeness_criteria,
-                      k_lambda, k_symmetry_residual, locsym_conditions, metric_from_iso,
-                      parse_sym_iso, signature)
+from .metrics import (K_SYMMETRY_TOL, UNDETERMINED, ad_invariance_residual,
+                      completeness_criteria, k_lambda, k_symmetry_residual, locsym_conditions,
+                      metric_from_iso, parse_sym_iso, signature)
 from .connection import closed_form_L, connection_report, levi_civita, local_symmetry_residual
 from . import flows, ode
 from . import isometry as iso_mod
@@ -160,7 +160,7 @@ def _locsym_tolerance(metric):
 
 def _no_blowups(probe):
     """A certified-complete metric must show no blow-up or step underflow."""
-    return [] if probe.verdict == "undetermined" else [_verdict_check(
+    return [] if probe.verdict == UNDETERMINED else [_verdict_check(
         "no_blowups", "sufficient completeness condition implies no blow-ups",
         probe.n_blowup + probe.n_underflow, 0)]
 

@@ -154,65 +154,51 @@ def curvature_norms(table: ConnTable) -> dict[str, float]:
 def local_symmetry_residual(table: ConnTable) -> float:
     """max residual of [L_z, R(x,y)] = R(L_z x, y) + R(x, L_z y) over basis triples.
 
-    Each entry has, up to sign, the bits of the dense formula
+    The reference is the dense formula, max |lhs - rhs| with
 
         lhs = einsum("zij,xyjk->zxyik", M, R) - einsum("xyij,zjk->zxyik", R, M)
-        rhs = einsum("zxc,cyik->zxyik", L, R) + einsum("zyc,xcik->zxyik", L, R)
+        rhs = einsum("zxc,cyik->zxyik", L, R) + einsum("zyc,xcik->zxyik", L, R),
 
-    at less cost.  R(e_y, e_x) = -R(e_x, e_y) bit for bit, so only x < y is
-    evaluated, and R(x, L_z y) is -R(L_z y, x).  An entry whose products are all
-    zero is zero: only the (z, x < y) blocks that can be nonzero are evaluated,
-    R(L_z e_w, .) only where L_z e_w != 0 and lhs only where R(e_x, e_y) != 0.  For
-    d > 6, finite L and R (0 * inf must give NaN) and few live slices, R(L_z e_w, e_y)
-    is taken only where some L_z e_w[c] R(e_c, e_y) != 0, and M_z R(e_x, e_y) and
-    R(e_x, e_y) M_z only on the rows and columns where M_z != 0, into one zero array
-    (lhs is still fl(t1 - t2)).  No summed axis is cut, so einsum sums each
-    computed entry in the same order.
+    which a table with a non-finite L or R gets as written (0 * inf gives NaN).
+    A finite table gets each entry's bits, up to sign, at less cost.
+    R(e_y, e_x) = -R(e_x, e_y) bit for bit, so only x < y is evaluated, and
+    R(x, L_z y) is -R(L_z y, x).  An entry whose products are all zero is zero:
+    R(L_z e_w, e_y) is taken only where some L_z e_w[c] R(e_c, e_y) != 0, and lhs
+    only where R(e_x, e_y) != 0, with M_z R(e_x, e_y) and R(e_x, e_y) M_z only on
+    the rows and columns where M_z != 0, into one zero array (lhs is still
+    fl(t1 - t2)).  No summed axis is cut, so einsum sums each computed entry in
+    the same order.
     """
     d = table.spec.dim
     L, M, R = table.coeffs, table.left_mult, table.curvature
-    # Below d = 8 the bookkeeping of the cuts costs more than they save, and a
-    # gathered slice costs up to 6 times a slice of a whole row.
-    cut = d > 6 and np.isfinite(L).all() and np.isfinite(R).all()
-    lnz, rnz = L.any(axis=2), R.any(axis=(2, 3))
-    z, w = np.nonzero(lnz)
-    some_c = (L[z, w] != 0).astype(float) @ rnz.astype(float) > 0 if cut else None
-    cut = cut and 6 * np.count_nonzero(some_c) <= some_c.size
+    if not (np.isfinite(L).all() and np.isfinite(R).all()):
+        lhs = np.einsum("zij,xyjk->zxyik", M, R) - np.einsum("xyij,zjk->zxyik", R, M)
+        rhs = np.einsum("zxc,cyik->zxyik", L, R) + np.einsum("zyc,xcik->zxyik", L, R)
+        return float(np.max(np.abs(lhs - rhs)))
+    rnz = R.any(axis=(2, 3))
+    z, w = np.nonzero(L.any(axis=2))
+    live3 = np.zeros((d, d, d), bool)
+    live3[z, w] = (L[z, w] != 0).astype(float) @ rnz.astype(float) > 0
+    zs, ws, ys = np.nonzero(live3)
+    slot = np.full((d, d, d), len(zs))  # t3[slot[z, w, y]] = R(L_z e_w, e_y), or 0
+    slot[zs, ws, ys] = np.arange(len(zs))
+    t3 = np.zeros((len(zs) + 1, d, d))
+    t3[:-1] = np.einsum("sc,csik->sik", L[zs, ws], np.take(R, ys, axis=1))
     # The k pairs with R(e_x, e_y) != 0 go first; live at every z, they fill res[:k d].
     x, y = table.spec.basis_pairs
     pnz = rnz[x, y]
     order, k = np.argsort(~pnz, kind="stable"), np.count_nonzero(pnz)
     x, y = x[order], y[order]
-    if cut:
-        live3 = np.zeros((d, d, d), bool)
-        live3[z, w] = some_c
-        zs, ws, ys = np.nonzero(live3)
-        slot = np.full((d, d, d), len(zs))  # t3[slot[z, w, y]] = R(L_z e_w, e_y), or 0
-        slot[zs, ws, ys] = np.arange(len(zs))
-        t3 = np.zeros((len(zs) + 1, d, d))
-        t3[:-1] = np.einsum("sc,csik->sik", L[zs, ws], np.take(R, ys, axis=1))
-        live = live3[:, x, y] | live3[:, y, x]
-    else:
-        row = np.full((d, d), len(z))  # t3[row[z, w]] = R(L_z e_w, .), or 0
-        row[z, w] = np.arange(len(z))
-        t3 = np.zeros((len(z) + 1, d, d, d))
-        t3[:-1] = np.einsum("pc,cyik->pyik", L[z, w], R)
-        live = lnz[:, x] | lnz[:, y]
+    live = live3[:, x, y] | live3[:, y, x]
     live[:, :k] = True
     bp, bz = np.nonzero(live.T)
+    res = t3[slot[bz, x[bp], y[bp]]]
+    res -= t3[slot[bz, y[bp], x[bp]]]
     rp = R[x[:k], y[:k]]
-    if cut:
-        res = t3[slot[bz, x[bp], y[bp]]]
-        res -= t3[slot[bz, y[bp], x[bp]]]
-        lhs = np.zeros((k, d, d, d))
-        zr, ir = np.nonzero(L.any(axis=1))
-        lhs[:, zr, ir] = np.einsum("rj,pjk->rpk", M[zr, ir], rp).transpose(1, 0, 2)
-        lhs[:, z, :, w] -= np.einsum("pij,jr->rpi", rp, np.ascontiguousarray(M[z, :, w].T))
-    else:
-        res = t3[row[bz, x[bp]], y[bp]]
-        res -= t3[row[bz, y[bp]], x[bp]]
-        lhs = (np.einsum("zij,pjk->zpik", M, rp)
-               - np.einsum("pij,zjk->zpik", rp, M)).transpose(1, 0, 2, 3)
+    lhs = np.zeros((k, d, d, d))
+    zr, ir = np.nonzero(L.any(axis=1))
+    lhs[:, zr, ir] = np.einsum("rj,pjk->rpk", M[zr, ir], rp).transpose(1, 0, 2)
+    lhs[:, z, :, w] -= np.einsum("pij,jr->rpi", rp, np.ascontiguousarray(M[z, :, w].T))
     res[:k * d].reshape(k, d, d, d)[...] -= lhs
     return float(np.max(np.abs(res, out=res), initial=0.0))
 

@@ -66,23 +66,15 @@ class FlowProblem:
 
     @cached_property
     def rhs(self):
-        """The selected vector field as f(t, state).
-
-        Each form is reduced to one flattened bilinear contraction against the
-        precomputed (dim^2, dim) table of ``bilinear``, a few bound ``.dot``
-        calls (the gemv of ``@`` at less dispatch cost), each call returning a
-        fresh array.
+        """The selected vector field as f(t, state): one flattened bilinear
+        contraction against the (P, Q, table) of ``bilinear``, by bound ``.dot``
+        calls (the gemv of ``@`` at less dispatch cost), returning a fresh array.
         """
         p, q, table = self.bilinear
-        if self.form == BODY:
-            def f(t, x):
-                return (x[:, None] * x).ravel().dot(table)
-        elif self.form == EULER:
-            def f(t, x):
-                return (p.dot(x)[:, None] * x).ravel().dot(table)
-        else:
-            def f(t, y):
-                return (y[:, None] * q.dot(y)).ravel().dot(table)
+
+        def f(t, x):
+            return ((x if p is None else p.dot(x))[:, None]
+                    * (x if q is None else q.dot(x))).ravel().dot(table)
         return f
 
     def singularity(self, t, x, direction):

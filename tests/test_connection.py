@@ -281,7 +281,7 @@ class TestLocalSymmetryResidualBits:
                 assert math.isnan(dense_locsym_reference(table))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_non_finite_curvature_entry_where_l_is_zero(self, n, value):
         # No L_z e_w has an e_-1 component on these metrics, so every slice
         # R(e_-1, e_y) meets only zeros of L: 0 * inf must still give NaN.
@@ -313,13 +313,15 @@ class TestLocalSymmetryResidualBits:
             assert math.isnan(dense_locsym_reference(table, R))
             assert math.isnan(local_symmetry_residual(table))
 
-    def test_no_dense_commutator_or_whole_t3_rows_at_n6(self, monkeypatch):
-        # The connection_report_n6 metric.  The dense kernel built the
-        # commutator as (d, k, d, d) and R(L_z e_w, .) as (rows, d, d, d).
-        spec = LambdaSpec((1.0, 1.5, 2.0, 2.5, 3.0, 4.0))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_no_dense_commutator_or_whole_t3_rows(self, n, monkeypatch):
+        # The connection_report_n6 metric, cut to its first n oscillators.  A
+        # dense kernel built the commutator as (d, k, d, d) and R(L_z e_w, .)
+        # as (rows, d, d, d).
+        spec = LambdaSpec((1.0, 1.5, 2.0, 2.5, 3.0, 4.0)[:n])
         table = levi_civita(metric_from_iso(k_lambda(spec), named_family(
-            spec, "diagonal_sym", eta=[0.4, 1.3, 0.7, 2.1, 0.9, 1.6],
-            eta_check=[0.6, 0.5, 1.9, 0.8, -1.2, 0.3])))
+            spec, "diagonal_sym", eta=[0.4, 1.3, 0.7, 2.1, 0.9, 1.6][:n],
+            eta_check=[0.6, 0.5, 1.9, 0.8, -1.2, 0.3][:n])))
         table.curvature
         shapes, einsum = [], np.einsum
         monkeypatch.setattr(np, "einsum", lambda *args, **kw: shapes.append(

@@ -74,7 +74,7 @@ class TestRhs:
 
 def reference_rhs(m, form):
     """FlowProblem.rhs written with np.matmul (@): the reference that the
-    bound-ndarray.dot closures must equal bit for bit."""
+    bound-ndarray.dot closure must equal bit for bit."""
     spec = m.spec
     d = spec.dim
     u = m.iso.matrix
