@@ -24,6 +24,11 @@ import numpy as np
 from .algebra import LambdaSpec, _as_elem, _as_stack, basis_brackets, bracket
 from .metrics import Metric
 
+# local_symmetry_residual gathers R(e_c, e_y) at most this many bytes at a time: a dense
+# n = 6 table has about 2,700 live slices (60 MB), a diagonal_sym one at most 24 (0.53
+# MB at d = 14, one chunk), and 256 KB chunks made a dense n = 6 call about 1.7x slower.
+_GATHER_BYTES = 8 << 20
+
 
 @dataclass(frozen=True)
 class ConnTable:
@@ -183,7 +188,10 @@ def local_symmetry_residual(table: ConnTable) -> float:
     slot = np.full((d, d, d), len(zs))  # t3[slot[z, w, y]] = R(L_z e_w, e_y), or 0
     slot[zs, ws, ys] = np.arange(len(zs))
     t3 = np.zeros((len(zs) + 1, d, d))
-    t3[:-1] = np.einsum("sc,csik->sik", L[zs, ws], np.take(R, ys, axis=1))
+    step = max(1, _GATHER_BYTES // R[:, 0].nbytes)
+    for a in range(0, len(zs), step):
+        s = slice(a, a + step)
+        t3[:-1][s] = np.einsum("sc,csik->sik", L[zs[s], ws[s]], np.take(R, ys[s], axis=1))
     # The k pairs with R(e_x, e_y) != 0 go first; live at every z, they fill res[:k d].
     x, y = table.spec.basis_pairs
     pnz = rnz[x, y]

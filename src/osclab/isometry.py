@@ -20,7 +20,6 @@ the block inner product is the Euclidean one divided by the block frequency.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,21 +161,15 @@ def geodesic_exponential(metric: Metric, x0, rtol: float = 1e-10,
     lam = spec.lam
     problem = FlowProblem(metric, x0, (0.0, 1.0), form=BODY)
 
-    # state = (x, t, s, Re z, Im z)
+    # state = (x, t, s, Re z_1, Im z_1, ...): state[d + 2:].view(complex) is z, and
+    # ph.view(float) its derivative; w = re_im @ (Re w, Im w) from x's split layout.
+    re_im = np.array([1.0, 1j])
+
     def f(tau, state):
         x = state[:d]
-        t = state[d]
-        w = x[2 : 2 + n] + 1j * x[2 + n :]
-        z = state[d + 2 : d + 2 + n] + 1j * state[d + 2 + n :]
-        ph = np.exp(1j * t * lam) * w
-        ds = x[1] + 0.5 * float(np.sum(np.imag(np.conj(z) * ph)))
-        out = np.empty(state.size)
-        out[:d] = problem.rhs(tau, x)
-        out[d] = x[0]
-        out[d + 1] = ds
-        out[d + 2 : d + 2 + n] = ph.real
-        out[d + 2 + n :] = ph.imag
-        return out
+        ph = np.exp(1j * state[d] * lam) * (re_im @ x[2:].reshape(2, n))
+        ds = x[1] + 0.5 * np.vdot(state[d + 2 :].view(complex), ph).imag
+        return np.concatenate([problem.rhs(tau, x), x[:1], [ds], ph.view(float)])
 
     state0 = np.concatenate([problem.x0, np.zeros(d)])
     res = ode.solve_rk45(f, (0.0, 1.0), state0, rtol=rtol, atol=atol,
@@ -184,7 +177,7 @@ def geodesic_exponential(metric: Metric, x0, rtol: float = 1e-10,
     if res.status != ode.COMPLETED:
         raise RuntimeError(f"geodesic did not reach t=1: {res.status}")
     end = res.ys[-1]
-    return GroupRows(end[d], end[d + 1], end[d + 2 : d + 2 + n] + 1j * end[d + 2 + n :])
+    return GroupRows(end[d], end[d + 1], end[d + 2 :].view(complex))
 
 
 # -- block helpers --------------------------------------------------------------
@@ -662,17 +655,12 @@ def lattice_criterion(values) -> LatticeVerdict:
                               "from floating-point frequencies")
     if not exact or any(v <= 0 for v in exact):
         raise ValueError("frequencies must be positive")
-    # Exact rationals are pairwise commensurable, so the generated subgroup
-    # is (gcd) Z and in particular discrete.
-    gen = functools.reduce(_fraction_gcd, exact)
+    # Exact rationals are pairwise commensurable, so the generated subgroup is gen Z,
+    # discrete, with gen = gcd(p_i)/lcm(q_i) over the reduced fractions p_i/q_i.
+    gen = Fraction(math.gcd(*(v.numerator for v in exact)),
+                   math.lcm(*(v.denominator for v in exact)))
     return LatticeVerdict(True, True, gen,
                           f"all frequencies are integer multiples of {gen}")
-
-
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(math.gcd(a.numerator * b.denominator,
-                             b.numerator * a.denominator),
-                    a.denominator * b.denominator)
 
 
 def commensurability_oracle(values, generator) -> bool:

@@ -69,7 +69,7 @@ def ad_invariance_residual(form: BiInvariantForm, seed: int = 0) -> float:
 
 @dataclass(frozen=True)
 class SymIso:
-    """A k-symmetric invertible linear map, the datum of a left-invariant metric."""
+    """A linear map u, the datum of a left-invariant metric once metric_from_iso accepts it."""
 
     spec: LambdaSpec
     matrix: np.ndarray
@@ -131,9 +131,8 @@ def metric_from_iso(form: BiInvariantForm, iso: SymIso) -> Metric:
                          if not np.isfinite(iso.matrix).all()
                          else "gram matrix of k_u overflows the float range")
     if res > K_SYMMETRY_TOL:
-        raise NotKSymmetric(
-            f"matrix is not k-symmetric: residual {res:.3e} exceeds {K_SYMMETRY_TOL:.1e}"
-        )
+        raise NotKSymmetric(f"{iso.kind} is not k-symmetric: residual {res:.3e} "
+                            f"exceeds {K_SYMMETRY_TOL:.1e}")
     w = np.linalg.eigvalsh(gram_u)
     scale = float(np.max(np.abs(w)))
     if scale == 0.0 or float(np.min(np.abs(w))) <= 1e-12 * scale:
@@ -167,23 +166,16 @@ def _u2_dim4() -> np.ndarray:
     return m
 
 
-def _require_unit_first_lambda(spec: LambdaSpec, name: str):
-    if spec.lambdas[0] != 1.0:
-        raise ValueError(
-            f"{name} is k-symmetric only when the first frequency is 1, got {spec.lambdas}"
-        )
-
-
 def named_family(spec: LambdaSpec, name: str, **params) -> SymIso:
-    """Construct one of the named metric families.
+    """Construct u for one of the named metric families.  Only shapes are checked
+    here: u is validated when a Metric is built from it (``metric_from_iso``).
 
     diagonal_sym: u(e_0) = e_0, u(e_-1) = e_-1 + rho*e_0, u(e_i) = eta_i e_i,
-        u(ec_i) = etc_i ec_i. Parameters eta, eta_check (length n, nonzero),
-        rho (default 0).
-    u1_dim4 / u2_dim4: the two incomplete dim-4 examples (require lambda = (1,)).
+        u(ec_i) = etc_i ec_i. Parameters eta, eta_check (length n), rho (default 0).
+    u1_dim4 / u2_dim4: the two incomplete dim-4 examples (metrics at lambda = (1,)).
     lattice_dim4: identity except u(e_-1) = e_-1 + alpha*e_0 (require n = 1).
-    direct_sum: dim-4 core u1 or u2 on the first oscillator pair plus
-        symmetric invertible 2x2 blocks on each remaining (e_j, ec_j) plane.
+    direct_sum: dim-4 core u1 or u2 on the first oscillator pair plus 2x2
+        blocks on each remaining (e_j, ec_j) plane.
     """
     d, n = spec.dim, spec.n
     if name == "diagonal_sym":
@@ -192,8 +184,6 @@ def named_family(spec: LambdaSpec, name: str, **params) -> SymIso:
         rho = float(params.get("rho", 0.0))
         if eta.shape != (n,) or etc.shape != (n,):
             raise ValueError(f"eta and eta_check must have length {n}")
-        if np.any(eta == 0.0) or np.any(etc == 0.0):
-            raise ValueError("eta and eta_check entries must be nonzero")
         m = np.zeros((d, d))
         m[0, 0] = 1.0
         m[1, 0] = rho
@@ -206,7 +196,6 @@ def named_family(spec: LambdaSpec, name: str, **params) -> SymIso:
     if name in ("u1_dim4", "u2_dim4"):
         if n != 1:
             raise ValueError(f"{name} lives on the dim-4 oscillator, got n={n}")
-        _require_unit_first_lambda(spec, name)
         return SymIso(spec, _u1_dim4() if name == "u1_dim4" else _u2_dim4(), name)
     if name == "lattice_dim4":
         if n != 1:
@@ -221,7 +210,6 @@ def named_family(spec: LambdaSpec, name: str, **params) -> SymIso:
             raise ValueError(f'direct_sum core must be "u1" or "u2", got {core!r}')
         if n < 2:
             raise ValueError("direct_sum needs at least two oscillator pairs")
-        _require_unit_first_lambda(spec, "direct_sum")
         blocks = params.get("blocks")
         if blocks is None or len(blocks) != n - 1:
             raise ValueError(f"direct_sum needs {n - 1} 2x2 blocks for j=2..{n}")
@@ -231,10 +219,8 @@ def named_family(spec: LambdaSpec, name: str, **params) -> SymIso:
         m[np.ix_(core_idx, core_idx)] = core_m
         for off, blk in enumerate(blocks):
             blk = np.asarray(blk, dtype=float)
-            if blk.shape != (2, 2) or abs(blk[0, 1] - blk[1, 0]) > 1e-12:
-                raise ValueError(f"block {off + 2} must be a symmetric 2x2 matrix")
-            if abs(np.linalg.det(blk)) < 1e-12:
-                raise ValueError(f"block {off + 2} is singular")
+            if blk.shape != (2, 2):
+                raise ValueError(f"block {off + 2} must be a 2x2 matrix")
             j = off + 2
             idx = [spec.e_index(j), spec.ec_index(j)]
             m[np.ix_(idx, idx)] = blk

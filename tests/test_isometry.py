@@ -430,9 +430,12 @@ class TestLattice:
             with pytest.raises(ValueError, match="decimal exponents are bounded by 4300"):
                 lattice_criterion([big, "2"])
 
-    @given(st.lists(st.fractions(min_value=Fraction(1, 12), max_value=20,
-                                 max_denominator=12), min_size=1, max_size=6))
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.lists(st.fractions(min_value=Fraction(1, 12), max_value=20,
+                              max_denominator=12), min_size=1, max_size=6),
+        st.lists(st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**12)),
+                 min_size=1, max_size=6)))
+    @settings(max_examples=120, deadline=None)
     def test_agrees_with_the_brute_force_oracle(self, values):
         v = lattice_criterion(values)
         assert v.decidable

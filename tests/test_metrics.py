@@ -118,6 +118,14 @@ class TestMetricFromIso:
             metric_from_iso(k_lambda(spec1), SymIso(spec1, sing))
 
 
+def _direct_sum_u2(block):
+    """u2 on (e_-1, e_0, e_1, ec_1) plus ``block`` on (e_2, ec_2), at n = 2."""
+    u = np.zeros((6, 6))
+    u[[4, 2, 0, 1], [0, 1, 2, 4]] = 1.0
+    u[np.ix_([3, 5], [3, 5])] = block
+    return u
+
+
 class TestNamedFamilies:
     def test_diagonal_identity(self, spec1):
         iso = named_family(spec1, "diagonal_sym", eta=[1.0], eta_check=[1.0])
@@ -150,8 +158,8 @@ class TestNamedFamilies:
 
     def test_dim4_families_require_unit_frequency(self):
         spec = LambdaSpec((2.0,))
-        with pytest.raises(ValueError, match="frequency"):
-            named_family(spec, "u1_dim4")
+        with pytest.raises(NotKSymmetric, match="u1_dim4 is not k-symmetric: residual 7.071e-01"):
+            metric_from_iso(k_lambda(spec), named_family(spec, "u1_dim4"))
         spec2 = LambdaSpec((1.0, 2.0))
         with pytest.raises(ValueError, match="dim-4"):
             named_family(spec2, "u2_dim4")
@@ -161,13 +169,42 @@ class TestNamedFamilies:
         iso = named_family(spec, "direct_sum", core="u2",
                            blocks=[[[1.2, 0.1], [0.1, 0.9]]])
         assert k_symmetry_residual(k_lambda(spec), iso.matrix) == 0.0
-        with pytest.raises(ValueError, match="symmetric"):
-            named_family(spec, "direct_sum", core="u2",
-                         blocks=[[[1.0, 0.3], [0.1, 1.0]]])
+        with pytest.raises(NotKSymmetric, match="direct_sum is not k-symmetric"):
+            metric_from_iso(k_lambda(spec), named_family(spec, "direct_sum", core="u2",
+                                                         blocks=[[[1.0, 0.3], [0.1, 1.0]]]))
 
     def test_zero_eta_rejected(self, spec1):
-        with pytest.raises(ValueError, match="nonzero"):
-            named_family(spec1, "diagonal_sym", eta=[0.0], eta_check=[1.0])
+        with pytest.raises(DegenerateMetric, match="singular"):
+            metric_from_iso(k_lambda(spec1), named_family(spec1, "diagonal_sym",
+                                                          eta=[0.0], eta_check=[1.0]))
+
+    @pytest.mark.parametrize("lambdas, name, params, u", [
+        # Invertible, with a block determinant of 1e-13; then asymmetric by 5e-11,
+        # under K_SYMMETRY_TOL.
+        ((1.0, 2.0), "direct_sum", {"core": "u2", "blocks": [np.diag([1e-7, 1e-6])]},
+         _direct_sum_u2(np.diag([1e-7, 1e-6]))),
+        ((1.0, 2.0), "direct_sum", {"core": "u2", "blocks": [[[1.0, 0.3], [0.3 + 5e-11, 1.0]]]},
+         _direct_sum_u2([[1.0, 0.3], [0.3 + 5e-11, 1.0]])),
+        ((2.0,), "u1_dim4", {}, np.eye(4)[[1, 2, 0, 3]]),
+        ((1.0,), "diagonal_sym", {"eta": [0.0], "eta_check": [1.0]}, np.diag([1.0, 1.0, 0.0, 1.0])),
+    ], ids=["small_block", "asymmetric_block", "u1_at_lambda_2", "zero_eta"])
+    def test_a_family_and_its_matrix_are_judged_alike(self, lambdas, name, params, u):
+        spec = LambdaSpec(lambdas)
+
+        def verdict(iso):
+            try:
+                return metric_from_iso(k_lambda(spec), iso).gram_u
+            except ValueError as err:
+                return type(err)
+
+        iso = named_family(spec, name, **params)
+        assert np.array_equal(iso.matrix, u)
+        family = verdict(iso)
+        matrix = verdict(parse_sym_iso(spec, {"kind": "matrix", "rows": u.tolist()}))
+        if isinstance(family, np.ndarray) and isinstance(matrix, np.ndarray):
+            assert np.array_equal(family, matrix)
+        else:
+            assert family is matrix
 
 
 class TestSignature:
