@@ -10,13 +10,14 @@ Solutions of the three forms are related by y = u(x).  Trajectories carry
 a log of registered conserved quantities so integrator drift is auditable.
 Each form is a homogeneous quadratic field x' = B(x, x), and a run is
 reported as a blow-up only where a Taylor series of that field locates a
-finite-time singularity ahead (``locate_singularity``).
+finite-time singularity ahead (``locate_singularity``).  If x~ solves it, so
+does x(t) = -x~(-t): a backward span is the forward run from -x0, mirrored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -77,9 +78,9 @@ class FlowProblem:
                     * (x if q is None else q.dot(x))).ravel().dot(table)
         return f
 
-    def singularity(self, t, x, direction):
+    def singularity(self, t, x):
         """``locate_singularity`` for this field: the solver's blow-up test."""
-        return locate_singularity(self.bilinear, t, x, direction)
+        return locate_singularity(self.bilinear, t, x)
 
 
 def _sq(v):
@@ -177,11 +178,25 @@ class Trajectory(ode.IntegrationResult):
         return out
 
 
+def _solve(problem: FlowProblem, x0, t_span) -> ode.IntegrationResult:
+    """The solver run of ``problem``'s field from x0 over t_span = (t0, t1).  For t1 < t0
+    it is the forward run from -x0 over (-t0, -t1), mirrored; its errors name t, not -t."""
+    t0, t1 = t_span
+    if not t1 < t0:
+        return ode.solve_rk45(problem.rhs, t_span, x0, rtol=problem.rtol, atol=problem.atol,
+                              singularity=problem.singularity)
+    try:
+        res = _solve(problem, -x0, (-t0, -t1))
+    except (ode.SolverInputError, ode.SolverRefusal) as err:
+        message, *times = err.args
+        raise type(err)(message, *(-t for t in times)) from None
+    t_hat = res.t_detected
+    return replace(res, ts=-res.ts, ys=-res.ys, t_detected=None if t_hat is None else -t_hat)
+
+
 def integrate(problem: FlowProblem, integrals: dict | None = None) -> Trajectory:
     """Run the adaptive integrator and log ``integrals`` (name to stacked function)."""
-    res = ode.solve_rk45(problem.rhs, problem.t_span, problem.x0,
-                         rtol=problem.rtol, atol=problem.atol,
-                         singularity=problem.singularity)
+    res = _solve(problem, problem.x0, problem.t_span)
     if integrals is None:  # built after the solver, which may refuse the run
         integrals = first_integrals(problem.metric)
     xs = _rowwise(problem.metric.iso.inv, res.ys) if problem.form == LAX else res.ys
@@ -198,14 +213,14 @@ _WINDOW = 9
 _AGREE = 1e-9
 
 
-def locate_singularity(bilinear, t: float, x: np.ndarray, direction: float) -> float | None:
+def locate_singularity(bilinear, t: float, x: np.ndarray) -> float | None:
     """The time of a finite-time singularity ahead of the state x of
     x' = B(x, x) at time t, or None when none is confirmed.
 
     ``bilinear`` is (P, Q, table) as in ``FlowProblem.bilinear``.  The Taylor
-    coefficients follow from a_{k+1} = (1/(k+1)) sum_i B(a_i, a_{k-i}), B's
-    sign following the time direction, with the state and time rescaled so
-    that a_0 and a_1 have unit max-norm (homogeneity undoes both at the end).
+    coefficients follow from a_{k+1} = (1/(k+1)) sum_i B(a_i, a_{k-i}), with
+    the state and time rescaled so that a_0 and a_1 have unit max-norm
+    (homogeneity undoes both at the end).
     The ratios a_k / a_{k-1} of the component largest at the last order are
     fitted as alpha + beta / k (Domb and Sykes) over two windows of orders.
     A singularity at distance R ahead gives alpha = 1/R in both; an entire
@@ -220,7 +235,7 @@ def locate_singularity(bilinear, t: float, x: np.ndarray, direction: float) -> f
     a[0] = x / m
     pa = a if p is None else np.zeros_like(a)
     qa = a if q is None else np.zeros_like(a)
-    scale = direction
+    scale = 1.0
     with np.errstate(all="ignore"):  # a runaway series fails the tests below
         for k in range(_ORDERS):
             if p is not None:
@@ -233,7 +248,7 @@ def locate_singularity(bilinear, t: float, x: np.ndarray, direction: float) -> f
                 if not 0.0 < sigma < math.inf:
                     return None
                 a[1] /= sigma
-                scale = direction / sigma
+                scale = 1.0 / sigma
         c = a[:, int(np.argmax(np.abs(a[-1])))]
         r = (c[1:] / c[:-1])[-2 * _WINDOW:].reshape(2, _WINDOW)
         inv_k = 1.0 / np.arange(_ORDERS - 2 * _WINDOW + 1, _ORDERS + 1).reshape(2, _WINDOW)
@@ -242,7 +257,7 @@ def locate_singularity(bilinear, t: float, x: np.ndarray, direction: float) -> f
         alpha = r.mean(axis=1) - beta * inv_k.mean(axis=1)
     if not (alpha[1] > 0.0 and abs(alpha[0] - alpha[1]) <= _AGREE * alpha[1]):
         return None
-    return t + direction / (float(alpha[1]) * sigma * m)
+    return t + 1.0 / (float(alpha[1]) * sigma * m)
 
 
 # -- analytic references -------------------------------------------------------
@@ -317,7 +332,7 @@ def euler_coadjoint_residual(metric: Metric, x) -> float:
 @dataclass(frozen=True)
 class ProbeSample:
     index: int
-    orientation: int              # +1 forward, -1 backward
+    orientation: int              # +1 forward, -1 backward: the forward run from -x0, mirrored
     status: str
     t_detected: float | None
 
@@ -360,14 +375,13 @@ def completeness_probe(metric: Metric, sample_count: int, t_max: float,
     spec = metric.spec
     children = np.random.SeedSequence(seed).spawn(sample_count)
     states = [random_initial_state(spec, np.random.default_rng(s)) for s in children]
-    problem = FlowProblem(metric, np.zeros(spec.dim), (0.0, t_max), form=EULER)
+    problem = FlowProblem(metric, np.zeros(spec.dim), (0.0, t_max), EULER, rtol, atol)
 
     results = []
     for i, st in enumerate(states):
-        for ori in (+1, -1):
-            res = ode.solve_rk45(problem.rhs, (0.0, ori * t_max), st, rtol=rtol, atol=atol,
-                                 singularity=problem.singularity)
-            results.append(ProbeSample(i, ori, res.status, res.t_detected))
+        fwd, back = _solve(problem, st, (0.0, t_max)), _solve(problem, st, (0.0, -t_max))
+        results += [ProbeSample(i, +1, fwd.status, fwd.t_detected),
+                    ProbeSample(i, -1, back.status, back.t_detected)]
 
     blow = [s for s in results if s.status == ode.BLOWUP]
     under = [s for s in results if s.status == ode.STEP_UNDERFLOW]

@@ -19,14 +19,15 @@ passes each decade from DECIDE_FROM to DECIDE_UNTIL; it reads the state and
 nothing else, so a run it does not stop keeps its step sequence.  A trial
 step whose state is not finite has an infinite error estimate and is
 rejected like any step that misses the tolerance (its overflow warnings are
-silenced).  Two classes are raised.  ``SolverInputError``, a ``ValueError``,
-refuses up front inputs that could only produce a meaningless status:
-negative, non-finite or all-zero tolerances, a non-finite time span or
-initial state, an initial state beyond the blow-up threshold, a
-non-finite f(t0, y0), or a y0 or f(t0, y0) whose ratio to the tolerance
-scale overflows or is 0/0, so that no first step can be guessed.  ``SolverRefusal``, a ``RuntimeError``, stops a run
-with no status to report: a step underflow with non-increasing norm
-(stiffness or a bug, not incompleteness evidence), or a span that
+silenced).  Time runs forward only.  Two classes are raised.
+``SolverInputError``, a ``ValueError``, refuses up front inputs that could
+only produce a meaningless status: negative, non-finite or all-zero
+tolerances, a non-finite or backward time span, a non-finite initial state,
+an initial state beyond the blow-up threshold, a non-finite f(t0, y0), or a
+y0 or f(t0, y0) whose ratio to the tolerance scale overflows or is 0/0, so
+that no first step can be guessed.  ``SolverRefusal``, a ``RuntimeError``,
+stops a run with no status to report: a step underflow with non-increasing
+norm (stiffness or a bug, not incompleteness evidence), or a span that
 ``MAX_STEPS`` (300,000) accepted steps do not cover.
 
 A right-hand side returns a fresh array on every call, never a shared
@@ -115,11 +116,17 @@ UNBOUNDED_GROWTH = "unbounded_growth"
 STEP_UNDERFLOW = "step_underflow"
 
 
-class SolverInputError(ValueError):
+class _NamesTimes(Exception):  # args: a format string, then the times it names
+    def __str__(self):
+        message, *times = self.args
+        return message.format(*times) if times else message
+
+
+class SolverInputError(_NamesTimes, ValueError):
     """Tolerances, time span, initial state or f(t0, y0) that no integration can honour."""
 
 
-class SolverRefusal(RuntimeError):
+class SolverRefusal(_NamesTimes, RuntimeError):
     """A run that stopped without a status: the step budget ran out, or the
     step underflowed while the norm was not growing."""
 
@@ -145,7 +152,9 @@ def _check_inputs(t0, t1, y0, rtol, atol, blowup_threshold):
     if rtol == 0.0 and atol == 0.0:
         raise SolverInputError("rtol and atol are both zero; no step can meet that tolerance")
     if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise SolverInputError(f"time span endpoints must be finite, got ({t0!r}, {t1!r})")
+        raise SolverInputError("time span endpoints must be finite, got ({!r}, {!r})", t0, t1)
+    if t1 < t0:
+        raise SolverInputError("backward time span ({!r}, {!r}): steps go forward only", t0, t1)
     if not np.all(np.isfinite(y0)):
         raise SolverInputError("initial state has non-finite entries")
     norm = float(np.max(np.abs(y0), initial=0.0))
@@ -154,7 +163,7 @@ def _check_inputs(t0, t1, y0, rtol, atol, blowup_threshold):
                                f"the blow-up threshold {blowup_threshold:g}")
 
 
-def _initial_step(f, t0, y0, f0, direction, rtol, atol):
+def _initial_step(f, t0, y0, f0, rtol, atol):
     # Hairer-style two-stage guess.
     scale = atol + rtol * np.abs(y0)
     with np.errstate(all="ignore"):  # a guess of 0 or NaN is refused below
@@ -162,10 +171,9 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol):
         d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if not h0 > 0.0:  # 0 would be divided by below, and no step of NaN size ends
-        raise SolverInputError(f"no first step at t={t0} (guess {h0}): y0 or f(t0, y0) over "
-                               "the tolerance scale atol + rtol |y0| overflows or is 0/0")
-    y1 = y0 + h0 * direction * f0
-    f1 = f(t0 + h0 * direction, y1)
+        raise SolverInputError(f"no first step at t={{}} (guess {h0}): y0 or f(t0, y0) over "
+                               "the tolerance scale atol + rtol |y0| overflows or is 0/0", t0)
+    f1 = f(t0 + h0, y0 + h0 * f0)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -176,31 +184,29 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol):
 
 def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12,
                singularity=None) -> IntegrationResult:
-    """Integrate y' = f(t, y) over t_span, recording every accepted step.
+    """Integrate y' = f(t, y) forward over t_span = (t0, t1), recording every
+    accepted step; a backward span (t1 < t0) is refused.
 
     Steps stop only at the end of the span or at a blow-up, unbounded-growth
-    or underflow verdict.  Backward integration (t1 < t0) is supported.
-    ``singularity(t, y, direction)`` returns the time of a finite-time
-    singularity it locates ahead of the accepted state (t, y), direction
-    being +1 or -1 for the run's time orientation, or None; a located one
-    no later than the end of the span stops the run as ``blowup`` with
+    or underflow verdict.  ``singularity(t, y)`` returns the time of a
+    finite-time singularity it locates ahead of the accepted state (t, y), or
+    None; a located one no later than t1 stops the run as ``blowup`` with
     ``t_detected`` that time.  Without it no run can stop as ``blowup``.
     """
     h_min, blowup_threshold, max_steps = H_MIN, BLOWUP_THRESHOLD, MAX_STEPS
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).copy()
     _check_inputs(t0, t1, y, rtol, atol, blowup_threshold)
-    direction = 1.0 if t1 >= t0 else -1.0
-    span = abs(t1 - t0)
+    span = t1 - t0
     if span == 0.0:
         return IntegrationResult(np.array([t0]), y[None, :].copy(), COMPLETED)
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         f0 = f(t0, y)
     if not np.all(np.isfinite(f0)):
-        raise SolverInputError(f"right-hand side not finite at t={t0}: "
-                               "f(t0, y0) overflows the float range")
-    h = min(_initial_step(f, t0, y, f0, direction, rtol, atol), span)
+        raise SolverInputError("right-hand side not finite at t={}: "
+                               "f(t0, y0) overflows the float range", t0)
+    h = min(_initial_step(f, t0, y, f0, rtol, atol), span)
 
     # Stage arrays are fresh from each step, so samples are stored uncopied.
     ts, ys = [t0], [y]
@@ -217,22 +223,21 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12,
 
     # A non-finite trial is a rejected step: its overflow warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        while (t1 - t) * direction > 0:
+        while t < t1:
             if n_steps >= max_steps:
-                raise SolverRefusal(f"step budget {max_steps} exhausted at t={t}")
+                raise SolverRefusal(f"step budget {max_steps} exhausted at t={{}}", t)
             # Floor first: an end closer than h_min is landed on, not stepped over.
-            h = min(max(h, h_min), abs(t1 - t))
+            h = min(max(h, h_min), t1 - t)
             k[0] = k[12]
             failed_before = False
             while True:
-                hd = h * direction
                 # Bound .dot, the array first in a product and ufunc.reduce run
-                # the kernels of @, hd * v and .sum() / .max() on the same operands
+                # the kernels of @, h * v and .sum() / .max() on the same operands
                 # (same bits) at less dispatch cost: reverting them is a slowdown,
                 # not a style fix.
                 for i, c, a_dot, k_prev in stages:
-                    yi = y + a_dot(k_prev) * hd
-                    k[i] = f(t + c * hd, yi)
+                    yi = y + a_dot(k_prev) * h
+                    k[i] = f(t + c * h, yi)
                 y_new = yi  # stage 12's input is the order-8 solution
                 abs_new = np.abs(y_new)
                 norm_new = float(np.maximum.reduce(abs_new))  # NaN or inf unless finite
@@ -252,9 +257,8 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12,
                 h *= factor
                 if h < h_min:
                     if norm < norm_prev:
-                        raise SolverRefusal(
-                            f"step size underflow at t={t} without norm growth; "
-                            "refusing to report incompleteness")
+                        raise SolverRefusal("step size underflow at t={} without norm "
+                                            "growth; refusing to report incompleteness", t)
                     status, t_detected = STEP_UNDERFLOW, t
                     break
             if status != COMPLETED:
@@ -262,15 +266,15 @@ def solve_rk45(f, t_span, y0, rtol=1e-10, atol=1e-12,
 
             # Accepted.
             n_steps += 1
-            t, y, abs_y = t + h * direction, y_new, abs_new
+            t, y, abs_y = t + h, y_new, abs_new
             norm_prev, norm = norm, norm_new
             ts.append(t)
             ys.append(y)
             if norm > next_decision:
-                t_hat = singularity(t, y, direction)
+                t_hat = singularity(t, y)
                 # A singularity past the end of the span is no stop: the run
                 # keeps stepping and may still complete.
-                if t_hat is not None and (t_hat - t1) * direction <= 0:
+                if t_hat is not None and t_hat <= t1:
                     status, t_detected = BLOWUP, t_hat
                     break
                 while next_decision < norm:

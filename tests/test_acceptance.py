@@ -235,7 +235,7 @@ def test_criterion_07_geodesic_flow():
     traj2 = integrate(prob2, fi2)
     located = []
     ode.solve_rk45(prob2.rhs, prob2.t_span, prob2.x0,
-                   singularity=lambda t, x, d: located.append(prob2.singularity(t, x, d)))
+                   singularity=lambda t, x: located.append(prob2.singularity(t, x)))
     u2_rel = abs(traj2.t_detected - located[-1]) / located[-1]
     keep = traj2.ts <= 0.9 * traj2.t_detected
     worst_u2 = 0.0

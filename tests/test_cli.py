@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -304,19 +305,22 @@ class TestProbeInputs:
 
 class TestStepBudget:
     """A span the solver's step budget does not cover exits 2 with one line
-    naming the time reached.  A 50-step budget keeps the runs short."""
+    naming the time reached, negative on a backward span.  A 50-step budget
+    keeps the runs short."""
 
     _METRIC = '{"kind":"diagonal_sym","eta":[0.3],"eta_check":[0.7]}'
 
-    @pytest.mark.parametrize("argv", [
-        ["geodesic-integrate", "--x0", "0.5,0.1,0.6,-0.4", "--t-max", "1e300"],
-        ["completeness-probe", "--samples", "1", "--t-max", "1e300"],
+    @pytest.mark.parametrize("argv, sign", [
+        (["geodesic-integrate", "--x0", "0.5,0.1,0.6,-0.4", "--t-max", "1e300"], ""),
+        (["geodesic-integrate", "--x0", "0.5,0.1,0.6,-0.4", "--t-max", "-1e300"], "-"),
+        (["completeness-probe", "--samples", "1", "--t-max", "1e300"], ""),
     ])
-    def test_exhausted_budget_exits_2_with_one_line(self, capsys, monkeypatch, argv):
+    def test_exhausted_budget_exits_2_with_one_line(self, capsys, monkeypatch, argv, sign):
         monkeypatch.setattr(ode, "MAX_STEPS", 50)
         code, out, err = run(capsys, argv[0], "--lambda", "1", "--metric", self._METRIC,
                              *argv[1:])
         assert_one_line_input_error(code, out, err, "step budget 50 exhausted at t=")
+        assert re.search(r"exhausted at t=(-?)\d", err).group(1) == sign
 
 
 _U_OK = {"rho": 1, "blocks": [{"v": [[0.5, -0.3]], "u": [[1, 0], [0, 1]]}]}
@@ -730,8 +734,9 @@ class TestOutOfRangeInitialState:
     # A zero of the tolerance scale where y0 is 0 gives 0/0: the run never ended.
     (["--lambda", "1", "--metric", "u1_dim4", "--x0", "0,0.5,1,0", "--atol", "0"], math.nan),
 ], ids=["overflow", "zero_over_zero"])
-def test_first_step_guess_of_0_or_nan_exits_2_with_one_line(argv, guess):
-    proc = run_child("geodesic-integrate", *argv, "--t-max", "1")
+@pytest.mark.parametrize("t_max", ["1", "-1"])  # t=0.0 for the backward span too, not -0.0
+def test_first_step_guess_of_0_or_nan_exits_2_with_one_line(argv, guess, t_max):
+    proc = run_child("geodesic-integrate", *argv, "--t-max", t_max)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == (f"error: no first step at t=0.0 (guess {guess}): y0 or f(t0, y0) "
                            "over the tolerance scale atol + rtol |y0| overflows or is 0/0\n")

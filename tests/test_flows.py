@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -191,34 +192,39 @@ class TestSingularityTest:
         m = metric(spec1, "diagonal_sym", eta=[0.5], eta_check=[2.0])
         x = np.array([30.0, 0.4, 80.0, -120.0])
         prob = FlowProblem(m, x, (0.0, 1.0), form=form)
-        for direction in (1.0, -1.0):
-            assert prob.singularity(0.0, x, direction) is None
+        for start in (x, -x):  # from -x: the run backward from x, mirrored
+            assert prob.singularity(0.0, start) is None
 
     @pytest.mark.parametrize("t_max", [1.5, -1.5])
     def test_pole_past_the_span_end_completes(self, u1_metric, monkeypatch, t_max):
         # gamma1 at (c, rho) = (1, 1) passes |x| = 1e2 before |t| = 1.5 and has
         # its pole at +-pi/2: located, but no stop, so the run keeps the bits
-        # of a run that makes no decision.
+        # of a run that makes no decision.  The backward run is the forward
+        # run from -x0 mirrored, whose pole lies at +pi/2.
         located = []
         real = flows.locate_singularity
         monkeypatch.setattr(flows, "locate_singularity",
                             lambda *a: located.append(real(*a)) or located[-1])
         prob = FlowProblem(u1_metric, analytic_gamma1(1.0, 1.0, 0.0), (0.0, t_max))
         traj = integrate(prob)
-        plain = ode.solve_rk45(prob.rhs, prob.t_span, prob.x0, rtol=prob.rtol, atol=prob.atol)
+        sign = math.copysign(1.0, t_max)
+        plain = ode.solve_rk45(prob.rhs, (0.0, abs(t_max)), sign * prob.x0, rtol=prob.rtol,
+                               atol=prob.atol)
         assert traj.completed and traj.t_detected is None
-        assert np.array_equal(traj.ts, plain.ts) and np.array_equal(traj.ys, plain.ys)
-        pole = math.copysign(math.pi / 2, t_max)
-        assert located and all(abs(t - pole) <= 1e-9 * math.pi / 2 for t in located)
+        assert np.array_equal(traj.ts, sign * plain.ts)
+        assert np.array_equal(traj.ys, sign * plain.ys)
+        assert located and all(abs(t - math.pi / 2) <= 1e-9 * math.pi / 2 for t in located)
 
     def test_scalar_pole_ahead_and_none_behind(self):
         table = (None, None, np.array([[0.5]]))
         # x' = x^2 / 2 from x(t) = 200 has its pole at t + 2/200.
-        got = flows.locate_singularity(table, 3.0, np.array([200.0]), 1.0)
+        got = flows.locate_singularity(table, 3.0, np.array([200.0]))
         assert abs(got - 3.01) <= 1e-15 * 3.01
-        assert flows.locate_singularity(table, 3.0, np.array([200.0]), -1.0) is None
-        assert flows.locate_singularity(table, 3.0, np.array([-200.0]), -1.0) == \
-            pytest.approx(2.99, rel=1e-15)
+        # Behind x(3) = +-200 are the poles ahead of x(-3) = -+200, mirrored:
+        # none ahead of -200, and 2.99 behind x(3) = -200.
+        assert flows.locate_singularity(table, -3.0, np.array([-200.0])) is None
+        assert flows.locate_singularity(table, -3.0, np.array([200.0])) == \
+            pytest.approx(-2.99, rel=1e-15)
 
     @pytest.mark.parametrize("form", [BODY, EULER, LAX])
     def test_equilibrium_has_no_singularity(self, spec1, form, monkeypatch):
@@ -230,7 +236,7 @@ class TestSingularityTest:
                             lambda *a: located.append(real(*a)) or located[-1])
         x0 = 1e3 * basis_vector(spec1, 1)
         prob = FlowProblem(metric(spec1, "diagonal_sym"), x0, (0.0, 1.0), form=form)
-        assert prob.singularity(0.0, prob.x0, 1.0) is None
+        assert prob.singularity(0.0, prob.x0) is None
         traj = integrate(prob)
         assert traj.completed and np.all(traj.ys == x0)
         assert located == [None, None]  # the call above, then the run's one decision
@@ -239,10 +245,100 @@ class TestSingularityTest:
         prob = FlowProblem(u1_metric, analytic_gamma1(1.0, 1.0, 0.0), (0.0, 3.0))
         t = 1.5
         x = analytic_gamma1(1.0, 1.0, t)
-        assert abs(prob.singularity(t, x, 1.0) - math.pi / 2) <= 1e-12
+        assert abs(prob.singularity(t, x) - math.pi / 2) <= 1e-12
         back = integrate(FlowProblem(u1_metric, analytic_gamma1(1.0, 1.0, 0.0), (0.0, -3.0)))
         assert back.status == ode.BLOWUP
         assert abs(back.t_detected + math.pi / 2) <= 1e-9 * math.pi / 2
+
+
+class TestBackwardSpan:
+    """A backward span is the forward run from -x0 with every time and state
+    negated: x(t) = -x~(-t) solves x' = B(x, x) whenever x~ does."""
+
+    def test_backward_run_is_the_mirrored_forward_run(self, spec1, spec12):
+        rng = np.random.default_rng(31)
+        metrics = [metric_from_iso(k_lambda(spec), random_k_symmetric(spec, rng))
+                   for spec in (spec1, spec12, LambdaSpec((0.7, 1.3, 2.9)))]
+        metrics += [metric(spec1, "u1_dim4"), metric(spec1, "u2_dim4"),
+                    metric(spec12, "direct_sum", core="u2", blocks=[[[1.1, 0.2], [0.2, 0.8]]])]
+        statuses = []
+        for m in metrics:
+            integrals = first_integrals(m)
+            for t0, t1 in ((0.0, -2.0), (1.5, -3.0)):
+                x0 = 2.0 * random_initial_state(m.spec, rng)
+                # A +0.0 coordinate that stays 0 would come back as -0.0.
+                assert np.all(x0 != 0.0)
+                for form in (BODY, EULER, LAX):
+                    start = m.iso.matrix @ x0 if form == LAX else x0
+                    back = integrate(FlowProblem(m, start, (t0, t1), form=form))
+                    fwd = integrate(FlowProblem(m, -start, (-t0, -t1), form=form))
+                    statuses.append(back.status)
+                    assert (back.status, back.n_steps, back.n_rejected) == \
+                        (fwd.status, fwd.n_steps, fwd.n_rejected)
+                    assert np.array_equal(back.ts, -fwd.ts) and np.array_equal(back.ys, -fwd.ys)
+                    assert back.t_detected == (None if fwd.t_detected is None
+                                               else -fwd.t_detected)
+                    assert np.array_equal(back.euler_states, -fwd.euler_states)
+                    for name, fn in integrals.items():
+                        assert np.array_equal(back.invariant_log[name], fn(back.euler_states))
+                    # The same bytes as the forward solve of the time-reversed
+                    # field y' = -B(y, y) from x0, whose y(s) is x(-s).
+                    p, q, table = back.problem.bilinear
+                    rev = ode.solve_rk45(lambda t, y: -back.problem.rhs(t, y), (-t0, -t1), start,
+                                         singularity=partial(flows.locate_singularity,
+                                                             (p, q, -table)))
+                    assert back.ts.tobytes() == (-rev.ts).tobytes()
+                    assert back.ys.tobytes() == rev.ys.tobytes()
+                    assert (back.status, back.n_steps, back.n_rejected) == \
+                        (rev.status, rev.n_steps, rev.n_rejected)
+                    assert back.t_detected == (None if rev.t_detected is None
+                                               else -rev.t_detected)
+        assert statuses.count(ode.BLOWUP) == 12 and statuses.count(ode.COMPLETED) == 24
+
+    def test_backward_probe_samples_are_forward_runs_from_minus_x0(self, spec1, spec12):
+        for m in (metric(spec1, "u1_dim4"), metric(spec1, "u2_dim4"),
+                  metric(spec12, "direct_sum", core="u2", blocks=[[[1.1, 0.2], [0.2, 0.8]]])):
+            rep = completeness_probe(m, 4, 5.0, seed=3)
+            prob = FlowProblem(m, np.zeros(m.spec.dim), (0.0, 5.0))
+            children = np.random.SeedSequence(3).spawn(4)
+            assert [s.orientation for s in rep.samples] == [1, -1] * 4
+            for s in rep.samples[1::2]:
+                st = random_initial_state(m.spec, np.random.default_rng(children[s.index]))
+                res = ode.solve_rk45(prob.rhs, (0.0, 5.0), -st, singularity=prob.singularity)
+                assert s.status == res.status
+                assert s.t_detected == (None if res.t_detected is None else -res.t_detected)
+                assert s.t_detected is None or s.t_detected < 0.0
+            assert any(s.status == ode.BLOWUP for s in rep.samples[1::2])
+
+    def test_a_negative_probe_horizon_swaps_the_orientations(self, u1_metric):
+        pos = completeness_probe(u1_metric, 4, 5.0, seed=3).samples
+        neg = completeness_probe(u1_metric, 4, -5.0, seed=3).samples
+        swapped = [s for plus, minus in zip(neg[::2], neg[1::2]) for s in (minus, plus)]
+        assert [(s.index, -s.orientation, s.status, s.t_detected) for s in swapped] == \
+            [(s.index, s.orientation, s.status, s.t_detected) for s in pos]
+        assert any(s.status == ode.BLOWUP for s in neg)
+
+    def test_span_shorter_than_h_min_lands_on_its_end(self, u1_metric):
+        t_span = (1.0, 1.0 - 5e-14)
+        traj = integrate(FlowProblem(u1_metric, [0.5, 0.1, 0.6, -0.4], t_span))
+        assert traj.completed
+        assert traj.ts.tolist() == list(t_span) and traj.n_steps == 1
+
+    @pytest.mark.parametrize("t_span", [(0.0, -math.inf), (math.inf, 1.0)])
+    def test_a_non_finite_span_is_refused_naming_the_callers_times(self, u1_metric, t_span):
+        with pytest.raises(ode.SolverInputError) as caught:
+            integrate(FlowProblem(u1_metric, [0.5, 0.1, 0.6, -0.4], t_span))
+        assert str(caught.value) == f"time span endpoints must be finite, got {t_span!r}"
+
+    def test_an_exhausted_budget_names_the_callers_time(self, u1_metric, monkeypatch):
+        monkeypatch.setattr(ode, "MAX_STEPS", 3)
+        prob = FlowProblem(u1_metric, [0.5, 0.1, 0.6, -0.4], (0.0, -1e300))
+        with pytest.raises(ode.SolverRefusal) as caught:
+            integrate(prob)
+        with pytest.raises(ode.SolverRefusal) as mirrored:
+            ode.solve_rk45(prob.rhs, (0.0, 1e300), -prob.x0)
+        t = float(str(mirrored.value).rsplit("=", 1)[1])
+        assert t > 0.0 and str(caught.value) == f"step budget 3 exhausted at t={-t!r}"
 
 
 class TestTrajectoryRecord:
